@@ -26,9 +26,7 @@ from .incidence import (
     SpecializationMatrix,
     binarize,
     compute_rca,
-    diversity,
     prune_degenerate,
-    ubiquity,
 )
 from .ingest import (
     LongRecord,
@@ -79,7 +77,6 @@ __all__ = [
     "binarize",
     "compare_vectors",
     "compute_rca",
-    "diversity",
     "drop_empty_margins",
     "eci",
     "eigendecompose",
@@ -102,7 +99,6 @@ __all__ = [
     "similarity_extensive",
     "similarity_intensive",
     "standardize",
-    "ubiquity",
     "world_to_incidence",
 ]
 

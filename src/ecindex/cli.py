@@ -1,51 +1,40 @@
 """Command-line interface.
 
-Subcommands cover each pipeline stage (``ingest`` .. ``density``), synthetic
-world generation (``world``), score comparison (``compare``) and the full
-pipeline (``run``). All numeric output is full round-trip precision. Exit
-code is 0 on success; on failure a stage-tagged error line goes to stderr and
-the exit code is nonzero.
+Subcommands cover the full pipeline (``run``), each pipeline stage
+(``ingest`` .. ``density``), synthetic world generation (``world``) and score
+comparison (``compare``). Stage commands are thin shells over the pipeline:
+``eci`` .. ``density`` are ``run --emit <name>``, and ``ingest``, ``rca`` and
+``incidence`` write an intermediate of :func:`ecindex.pipeline.prepare`. All
+numeric output is full round-trip precision. Exit code is 0 on success; on
+failure a stage-tagged error line goes to stderr and the exit code is nonzero.
 """
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
-from ._io import write_matrix, write_rows
+from ._io import write_matrix
 from .alphabet import generate_nested_world, generate_random_world, world_to_incidence, write_world
 from .errors import ComplexityError
-from .incidence import (
-    binarize,
-    compute_rca,
-    prune_degenerate,
-    write_incidence,
-    write_specialization,
-)
-from .ingest import drop_empty_margins, left_tail_filter, open_text, parse_long_records, pivot_to_matrix
+from .incidence import write_incidence, write_specialization
 from .pipeline import (
     EMIT_CHOICES,
     PipelineConfig,
+    Prepared,
     compare_vectors,
     load_config_file,
+    prepare,
     read_scores_file,
     run_pipeline,
-)
-from .relatedness import proximity, relatedness_density, write_density, write_proximity, write_proximity_edges
-from .spectral import (
-    eci,
-    extensive_scores,
-    largest_component,
-    method_of_reflections,
-    pci,
-    write_eigensolution,
-    write_scores,
+    write_margins,
 )
 
 
-def _fail(err: ComplexityError) -> None:
+def _fail(err: ComplexityError) -> NoReturn:
     stage = err.stage or "unknown"
     click.echo(f"error [{stage}] {err}", err=True)
     sys.exit(1)
@@ -69,20 +58,37 @@ def _input_options(fn):
     return fn
 
 
-def _load_matrix(input_path, delimiter, min_location_total, min_activity_total):
-    with open_text(input_path) as fh:
-        records = parse_long_records(fh, delimiter)
-    matrix = pivot_to_matrix(records)
-    matrix = left_tail_filter(matrix, min_location_total, min_activity_total)
-    return drop_empty_margins(matrix)
+def _config(options: dict) -> PipelineConfig:
+    try:
+        return PipelineConfig(**options)
+    except (TypeError, ValueError) as err:
+        click.echo(f"error [config] {err}", err=True)
+        sys.exit(2)
 
 
-def _load_final(input_path, delimiter, min_location_total, min_activity_total, rca_threshold):
-    """Raw input through RCA, binarization, pruning and component restriction."""
-    matrix = _load_matrix(input_path, delimiter, min_location_total, min_activity_total)
-    pruned, _ = prune_degenerate(binarize(compute_rca(matrix), rca_threshold))
-    final, _ = largest_component(pruned)
-    return final
+def _report(outputs: dict[str, Path]) -> None:
+    for name in sorted(outputs):
+        click.echo(f"wrote {outputs[name]}")
+
+
+def _run_and_report(options: dict) -> None:
+    cfg = _config(options)
+    try:
+        result = run_pipeline(cfg)
+    except ComplexityError as err:
+        _fail(err)
+    _report(result.outputs)
+
+
+def _prepare(options: dict) -> tuple[PipelineConfig, Prepared]:
+    """Config and pipeline intermediates for a command that writes one of them."""
+    cfg = _config(options)
+    try:
+        stages = prepare(cfg)
+    except ComplexityError as err:
+        _fail(err)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, stages
 
 
 @click.group()
@@ -92,138 +98,62 @@ def main():
 
 @main.command()
 @_input_options
-def ingest(input_path, delimiter, min_location_total, min_activity_total, rca_threshold, out_dir):
+def ingest(**options):
     """Parse, aggregate and size-filter the input into an output matrix."""
-    try:
-        matrix = _load_matrix(input_path, delimiter, min_location_total, min_activity_total)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "output_matrix.csv"
-        write_matrix(path, matrix.values, matrix.location_labels, matrix.activity_labels, delimiter)
-        click.echo(f"wrote {path}")
-    except ComplexityError as err:
-        _fail(err)
+    cfg, stages = _prepare(options)
+    matrix = stages.nonzero
+    path = cfg.out_dir / "output_matrix.csv"
+    write_matrix(path, matrix.values, matrix.location_labels, matrix.activity_labels, cfg.delimiter)
+    _report({"output_matrix": path})
 
 
 @main.command()
 @_input_options
-def rca(input_path, delimiter, min_location_total, min_activity_total, rca_threshold, out_dir):
+def rca(**options):
     """Write the specialization (RCA) matrix."""
-    try:
-        matrix = _load_matrix(input_path, delimiter, min_location_total, min_activity_total)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "rca.csv"
-        write_specialization(path, compute_rca(matrix), delimiter)
-        click.echo(f"wrote {path}")
-    except ComplexityError as err:
-        _fail(err)
+    cfg, stages = _prepare(options)
+    path = cfg.out_dir / "rca.csv"
+    write_specialization(path, stages.specialization, cfg.delimiter)
+    _report({"rca": path})
 
 
 @main.command()
 @_input_options
-def incidence(input_path, delimiter, min_location_total, min_activity_total, rca_threshold, out_dir):
-    """Write the pruned binary incidence matrix with diversity and ubiquity."""
-    try:
-        matrix = _load_matrix(input_path, delimiter, min_location_total, min_activity_total)
-        pruned, _ = prune_degenerate(binarize(compute_rca(matrix), rca_threshold))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_incidence(out_dir / "incidence.csv", pruned, delimiter)
-        write_rows(out_dir / "diversity.csv", ("label", "value"),
-                   zip(pruned.location_labels, pruned.diversity), delimiter)
-        write_rows(out_dir / "ubiquity.csv", ("label", "value"),
-                   zip(pruned.activity_labels, pruned.ubiquity), delimiter)
-        click.echo(f"wrote {out_dir / 'incidence.csv'}")
-    except ComplexityError as err:
-        _fail(err)
+def incidence(**options):
+    """Write the pruned binary incidence matrix (before the component cut) with diversity and ubiquity."""
+    cfg, stages = _prepare(options)
+    path = cfg.out_dir / "incidence.csv"
+    write_incidence(path, stages.pruned, cfg.delimiter)
+    _report({"incidence": path, **write_margins(cfg.out_dir, stages.pruned, cfg.delimiter)})
 
 
-def _score_command(name, compute):
-    @main.command(name=name)
-    @_input_options
-    def command(input_path, delimiter, min_location_total, min_activity_total, rca_threshold, out_dir):
-        try:
-            final = _load_final(input_path, delimiter, min_location_total, min_activity_total, rca_threshold)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            path = out_dir / f"{name}.csv"
-            write_scores(path, compute(final), delimiter)
-            click.echo(f"wrote {path}")
-        except ComplexityError as err:
-            _fail(err)
+def _emit_command(name, doc, *extra_options):
+    """A stage command that is ``run --emit <name>`` with the stage's own flags."""
 
-    command.__doc__ = f"Write {name.upper()} scores (label, raw, standardized, rank)."
-    return command
+    def command(**options):
+        _run_and_report({**options, "emit": (name,)})
+
+    command.__doc__ = doc
+    for option in extra_options:
+        command = option(command)
+    main.command(name=name)(_input_options(command))
 
 
-_score_command("eci", eci)
-_score_command("pci", pci)
-
-
-@main.command()
-@_input_options
-def extensive(input_path, delimiter, min_location_total, min_activity_total, rca_threshold, out_dir):
-    """Write the first and second extensive eigenvectors and the spectrum."""
-    try:
-        final = _load_final(input_path, delimiter, min_location_total, min_activity_total, rca_threshold)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        first, second, solution = extensive_scores(final)
-        write_scores(out_dir / "extensive_first.csv", first, delimiter)
-        write_scores(out_dir / "extensive_second.csv", second, delimiter)
-        write_eigensolution(out_dir / "extensive_eigenvalues.csv", solution, delimiter)
-        click.echo(f"wrote {out_dir / 'extensive_first.csv'}")
-    except ComplexityError as err:
-        _fail(err)
-
-
-@main.command()
-@_input_options
-@click.option("--iterations", default=20, show_default=True, help="Number of reflection updates.")
-def reflections(input_path, delimiter, min_location_total, min_activity_total, rca_threshold, out_dir, iterations):
-    """Write the method-of-reflections trajectory (raw and z-scored)."""
-    try:
-        final = _load_final(input_path, delimiter, min_location_total, min_activity_total, rca_threshold)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        trajectory = method_of_reflections(final, iterations)
-        for stem, labels, raw, z in (
-            ("reflections_locations", trajectory.location_labels, trajectory.kc, trajectory.kc_zscored),
-            ("reflections_activities", trajectory.activity_labels, trajectory.kp, trajectory.kp_zscored),
-        ):
-            rows = (
-                (n, label, raw[n, i], z[n, i])
-                for n in range(raw.shape[0])
-                for i, label in enumerate(labels)
-            )
-            write_rows(out_dir / f"{stem}.csv", ("iteration", "label", "value", "zscore"), rows, delimiter)
-        click.echo(f"wrote {out_dir / 'reflections_locations.csv'}")
-    except ComplexityError as err:
-        _fail(err)
-
-
-@main.command(name="proximity")
-@_input_options
-@click.option("--min-phi", default=0.0, show_default=True, help="Minimum proximity for the edge list.")
-def proximity_command(input_path, delimiter, min_location_total, min_activity_total, rca_threshold, out_dir, min_phi):
-    """Write the activity proximity matrix and thresholded edge list."""
-    try:
-        final = _load_final(input_path, delimiter, min_location_total, min_activity_total, rca_threshold)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        phi = proximity(final)
-        write_proximity(out_dir / "proximity_matrix.csv", phi, delimiter)
-        write_proximity_edges(out_dir / "proximity_edges.csv", phi, min_phi, delimiter)
-        click.echo(f"wrote {out_dir / 'proximity_matrix.csv'}")
-    except ComplexityError as err:
-        _fail(err)
-
-
-@main.command()
-@_input_options
-def density(input_path, delimiter, min_location_total, min_activity_total, rca_threshold, out_dir):
-    """Write the relatedness density matrix."""
-    try:
-        final = _load_final(input_path, delimiter, min_location_total, min_activity_total, rca_threshold)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_density(out_dir / "density.csv", relatedness_density(final, proximity(final)), delimiter)
-        click.echo(f"wrote {out_dir / 'density.csv'}")
-    except ComplexityError as err:
-        _fail(err)
+_emit_command("eci", "Write ECI scores (label, raw, standardized, rank).")
+_emit_command("pci", "Write PCI scores (label, raw, standardized, rank).")
+_emit_command("extensive", "Write the first and second extensive eigenvectors and the spectrum.")
+_emit_command(
+    "reflections",
+    "Write the method-of-reflections trajectory (raw and z-scored).",
+    click.option("--iterations", "reflections_iterations", default=20, show_default=True,
+                 help="Number of reflection updates."),
+)
+_emit_command(
+    "proximity",
+    "Write the activity proximity matrix and thresholded edge list.",
+    click.option("--min-phi", default=0.0, show_default=True, help="Minimum proximity for the edge list."),
+)
+_emit_command("density", "Write the relatedness density matrix.")
 
 
 @main.command()
@@ -304,18 +234,7 @@ def run(config_path, **flags):
     if missing:
         click.echo(f"error [config] missing required options: {sorted(missing)}", err=True)
         sys.exit(2)
-    try:
-        cfg = PipelineConfig(**options)
-    except (TypeError, ValueError) as err:
-        click.echo(f"error [config] {err}", err=True)
-        sys.exit(2)
-    try:
-        result = run_pipeline(cfg)
-    except ComplexityError as err:
-        _fail(err)
-    else:
-        for name in sorted(result.outputs):
-            click.echo(f"wrote {result.outputs[name]}")
+    _run_and_report(options)
 
 
 if __name__ == "__main__":

@@ -145,16 +145,6 @@ def prune_degenerate(m: IncidenceMatrix) -> tuple[IncidenceMatrix, list[PruneRec
     return IncidenceMatrix.from_values(values, loc_labels, act_labels), report
 
 
-def diversity(m: IncidenceMatrix) -> np.ndarray:
-    """Exact integer row sums."""
-    return m.values.sum(axis=1)
-
-
-def ubiquity(m: IncidenceMatrix) -> np.ndarray:
-    """Exact integer column sums."""
-    return m.values.sum(axis=0)
-
-
 def write_incidence(path: Path, m: IncidenceMatrix, delimiter: str = ",") -> None:
     write_matrix(path, m.values, m.location_labels, m.activity_labels, delimiter)
 

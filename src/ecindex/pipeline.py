@@ -4,8 +4,10 @@ The runner executes ingest -> left-tail cut -> empty-margin drop -> RCA ->
 binarize -> prune -> largest component, then emits score and relatedness
 files per the configured emit flags. Every label from the raw input either
 reaches an output file or appears in exactly one drop record of the manifest,
-with the stage and reason that removed it. Reruns with identical config and
-input produce byte-identical outputs; only the manifest timestamp differs.
+with the stage and reason that removed it. :func:`prepare` runs the steps up
+to the final incidence matrix and writes nothing. Reruns with identical
+config and input produce byte-identical outputs; only the manifest timestamp
+differs.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .errors import (
     ZeroVariance,
 )
 from .incidence import (
+    IncidenceMatrix,
+    SpecializationMatrix,
     binarize,
     compute_rca,
     prune_degenerate,
@@ -58,6 +62,7 @@ from .spectral import (
     largest_component,
     method_of_reflections,
     pci,
+    pearson,
     write_eigensolution,
     write_scores,
 )
@@ -110,6 +115,19 @@ class RunResult:
     outputs: dict[str, Path]
 
 
+@dataclass(frozen=True)
+class Prepared:
+    """Every intermediate from the raw matrix to the final incidence matrix,
+    plus the drop records of the steps between them."""
+
+    raw: OutputMatrix
+    nonzero: OutputMatrix
+    specialization: SpecializationMatrix
+    pruned: IncidenceMatrix
+    final: IncidenceMatrix
+    dropped: list[dict]
+
+
 def compare_vectors(a, b, name_a: str = "a", name_b: str = "b") -> ComparisonReport:
     """Pearson, R-squared and Spearman over the label intersection.
 
@@ -122,9 +140,9 @@ def compare_vectors(a, b, name_a: str = "a", name_b: str = "b") -> ComparisonRep
     labels_b, values_b = _as_labeled(b)
     if labels_a is not None and labels_b is not None:
         index_b = {label: i for i, label in enumerate(labels_b)}
-        shared = [label for label in labels_a if label in index_b]
-        values_a = np.array([values_a[labels_a.index(label)] for label in shared])
-        values_b = np.array([values_b[index_b[label]] for label in shared])
+        shared = [(i, index_b[label]) for i, label in enumerate(labels_a) if label in index_b]
+        values_a = np.array([values_a[i] for i, _ in shared])
+        values_b = np.array([values_b[j] for _, j in shared])
     elif len(values_a) != len(values_b):
         raise ValueError("unlabeled vectors must have equal length")
     n = len(values_a)
@@ -132,7 +150,7 @@ def compare_vectors(a, b, name_a: str = "a", name_b: str = "b") -> ComparisonRep
         raise InsufficientOverlap(f"only {n} shared labels, need at least 3")
     if values_a.std() == 0 or values_b.std() == 0:
         raise ZeroVariance("cannot correlate a constant vector")
-    r = _pearson(values_a, values_b)
+    r = pearson(values_a, values_b)
     return ComparisonReport(name_a, name_b, n, r, r * r, _spearman(values_a, values_b))
 
 
@@ -212,15 +230,10 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         raise
 
 
-def _run(cfg: PipelineConfig, out_dir: Path, written: list[Path]) -> RunResult:
+def prepare(cfg: PipelineConfig) -> Prepared:
+    """Ingest -> left-tail cut -> empty-margin drop -> RCA -> binarize -> prune
+    -> largest component, each step stage-tagged. Writes nothing."""
     dropped: list[dict] = []
-    outputs: dict[str, Path] = {}
-
-    def emit(name: str, filename: str, writer, *args) -> None:
-        path = out_dir / filename
-        writer(path, *args)
-        written.append(path)
-        outputs[name] = path
 
     with _stage("ingest"):
         with open_text(cfg.input_path) as fh:
@@ -270,20 +283,43 @@ def _run(cfg: PipelineConfig, out_dir: Path, written: list[Path]) -> RunResult:
             for label in component_report.excluded_activities
         )
 
+    return Prepared(raw, nonzero, specialization, pruned, final, dropped)
+
+
+def write_margins(out_dir: Path, m: IncidenceMatrix, delimiter: str = ",") -> dict[str, Path]:
+    """``diversity.csv`` and ``ubiquity.csv`` (label, value) of ``m``."""
+    paths: dict[str, Path] = {}
+    for name, labels, values in (
+        ("diversity", m.location_labels, m.diversity),
+        ("ubiquity", m.activity_labels, m.ubiquity),
+    ):
+        paths[name] = Path(out_dir) / f"{name}.csv"
+        write_rows(paths[name], ("label", "value"), zip(labels, values), delimiter)
+    return paths
+
+
+def _run(cfg: PipelineConfig, out_dir: Path, written: list[Path]) -> RunResult:
+    outputs: dict[str, Path] = {}
+
+    def record(paths: dict[str, Path]) -> None:
+        written.extend(paths.values())
+        outputs.update(paths)
+
+    def emit(name: str, filename: str, writer, *args) -> None:
+        path = out_dir / filename
+        writer(path, *args)
+        record({name: path})
+
+    stages = prepare(cfg)
+    final = stages.final
+
     sign_conventions: dict[str, dict] = {}
     diversity_values = final.diversity.astype(float)
     want = set(cfg.emit)
 
     with _stage("emit"):
         emit("incidence", "incidence.csv", write_incidence, final, cfg.delimiter)
-        emit(
-            "diversity", "diversity.csv", write_rows,
-            ("label", "value"), zip(final.location_labels, final.diversity), cfg.delimiter,
-        )
-        emit(
-            "ubiquity", "ubiquity.csv", write_rows,
-            ("label", "value"), zip(final.activity_labels, final.ubiquity), cfg.delimiter,
-        )
+        record(write_margins(out_dir, final, cfg.delimiter))
 
     eci_scores = None
     with _stage("eci"):
@@ -355,7 +391,7 @@ def _run(cfg: PipelineConfig, out_dir: Path, written: list[Path]) -> RunResult:
                 ),
                 cfg.delimiter,
             )
-            panel_paths = emit_figure_data(
+            record(emit_figure_data(
                 out_dir,
                 final.location_labels,
                 diversity_values,
@@ -365,10 +401,7 @@ def _run(cfg: PipelineConfig, out_dir: Path, written: list[Path]) -> RunResult:
                     "eci": eci_scores,
                 },
                 cfg.delimiter,
-            )
-            for name, path in panel_paths.items():
-                written.append(path)
-                outputs[name] = path
+            ))
 
     manifest = {
         "input": str(cfg.input_path),
@@ -383,12 +416,12 @@ def _run(cfg: PipelineConfig, out_dir: Path, written: list[Path]) -> RunResult:
             "emit": list(cfg.emit),
         },
         "counts": {
-            "raw_locations": len(raw.location_labels),
-            "raw_activities": len(raw.activity_labels),
+            "raw_locations": len(stages.raw.location_labels),
+            "raw_activities": len(stages.raw.activity_labels),
             "final_locations": len(final.location_labels),
             "final_activities": len(final.activity_labels),
         },
-        "dropped": dropped,
+        "dropped": stages.dropped,
         "tolerances": {
             "eigen_residual": EIGEN_RESIDUAL_TOL,
             "degenerate_eigenvalue": DEGENERATE_EIGENVALUE_TOL,
@@ -408,8 +441,7 @@ def _run(cfg: PipelineConfig, out_dir: Path, written: list[Path]) -> RunResult:
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    written.append(manifest_path)
-    outputs["manifest"] = manifest_path
+    record({"manifest": manifest_path})
     return RunResult(manifest, outputs)
 
 
@@ -465,13 +497,6 @@ def _as_labeled(x) -> tuple[tuple[str, ...] | None, np.ndarray]:
     return None, np.asarray(x, dtype=float)
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    a = a - a.mean()
-    b = b - b.mean()
-    r = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-    return float(np.clip(r, -1.0, 1.0))
-
-
 def _spearman(a: np.ndarray, b: np.ndarray) -> float:
     """Exact 1 - 6*sum(d^2)/(n(n^2-1)) without ties, Pearson on ranks with."""
     ranks_a = stats.rankdata(a)
@@ -480,4 +505,4 @@ def _spearman(a: np.ndarray, b: np.ndarray) -> float:
     if np.unique(a).size == n and np.unique(b).size == n:
         d = ranks_a - ranks_b
         return 1.0 - 6.0 * float(d @ d) / (n * (n * n - 1))
-    return _pearson(ranks_a, ranks_b)
+    return pearson(ranks_a, ranks_b)

@@ -439,20 +439,21 @@ def _zscore_or_nan(v: np.ndarray) -> np.ndarray:
     return (v - v.mean()) / std
 
 
-def _pearson_or_zero(a: np.ndarray, b: np.ndarray) -> float:
+def pearson(a: np.ndarray, b: np.ndarray) -> float:
+    """Pearson correlation clipped to [-1, 1]; 0.0 when either vector is constant."""
     a = a - a.mean()
     b = b - b.mean()
     norm_a = np.linalg.norm(a)
     norm_b = np.linalg.norm(b)
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
-    return float(a @ b / (norm_a * norm_b))
+    return float(np.clip(a @ b / (norm_a * norm_b), -1.0, 1.0))
 
 
 def _fix_sign(
     raw: np.ndarray, standardized: np.ndarray, reference_name: str, reference: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, SignConvention]:
-    correlation = _pearson_or_zero(standardized, reference)
+    correlation = pearson(standardized, reference)
     if abs(correlation) <= SIGN_CORRELATION_TOL:
         pivot = int(np.argmax(np.abs(raw)))
         if raw[pivot] < 0:

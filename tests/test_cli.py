@@ -1,6 +1,7 @@
 import gzip
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from ecindex.cli import main
@@ -96,14 +97,44 @@ def test_stage_subcommands(tmp_path):
         assert (out_dir / filename).exists(), command
 
 
-def test_subcommand_matches_run_output(tmp_path):
+@pytest.mark.parametrize("command", ["eci", "pci", "extensive", "reflections", "proximity", "density"])
+def test_subcommand_matches_run_output(tmp_path, command):
     input_path = write_sample(tmp_path / "input.csv")
     sub_dir = tmp_path / "sub"
     run_dir = tmp_path / "run"
     common = ["--input", input_path, "--min-location-total", 5, "--min-activity-total", 5]
-    assert invoke("eci", *common, "--out-dir", sub_dir).exit_code == 0
-    assert invoke("run", *common, "--out-dir", run_dir, "--emit", "eci").exit_code == 0
-    assert (sub_dir / "eci.csv").read_bytes() == (run_dir / "eci.csv").read_bytes()
+    common += {"reflections": ["--iterations", 7], "proximity": ["--min-phi", 0.3]}.get(command, [])
+    assert invoke(command, *common, "--out-dir", sub_dir).exit_code == 0
+    assert invoke("run", *common, "--out-dir", run_dir, "--emit", command).exit_code == 0
+    names = sorted(path.name for path in sub_dir.iterdir())
+    assert names == sorted(path.name for path in run_dir.iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (sub_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def test_stage_subcommand_failures_are_stage_tagged(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("location,activity,value\n")
+    for command in ("eci", "ingest"):
+        result = invoke(command, "--input", empty, "--out-dir", tmp_path / command)
+        assert result.exit_code == 1, command
+        assert "error [ingest]" in result.output, command
+
+    cut_dir = tmp_path / "cut"
+    result = invoke("ingest", "--input", write_sample(tmp_path / "input.csv"), "--out-dir", cut_dir,
+                    "--min-location-total", 1e9)
+    assert result.exit_code == 1
+    assert "error [left_tail_filter]" in result.output
+    assert not (cut_dir / "output_matrix.csv").exists()
+
+    one_activity = tmp_path / "one.csv"
+    one_activity.write_text("location,activity,value\nL0,A0,5\nL1,A0,7\nL2,A0,3\n")
+    out_dir = tmp_path / "density"
+    result = invoke("density", "--input", one_activity, "--out-dir", out_dir)
+    assert result.exit_code != 0
+    assert "error [relatedness]" in result.output
+    assert not (out_dir / "incidence.csv").exists()
 
 
 def test_world_nested_and_random(tmp_path):

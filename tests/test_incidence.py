@@ -8,10 +8,8 @@ from ecindex.incidence import (
     IncidenceMatrix,
     binarize,
     compute_rca,
-    diversity,
     prune_degenerate,
     read_incidence,
-    ubiquity,
     write_incidence,
     write_specialization,
 )
@@ -155,23 +153,27 @@ class TestPruneDegenerate:
 class TestMargins:
     def test_hand_example(self):
         m = labeled_incidence(np.array([[1, 1], [0, 1]]))
-        assert diversity(m).tolist() == [2, 1]
-        assert ubiquity(m).tolist() == [1, 2]
+        assert m.diversity.tolist() == [2, 1]
+        assert m.ubiquity.tolist() == [1, 2]
 
     def test_identity(self):
         m = labeled_incidence(np.eye(4, dtype=np.int64))
-        assert diversity(m).tolist() == [1, 1, 1, 1]
-        assert ubiquity(m).tolist() == [1, 1, 1, 1]
+        assert m.diversity.tolist() == [1, 1, 1, 1]
+        assert m.ubiquity.tolist() == [1, 1, 1, 1]
 
     def test_all_ones(self):
         m = labeled_incidence(np.ones((3, 5), dtype=np.int64))
-        assert diversity(m).tolist() == [5, 5, 5]
-        assert ubiquity(m).tolist() == [3, 3, 3, 3, 3]
+        assert m.diversity.tolist() == [5, 5, 5]
+        assert m.ubiquity.tolist() == [3, 3, 3, 3, 3]
 
     def test_cached_margins_match_functions(self):
         m = labeled_incidence(np.array([[1, 0, 1], [1, 1, 0]]))
-        assert np.array_equal(m.diversity, diversity(m))
-        assert np.array_equal(m.ubiquity, ubiquity(m))
+        assert m.diversity.tolist() == [2, 2]
+        assert m.ubiquity.tolist() == [2, 1, 1]
+        with pytest.raises(ValueError, match="diversity"):
+            IncidenceMatrix(m.values, m.location_labels, m.activity_labels, np.array([2, 1]), m.ubiquity)
+        with pytest.raises(ValueError, match="ubiquity"):
+            IncidenceMatrix(m.values, m.location_labels, m.activity_labels, m.diversity, np.array([2, 1, 0]))
 
 
 def test_permutation_equivariance_of_rca_and_binarize():

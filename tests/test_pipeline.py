@@ -11,6 +11,7 @@ from ecindex.pipeline import (
     compare_vectors,
     emit_figure_data,
     load_config_file,
+    prepare,
     read_scores_file,
     run_pipeline,
 )
@@ -277,6 +278,20 @@ class TestRunPipeline:
         result = run_pipeline(cfg)
         names = set(result.outputs)
         assert names == {"incidence", "diversity", "ubiquity", "eci", "manifest"}
+
+    def test_prepare_writes_nothing_and_feeds_run(self, tmp_path):
+        cfg = PipelineConfig(
+            input_path=block_input(tmp_path / "input.csv"), out_dir=tmp_path / "out",
+            min_location_total=5.0, min_activity_total=5.0, emit=("eci",),
+        )
+        stages = prepare(cfg)
+        assert not cfg.out_dir.exists()
+        assert set(stages.final.location_labels) < set(stages.pruned.location_labels)
+        result = run_pipeline(cfg)
+        assert result.manifest["dropped"] == stages.dropped
+        written = read_incidence(result.outputs["incidence"])
+        assert written.location_labels == stages.final.location_labels
+        assert np.array_equal(written.values, stages.final.values)
 
 
 class TestConfig:
