@@ -1,7 +1,9 @@
 """Small shared helpers for delimiter-separated output files.
 
-All numeric output uses ``repr(float(x))``, the shortest decimal string
-that round-trips to the same IEEE double. Rounding is the consumer's job.
+Writers hand :func:`write_rows` rows of Python ``str``, ``int`` and ``float``
+cells. ``csv`` writes ``str(x)`` for each, which for a ``float`` is the
+shortest decimal text that round-trips to the same IEEE double and for an
+``int`` is its integer text. Rounding is the consumer's job.
 """
 
 from __future__ import annotations
@@ -13,19 +15,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-def fmt(x) -> str:
-    """Full-precision decimal text for one numeric cell."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
 def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence], delimiter: str = ",") -> None:
+    """Header then rows. Cells must be Python ``str``/``int``/``float`` (use
+    ``.tolist()`` on numpy data): ``csv`` writes ``str(x)``, the shortest
+    round-trip text, and quotes cells that contain the delimiter or ``"``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell if isinstance(cell, str) else fmt(cell) for cell in row])
+        writer.writerows(rows)
 
 
 def write_matrix(
@@ -38,7 +35,7 @@ def write_matrix(
 ) -> None:
     """Header row of column labels, one row per row label."""
     header = [corner, *col_labels]
-    rows = ([label, *row] for label, row in zip(row_labels, values))
+    rows = ([label, *row.tolist()] for label, row in zip(row_labels, values))
     write_rows(path, header, rows, delimiter)
 
 

@@ -20,7 +20,7 @@ import click
 from ._io import write_matrix
 from .alphabet import generate_nested_world, generate_random_world, world_to_incidence, write_world
 from .errors import ComplexityError
-from .incidence import write_incidence, write_specialization
+from .incidence import write_incidence
 from .pipeline import (
     EMIT_CHOICES,
     PipelineConfig,
@@ -58,12 +58,16 @@ def _input_options(fn):
     return fn
 
 
+def _config_error(message) -> NoReturn:
+    click.echo(f"error [config] {message}", err=True)
+    sys.exit(2)
+
+
 def _config(options: dict) -> PipelineConfig:
     try:
         return PipelineConfig(**options)
     except (TypeError, ValueError) as err:
-        click.echo(f"error [config] {err}", err=True)
-        sys.exit(2)
+        _config_error(err)
 
 
 def _report(outputs: dict[str, Path]) -> None:
@@ -112,8 +116,9 @@ def ingest(**options):
 def rca(**options):
     """Write the specialization (RCA) matrix."""
     cfg, stages = _prepare(options)
+    matrix = stages.specialization
     path = cfg.out_dir / "rca.csv"
-    write_specialization(path, stages.specialization, cfg.delimiter)
+    write_matrix(path, matrix.values, matrix.location_labels, matrix.activity_labels, cfg.delimiter)
     _report({"rca": path})
 
 
@@ -215,25 +220,28 @@ def compare(file_a, file_b, delimiter, column):
 @click.option("--out-dir", type=click.Path(path_type=Path))
 def run(config_path, **flags):
     """Run the full pipeline and write the configured artifact set."""
-    options: dict = {}
-    if config_path is not None:
-        options.update(load_config_file(config_path))
-    options.update({key: value for key, value in flags.items() if value is not None})
-    if "input" in options:
-        options["input_path"] = options.pop("input")
-    if "emit" in options and isinstance(options["emit"], str):
-        options["emit"] = tuple(part.strip() for part in options["emit"].split(",") if part.strip())
-    if options.get("delimiter") == "\\t":
-        options["delimiter"] = "\t"
-    for key in ("min_location_total", "min_activity_total", "rca_threshold", "min_phi"):
-        if key in options:
-            options[key] = float(options[key])
-    if "reflections_iterations" in options:
-        options["reflections_iterations"] = int(options["reflections_iterations"])
+    try:
+        options = load_config_file(config_path) if config_path is not None else {}
+        for key, field in (("input", "input_path"), ("iterations", "reflections_iterations")):
+            if key in options:
+                options[field] = options.pop(key)
+        options.update({key: value for key, value in flags.items() if value is not None})
+        if "emit" in options and isinstance(options["emit"], str):
+            options["emit"] = tuple(part.strip() for part in options["emit"].split(",") if part.strip())
+        if options.get("delimiter") == "\\t":
+            options["delimiter"] = "\t"
+        for key in ("min_location_total", "min_activity_total", "rca_threshold", "min_phi"):
+            if key in options:
+                options[key] = float(options[key])
+        if "reflections_iterations" in options:
+            options["reflections_iterations"] = int(options["reflections_iterations"])
+    except ValueError as err:
+        _config_error(err)
     missing = {"input_path", "out_dir"} - set(options)
     if missing:
-        click.echo(f"error [config] missing required options: {sorted(missing)}", err=True)
-        sys.exit(2)
+        _config_error(f"missing required options: {sorted(missing)}")
+    if not Path(options["input_path"]).is_file():
+        _config_error(f"input file not found: {options['input_path']}")
     _run_and_report(options)
 
 

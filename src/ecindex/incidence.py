@@ -152,7 +152,3 @@ def write_incidence(path: Path, m: IncidenceMatrix, delimiter: str = ",") -> Non
 def read_incidence(path: Path, delimiter: str = ",") -> IncidenceMatrix:
     values, loc_labels, act_labels = read_matrix(path, delimiter)
     return IncidenceMatrix.from_values(values, loc_labels, act_labels)
-
-
-def write_specialization(path: Path, r: SpecializationMatrix, delimiter: str = ",") -> None:
-    write_matrix(path, r.values, r.location_labels, r.activity_labels, delimiter)

@@ -6,8 +6,8 @@ files per the configured emit flags. Every label from the raw input either
 reaches an output file or appears in exactly one drop record of the manifest,
 with the stage and reason that removed it. :func:`prepare` runs the steps up
 to the final incidence matrix and writes nothing. Reruns with identical
-config and input produce byte-identical outputs; only the manifest timestamp
-differs.
+config and input on the same machine with the same BLAS thread count produce
+byte-identical outputs; only the manifest timestamp differs.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -170,10 +172,8 @@ def emit_figure_data(
             raise ValueError(f"panel {stem!r} labels do not match diversity labels")
     paths: dict[str, Path] = {}
     for stem, scores in panels.items():
-        order = sorted(range(len(scores.labels)), key=lambda i: scores.labels[i])
-        rows = (
-            (scores.labels[i], float(diversity_values[i]), float(scores.raw[i]))
-            for i in order
+        rows = sorted(
+            zip(scores.labels, diversity_values.tolist(), scores.raw.tolist()), key=itemgetter(0)
         )
         path = Path(out_dir) / f"figure_diversity_vs_{stem}.csv"
         write_rows(path, ("location", "diversity", "score"), rows, delimiter)
@@ -294,7 +294,7 @@ def write_margins(out_dir: Path, m: IncidenceMatrix, delimiter: str = ",") -> di
         ("ubiquity", m.activity_labels, m.ubiquity),
     ):
         paths[name] = Path(out_dir) / f"{name}.csv"
-        write_rows(paths[name], ("label", "value"), zip(labels, values), delimiter)
+        write_rows(paths[name], ("label", "value"), zip(labels, values.tolist()), delimiter)
     return paths
 
 
@@ -307,8 +307,8 @@ def _run(cfg: PipelineConfig, out_dir: Path, written: list[Path]) -> RunResult:
 
     def emit(name: str, filename: str, writer, *args) -> None:
         path = out_dir / filename
-        writer(path, *args)
         record({name: path})
+        writer(path, *args)
 
     stages = prepare(cfg)
     final = stages.final
@@ -438,10 +438,10 @@ def _run(cfg: PipelineConfig, out_dir: Path, written: list[Path]) -> RunResult:
         "outputs": sorted(path.name for path in outputs.values()),
     }
     manifest_path = out_dir / "manifest.json"
+    record({"manifest": manifest_path})
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    record({"manifest": manifest_path})
     return RunResult(manifest, outputs)
 
 
@@ -481,10 +481,9 @@ def _convention_dict(scores: ComplexityScores) -> dict:
 
 
 def _write_trajectory(path, labels, raw, zscored, delimiter):
-    rows = (
-        (iteration, label, raw[iteration, i], zscored[iteration, i])
+    rows = chain.from_iterable(
+        zip(repeat(iteration), labels, raw[iteration].tolist(), zscored[iteration].tolist())
         for iteration in range(raw.shape[0])
-        for i, label in enumerate(labels)
     )
     write_rows(path, ("iteration", "label", "value", "zscore"), rows, delimiter)
 

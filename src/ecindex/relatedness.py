@@ -15,6 +15,7 @@ the run manifest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -107,13 +108,13 @@ def write_proximity_edges(
 ) -> None:
     """Upper-triangle edge list (activityA, activityB, phi), thresholded."""
     labels = phi.activity_labels
-    rows = (
-        (labels[i], labels[j], phi.values[i, j])
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-        if phi.values[i, j] >= min_phi
-    )
-    write_rows(path, ("activityA", "activityB", "phi"), rows, delimiter)
+
+    def rows():
+        for i, row in enumerate(phi.values):
+            cols = np.flatnonzero(row[i + 1:] >= min_phi) + (i + 1)
+            yield from zip(repeat(labels[i]), map(labels.__getitem__, cols.tolist()), row[cols].tolist())
+
+    write_rows(path, ("activityA", "activityB", "phi"), rows(), delimiter)
 
 
 def write_density(path: Path, density: DensityMatrix, delimiter: str = ",") -> None:

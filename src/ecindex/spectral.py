@@ -394,19 +394,10 @@ def write_scores(path: Path, scores: ComplexityScores, delimiter: str = ",") -> 
     """Columns label, raw, standardized, rank; rank 1 is the highest score,
     ties share the lower rank number."""
     order = np.argsort(-scores.standardized, kind="stable")
-    ranks = np.empty(len(order), dtype=int)
-    rank = 0
-    previous = None
-    for position, index in enumerate(order, start=1):
-        value = scores.standardized[index]
-        if previous is None or value != previous:
-            rank = position
-            previous = value
-        ranks[index] = rank
-    rows = (
-        (label, raw, std, int(rk))
-        for label, raw, std, rk in zip(scores.labels, scores.raw, scores.standardized, ranks)
-    )
+    d = -scores.standardized[order]
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.searchsorted(d, d, side="left") + 1
+    rows = zip(scores.labels, scores.raw.tolist(), scores.standardized.tolist(), ranks.tolist())
     write_rows(path, ("label", "raw", "standardized", "rank"), rows, delimiter)
 
 
@@ -414,7 +405,7 @@ def write_eigensolution(path: Path, solution: EigenSolution, delimiter: str = ",
     write_rows(
         path,
         ("eigenvalue", "residual"),
-        zip(solution.eigenvalues, solution.residuals),
+        zip(solution.eigenvalues.tolist(), solution.residuals.tolist()),
         delimiter,
     )
 

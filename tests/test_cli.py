@@ -1,10 +1,17 @@
 import gzip
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import ecindex
 from ecindex.cli import main
+from ecindex.pipeline import read_scores_file
 
 from test_pipeline import block_input
 
@@ -60,6 +67,35 @@ def test_run_config_file_with_flag_override(tmp_path):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["config"]["min_activity_total"] == 5.0
     assert manifest["config"]["emit"] == ["eci"]
+
+
+@pytest.mark.parametrize(
+    "config_lines, flags, exit_code",
+    [
+        (["min_location_total = abc"], [], 2),
+        (["emit eci"], [], 2),
+        ([], ["--input", "{tmp}/missing.csv"], 2),
+        (["input = {tmp}/missing.csv"], [], 2),
+        (["iterations = 5", "emit = reflections"], [], 0),
+    ],
+    ids=["bad-number", "no-equals", "missing-input-flag", "missing-input-config", "iterations-key"],
+)
+def test_run_config_problems_are_config_errors(tmp_path, config_lines, flags, exit_code):
+    input_path = write_sample(tmp_path / "input.csv")
+    config = tmp_path / "run.conf"
+    lines = [f"input = {input_path}", "min-location-total = 5", "min-activity-total = 5"]
+    config.write_text("\n".join(lines + [line.format(tmp=tmp_path) for line in config_lines]) + "\n")
+    out_dir = tmp_path / "out"
+    flags = [flag.format(tmp=tmp_path) for flag in flags]
+    result = invoke("run", "--config", config, "--out-dir", out_dir, *flags)
+    assert result.exit_code == exit_code, result.output
+    if exit_code:
+        assert result.output.startswith("error [config] ")
+        assert "Traceback" not in result.output
+        assert not out_dir.exists()
+    else:
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["config"]["reflections_iterations"] == 5
 
 
 def test_gzip_input_accepted(tmp_path):
@@ -192,3 +228,34 @@ def test_compare_against_diversity_file(tmp_path):
     # diversity.csv is a plain label,value file; compare falls back to column 2
     result = invoke("compare", out_dir / "eci.csv", out_dir / "diversity.csv")
     assert result.exit_code == 0, result.output
+
+
+def test_reruns_agree_across_blas_thread_counts(tmp_path):
+    """Outputs that do not depend on BLAS rounding are byte-identical across
+    thread counts; ECI/PCI agree to rounding (near-tied ranks may swap)."""
+    input_path = write_sample(tmp_path / "input.csv")
+    src = str(Path(ecindex.__file__).parents[1])
+    out_dirs = {}
+    for threads in ("1", "2"):
+        out_dirs[threads] = tmp_path / f"out{threads}"
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "MKL_NUM_THREADS": threads,
+        }
+        subprocess.run(
+            [sys.executable, "-m", "ecindex.cli", "run", "--input", str(input_path),
+             "--min-location-total", "5", "--min-activity-total", "5",
+             "--out-dir", str(out_dirs[threads])],
+            env=env, check=True, capture_output=True,
+        )
+    one, two = out_dirs["1"], out_dirs["2"]
+    for name in ("incidence", "diversity", "ubiquity", "proximity_matrix", "proximity_edges", "density"):
+        assert (one / f"{name}.csv").read_bytes() == (two / f"{name}.csv").read_bytes(), name
+    for name in ("eci", "pci"):
+        labels_one, values_one = read_scores_file(one / f"{name}.csv")
+        labels_two, values_two = read_scores_file(two / f"{name}.csv")
+        assert labels_one == labels_two
+        np.testing.assert_allclose(values_one, values_two, rtol=0, atol=1e-10)

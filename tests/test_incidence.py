@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecindex._io import read_matrix, write_matrix
 from ecindex.errors import EmptyAfterPrune, ZeroMargin
 from ecindex.incidence import (
     IncidenceMatrix,
@@ -11,7 +12,6 @@ from ecindex.incidence import (
     prune_degenerate,
     read_incidence,
     write_incidence,
-    write_specialization,
 )
 from ecindex.ingest import OutputMatrix
 
@@ -215,8 +215,6 @@ def test_incidence_roundtrip(tmp_path):
 def test_specialization_full_precision_roundtrip(tmp_path):
     r = compute_rca(output_matrix([[10, 0], [10, 10]]))
     path = tmp_path / "rca.csv"
-    write_specialization(path, r)
-    from ecindex._io import read_matrix
-
+    write_matrix(path, r.values, r.location_labels, r.activity_labels)
     values, _, _ = read_matrix(path)
     assert np.array_equal(values, r.values)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ecindex.errors import EmptyInput, InsufficientOverlap, ZeroVariance
+from ecindex.errors import ComplexityError, EmptyInput, InsufficientOverlap, ZeroVariance
 from ecindex.incidence import read_incidence
 from ecindex.ingest import parse_long_records
 from ecindex.pipeline import (
@@ -254,6 +254,22 @@ class TestRunPipeline:
         with pytest.raises(InsufficientOverlap) as err:
             run_pipeline(cfg)
         assert err.value.stage == "compare"
+        assert list(out_dir.iterdir()) == []
+
+    def test_writer_failing_midway_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        def half_written(path, *args):
+            path.write_text("location,A0\n")
+            raise ComplexityError("disk full")
+
+        monkeypatch.setattr("ecindex.pipeline.write_density", half_written)
+        out_dir = tmp_path / "out"
+        cfg = PipelineConfig(
+            input_path=block_input(tmp_path / "input.csv"), out_dir=out_dir,
+            min_location_total=5.0, min_activity_total=5.0,
+        )
+        with pytest.raises(ComplexityError) as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "relatedness"
         assert list(out_dir.iterdir()) == []
 
     def test_manifest_records_sign_conventions_and_tolerances(self, tmp_path):
