@@ -34,8 +34,8 @@ from .pipeline import (
 )
 
 
-def _fail(err: ComplexityError) -> NoReturn:
-    stage = err.stage or "unknown"
+def _fail(err: Exception, stage: str = "unknown") -> NoReturn:
+    stage = getattr(err, "stage", None) or stage
     click.echo(f"error [{stage}] {err}", err=True)
     sys.exit(1)
 
@@ -49,7 +49,7 @@ def _single_char(ctx, param, value):
 
 
 def _input_options(fn):
-    fn = click.option("--input", "input_path", required=True, type=click.Path(exists=True, path_type=Path), help="Long-format input file (.gz accepted).")(fn)
+    fn = click.option("--input", "input_path", required=True, type=click.Path(path_type=Path), help="Long-format input file (.gz accepted).")(fn)
     fn = click.option("--delimiter", default=",", show_default=True, callback=_single_char, help="Field delimiter.")(fn)
     fn = click.option("--min-location-total", default=0.0, show_default=True, help="Left-tail cut: minimum location total output.")(fn)
     fn = click.option("--min-activity-total", default=0.0, show_default=True, help="Left-tail cut: minimum activity total output.")(fn)
@@ -64,6 +64,8 @@ def _config_error(message) -> NoReturn:
 
 
 def _config(options: dict) -> PipelineConfig:
+    if not Path(options["input_path"]).is_file():
+        _config_error(f"input file not found: {options['input_path']}")
     try:
         return PipelineConfig(**options)
     except (TypeError, ValueError) as err:
@@ -184,8 +186,8 @@ def world(kind, locations, activities, letters_per_location, letters_per_word, n
         write_world(out_dir / "world.txt", generated)
         write_incidence(out_dir / "world_incidence.csv", world_to_incidence(generated), delimiter)
         click.echo(f"wrote {out_dir / 'world.txt'}")
-    except ComplexityError as err:
-        _fail(err)
+    except (ComplexityError, ValueError) as err:
+        _fail(err, "world")
 
 
 @main.command()
@@ -203,8 +205,8 @@ def compare(file_a, file_b, delimiter, column):
         click.echo(f"pearson_r {report.pearson_r!r}")
         click.echo(f"r_squared {report.r_squared!r}")
         click.echo(f"spearman_rho {report.spearman_rho!r}")
-    except ComplexityError as err:
-        _fail(err)
+    except (ComplexityError, ValueError) as err:
+        _fail(err, "compare")
 
 
 @main.command()
@@ -240,8 +242,6 @@ def run(config_path, **flags):
     missing = {"input_path", "out_dir"} - set(options)
     if missing:
         _config_error(f"missing required options: {sorted(missing)}")
-    if not Path(options["input_path"]).is_file():
-        _config_error(f"input file not found: {options['input_path']}")
     _run_and_report(options)
 
 

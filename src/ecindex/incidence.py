@@ -14,7 +14,7 @@ import numpy as np
 
 from ._io import read_matrix, write_matrix
 from .errors import EmptyAfterPrune, ZeroMargin
-from .ingest import OutputMatrix
+from .ingest import OutputMatrix, restrict
 
 
 @dataclass(frozen=True)
@@ -113,36 +113,24 @@ def binarize(r: SpecializationMatrix, threshold: float = 1.0) -> IncidenceMatrix
 
 
 def prune_degenerate(m: IncidenceMatrix) -> tuple[IncidenceMatrix, list[PruneRecord]]:
-    """Drop zero-diversity locations and zero-ubiquity activities to a fixed point.
+    """Drop zero-diversity locations and zero-ubiquity activities.
 
-    Returns the surviving submatrix and the removal report. Raises
+    One pass reaches the fixed point: an all-zero row adds nothing to any
+    column sum (and vice versa), so dropping it cannot empty a kept column.
+    Every :class:`PruneRecord` therefore has ``pass_number`` 1. Returns the
+    surviving submatrix and the removal report. Raises
     :class:`EmptyAfterPrune` when nothing survives.
     """
-    values = m.values
-    loc_labels = list(m.location_labels)
-    act_labels = list(m.activity_labels)
-    report: list[PruneRecord] = []
-    pass_number = 0
-    while True:
-        pass_number += 1
-        keep_rows = values.sum(axis=1) > 0
-        keep_cols = values.sum(axis=0) > 0
-        if keep_rows.all() and keep_cols.all():
-            break
-        report.extend(
-            PruneRecord(lab, "location", pass_number)
-            for lab, k in zip(loc_labels, keep_rows) if not k
-        )
-        report.extend(
-            PruneRecord(lab, "activity", pass_number)
-            for lab, k in zip(act_labels, keep_cols) if not k
-        )
-        values = values[keep_rows][:, keep_cols]
-        loc_labels = [lab for lab, k in zip(loc_labels, keep_rows) if k]
-        act_labels = [lab for lab, k in zip(act_labels, keep_cols) if k]
-        if values.size == 0:
-            raise EmptyAfterPrune("no rows or columns survive pruning")
-    return IncidenceMatrix.from_values(values, loc_labels, act_labels), report
+    keep_rows = m.diversity > 0
+    keep_cols = m.ubiquity > 0
+    report = [
+        *(PruneRecord(lab, "location", 1) for lab, k in zip(m.location_labels, keep_rows) if not k),
+        *(PruneRecord(lab, "activity", 1) for lab, k in zip(m.activity_labels, keep_cols) if not k),
+    ]
+    pruned = restrict(m, keep_rows, keep_cols)
+    if pruned.values.size == 0:
+        raise EmptyAfterPrune("no rows or columns survive pruning")
+    return pruned, report
 
 
 def write_incidence(path: Path, m: IncidenceMatrix, delimiter: str = ",") -> None:

@@ -173,18 +173,12 @@ def left_tail_filter(
                             ("min_activity_total", min_activity_total)):
         if not math.isfinite(threshold) or threshold < 0:
             raise ValueError(f"{name} must be finite and >= 0")
-    values = m.values
-    loc_labels = list(m.location_labels)
-    act_labels = list(m.activity_labels)
     while True:
-        keep_rows = values.sum(axis=1) >= min_location_total
-        keep_cols = values.sum(axis=0) >= min_activity_total
+        keep_rows = m.values.sum(axis=1) >= min_location_total
+        keep_cols = m.values.sum(axis=0) >= min_activity_total
         if keep_rows.all() and keep_cols.all():
-            break
-        values = values[keep_rows][:, keep_cols]
-        loc_labels = [lab for lab, k in zip(loc_labels, keep_rows) if k]
-        act_labels = [lab for lab, k in zip(act_labels, keep_cols) if k]
-    return OutputMatrix.from_values(values, loc_labels, act_labels)
+            return m
+        m = restrict(m, keep_rows, keep_cols)
 
 
 def drop_empty_margins(m: OutputMatrix) -> OutputMatrix:
@@ -193,11 +187,16 @@ def drop_empty_margins(m: OutputMatrix) -> OutputMatrix:
     A zero row contributes nothing to column totals (and vice versa), so one
     simultaneous pass reaches the fixed point.
     """
-    keep_rows = m.row_totals > 0
-    keep_cols = m.col_totals > 0
+    return restrict(m, m.row_totals > 0, m.col_totals > 0)
+
+
+def restrict(m, keep_rows: np.ndarray, keep_cols: np.ndarray):
+    """The kept rows and columns of an output or incidence matrix, as ``type(m)``;
+    ``m`` itself when everything is kept."""
     if keep_rows.all() and keep_cols.all():
         return m
-    values = m.values[keep_rows][:, keep_cols]
-    loc_labels = [lab for lab, k in zip(m.location_labels, keep_rows) if k]
-    act_labels = [lab for lab, k in zip(m.activity_labels, keep_cols) if k]
-    return OutputMatrix.from_values(values, loc_labels, act_labels)
+    return type(m).from_values(
+        m.values[keep_rows][:, keep_cols],
+        [lab for lab, k in zip(m.location_labels, keep_rows) if k],
+        [lab for lab, k in zip(m.activity_labels, keep_cols) if k],
+    )

@@ -21,7 +21,6 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from ._io import read_columns, write_rows
 from .errors import (
@@ -257,31 +256,15 @@ def prepare(cfg: PipelineConfig) -> Prepared:
         unpruned = binarize(specialization, cfg.rca_threshold)
 
     with _stage("prune_degenerate"):
-        pruned, prune_report = prune_degenerate(unpruned)
-        dropped.extend(
-            {
-                "label": record.label,
-                "axis": record.axis,
-                "stage": "prune_degenerate",
-                "reason": "no specialization at or above threshold"
-                if record.axis == "location"
-                else "no location specialized",
-            }
-            for record in prune_report
+        pruned, _ = prune_degenerate(unpruned)
+        _record_drops(
+            dropped, unpruned, pruned, "prune_degenerate",
+            "no specialization at or above threshold", "no location specialized",
         )
 
     with _stage("largest_component"):
-        final, component_report = largest_component(pruned)
-        dropped.extend(
-            {"label": label, "axis": "location", "stage": "largest_component",
-             "reason": "outside largest connected component"}
-            for label in component_report.excluded_locations
-        )
-        dropped.extend(
-            {"label": label, "axis": "activity", "stage": "largest_component",
-             "reason": "outside largest connected component"}
-            for label in component_report.excluded_activities
-        )
+        final, _ = largest_component(pruned)
+        _record_drops(dropped, pruned, final, "largest_component", "outside largest connected component")
 
     return Prepared(raw, nonzero, specialization, pruned, final, dropped)
 
@@ -456,8 +439,10 @@ def _stage(name: str):
 
 
 def _record_drops(
-    dropped: list[dict], before: OutputMatrix, after: OutputMatrix, stage: str, reason: str
+    dropped: list[dict], before, after, stage: str, reason: str, activity_reason: str | None = None
 ) -> None:
+    """One record per label of ``before`` missing from ``after``, locations first;
+    dropped activities get ``activity_reason`` if given, else ``reason``."""
     kept_locations = set(after.location_labels)
     kept_activities = set(after.activity_labels)
     dropped.extend(
@@ -466,7 +451,7 @@ def _record_drops(
         if label not in kept_locations
     )
     dropped.extend(
-        {"label": label, "axis": "activity", "stage": stage, "reason": reason}
+        {"label": label, "axis": "activity", "stage": stage, "reason": activity_reason or reason}
         for label in before.activity_labels
         if label not in kept_activities
     )
@@ -498,10 +483,19 @@ def _as_labeled(x) -> tuple[tuple[str, ...] | None, np.ndarray]:
 
 def _spearman(a: np.ndarray, b: np.ndarray) -> float:
     """Exact 1 - 6*sum(d^2)/(n(n^2-1)) without ties, Pearson on ranks with."""
-    ranks_a = stats.rankdata(a)
-    ranks_b = stats.rankdata(b)
+    ranks_a = _average_ranks(a)
+    ranks_b = _average_ranks(b)
     n = len(ranks_a)
     if np.unique(a).size == n and np.unique(b).size == n:
         d = ranks_a - ranks_b
         return 1.0 - 6.0 * float(d @ d) / (n * (n * n - 1))
     return pearson(ranks_a, ranks_b)
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of their positions; all NaN when
+    ``x`` holds a NaN. The same ranks as ``scipy.stats.rankdata(x)``."""
+    if np.isnan(x).any():
+        return np.full(len(x), np.nan)
+    s = np.sort(x)
+    return (np.searchsorted(s, x, side="left") + np.searchsorted(s, x, side="right") + 1) / 2

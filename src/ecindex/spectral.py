@@ -36,6 +36,7 @@ from .errors import (
     ZeroVariance,
 )
 from .incidence import IncidenceMatrix
+from .ingest import restrict
 
 #: residual bound for every reported eigenpair, scaled by max(1, |lambda|)
 EIGEN_RESIDUAL_TOL = 1e-8
@@ -377,11 +378,7 @@ def largest_component(m: IncidenceMatrix) -> tuple[IncidenceMatrix, ComponentRep
             best_key, best_component = key, component
     keep_loc = assignment[:n_loc] == best_component
     keep_act = assignment[n_loc:] == best_component
-    submatrix = IncidenceMatrix.from_values(
-        m.values[keep_loc][:, keep_act],
-        [lab for lab, k in zip(m.location_labels, keep_loc) if k],
-        [lab for lab, k in zip(m.activity_labels, keep_act) if k],
-    )
+    submatrix = restrict(m, keep_loc, keep_act)
     report = ComponentReport(
         n_components,
         tuple(lab for lab, k in zip(m.location_labels, keep_loc) if not k),

@@ -203,6 +203,23 @@ def test_world_infeasible_reports_error(tmp_path):
     assert "error [" in result.output
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--kind", "random", "--locations", 2, "--activities", 12, "--letters-per-location", 6,
+          "--letters-per-word", 6, "--seed", 13], "no feasible world in"),
+        (["--locations", 1], "need at least 2 locations"),
+    ],
+    ids=["infeasible", "too-few-locations"],
+)
+def test_world_failures_are_world_errors(tmp_path, args, message):
+    result = invoke("world", *args, "--out-dir", tmp_path / "w")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no uncaught traceback
+    assert result.stderr.startswith("error [world] ") and message in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
 def test_compare_command(tmp_path):
     input_path = write_sample(tmp_path / "input.csv")
     out_dir = tmp_path / "out"
@@ -228,6 +245,50 @@ def test_compare_against_diversity_file(tmp_path):
     # diversity.csv is a plain label,value file; compare falls back to column 2
     result = invoke("compare", out_dir / "eci.csv", out_dir / "diversity.csv")
     assert result.exit_code == 0, result.output
+
+
+SCORES_A = "label,raw,standardized,rank\nL0,1,-1.2,3\nL1,2,0.0,2\nL2,4,1.2,1\n"
+
+
+@pytest.mark.parametrize(
+    "scores_b, args, message",
+    [
+        (SCORES_A, ["--column", "nope"], "column 'nope' not in"),
+        (SCORES_A.replace("0.0", "zero"), [], "could not convert string to float: 'zero'"),
+        (SCORES_A.replace("L1", "Q1").replace("L2", "Q2"), [], "only 1 shared labels"),
+    ],
+    ids=["missing-column", "non-numeric-cell", "too-few-shared-labels"],
+)
+def test_compare_failures_are_compare_errors(tmp_path, scores_b, args, message):
+    file_a, file_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    file_a.write_text(SCORES_A)
+    file_b.write_text(scores_b)
+    result = invoke("compare", file_a, file_b, *args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no uncaught traceback
+    assert result.stderr.startswith("error [compare] ") and message in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command", ["ingest", "rca", "incidence", "eci", "pci", "extensive", "reflections", "proximity", "density"]
+)
+def test_stage_command_missing_input_is_config_error(tmp_path, command):
+    out_dir = tmp_path / "out"
+    result = invoke(command, "--input", tmp_path / "nope.csv", "--out-dir", out_dir)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error [config] input file not found")
+    assert not out_dir.exists()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(ecindex.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, ecindex.cli; print('scipy.stats' in sys.modules)"],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    assert done.stdout == "False\n"
 
 
 def test_reruns_agree_across_blas_thread_counts(tmp_path):

@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ecindex.errors import ComplexityError, EmptyInput, InsufficientOverlap, ZeroVariance
 from ecindex.incidence import read_incidence
 from ecindex.ingest import parse_long_records
 from ecindex.pipeline import (
     PipelineConfig,
+    _average_ranks,
     compare_vectors,
     emit_figure_data,
     load_config_file,
@@ -95,6 +97,20 @@ class TestCompareVectors:
         b = np.array([4.0, 2.0, 2.0, 1.0])
         report = compare_vectors(a, b)
         assert report.spearman_rho == pytest.approx(spearman_by_definition(a, b), abs=1e-15)
+
+
+def test_average_ranks_match_scipy_rankdata():
+    rng = np.random.default_rng(5)
+    cases = [np.array([0.0, -0.0, 1.0, -0.0]), np.array([2.0, np.nan, 1.0]), np.array([3.0])]
+    for n in range(1, 40):
+        x = rng.integers(-3, 4, n).astype(float)  # many ties
+        x[rng.random(n) < 0.2] = -0.0
+        cases += [x, rng.normal(size=n)]
+    for x in cases:
+        expected = stats.rankdata(x)
+        got = _average_ranks(x)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes(), x
 
 
 class TestEmitFigureData:
@@ -198,6 +214,31 @@ class TestRunPipeline:
         # the two specialists then split into singleton components
         assert stages["B"] == "largest_component"
         assert stages["y"] == "largest_component"
+
+    def test_drop_records_name_stage_and_reason(self, tmp_path):
+        # tinyloc is under the size cut, which empties orphan; zeroact has no
+        # output; M and flat sit at RCA exactly 1 < 1.2; A-x and B-y are then
+        # two singleton components, and A sorts first.
+        input_path = tmp_path / "input.csv"
+        input_path.write_text(
+            "location,activity,value\n"
+            "A,x,100\nA,y,10\nA,flat,11\nA,zeroact,0\nB,x,10\nB,y,100\nB,flat,11\n"
+            "M,x,55\nM,y,55\nM,flat,11\ntinyloc,x,1\ntinyloc,orphan,1\n"
+        )
+        cfg = PipelineConfig(
+            input_path=input_path, out_dir=tmp_path / "out",
+            min_location_total=5.0, rca_threshold=1.2, emit=(),
+        )
+        dropped = run_pipeline(cfg).manifest["dropped"]
+        assert [(r["label"], r["axis"], r["stage"], r["reason"]) for r in dropped] == [
+            ("tinyloc", "location", "left_tail_filter", "total output below size threshold"),
+            ("zeroact", "activity", "empty_margins", "zero total output"),
+            ("orphan", "activity", "empty_margins", "zero total output"),
+            ("M", "location", "prune_degenerate", "no specialization at or above threshold"),
+            ("flat", "activity", "prune_degenerate", "no location specialized"),
+            ("B", "location", "largest_component", "outside largest connected component"),
+            ("y", "activity", "largest_component", "outside largest connected component"),
+        ]
 
     def test_eci_file_matches_module_recomputation(self, tmp_path):
         input_path = block_input(tmp_path / "input.csv")
