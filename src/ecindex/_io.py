@@ -41,25 +41,21 @@ def write_matrix(
 
 def read_matrix(path: Path, delimiter: str = ",") -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
     """Inverse of :func:`write_matrix`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        header = next(reader)
-        col_labels = tuple(header[1:])
-        row_labels = []
-        data = []
-        for row in reader:
-            if not row:
-                continue
-            row_labels.append(row[0])
-            data.append([float(cell) for cell in row[1:]])
+    header, rows = read_columns(path, delimiter)
+    col_labels = tuple(header[1:])
+    data = [[float(cell) for cell in row[1:]] for _, row in rows]
     values = np.asarray(data, dtype=float) if data else np.zeros((0, len(col_labels)))
-    return values, tuple(row_labels), col_labels
+    return values, tuple(row[0] for _, row in rows), col_labels
 
 
-def read_columns(path: Path, delimiter: str = ",") -> tuple[list[str], list[list[str]]]:
-    """Header names and raw string rows of a delimited file."""
+def read_columns(path: Path, delimiter: str = ",") -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header names and the non-blank raw string rows of a delimited file, each
+    row with its 1-based line number. Raises ``ValueError`` when the file has
+    no header line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        header = next(reader)
-        rows = [row for row in reader if row]
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: no header line")
+        rows = [(reader.line_num, row) for row in reader if row]
     return header, rows

@@ -13,8 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from ._io import read_matrix, write_matrix
-from .errors import EmptyAfterPrune, ZeroMargin
+from .errors import DegenerateMargins, EmptyAfterPrune, ZeroMargin
 from .ingest import OutputMatrix, restrict
+
+#: allowed asymmetry of a similarity or proximity matrix
+SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,13 @@ def prune_degenerate(m: IncidenceMatrix) -> tuple[IncidenceMatrix, list[PruneRec
     if pruned.values.size == 0:
         raise EmptyAfterPrune("no rows or columns survive pruning")
     return pruned, report
+
+
+def require_positive_margins(m: IncidenceMatrix) -> None:
+    """Raise :class:`DegenerateMargins` unless every row and column of ``m``
+    holds a 1, as after :func:`prune_degenerate`."""
+    if m.values.size == 0 or m.diversity.min() < 1 or m.ubiquity.min() < 1:
+        raise DegenerateMargins("incidence matrix must be pruned (positive margins)")
 
 
 def write_incidence(path: Path, m: IncidenceMatrix, delimiter: str = ",") -> None:

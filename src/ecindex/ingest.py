@@ -14,7 +14,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .errors import EmptyInput, MalformedLine, NegativeValue, NonNumericValue
 MARGIN_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LongRecord:
+class LongRecord(NamedTuple):
     """One (location, activity, value) observation; duplicates allowed."""
 
     location: str
@@ -139,19 +138,23 @@ def parse_long_records(stream: Iterable[str] | str, delimiter: str = ",") -> lis
 def pivot_to_matrix(records: list[LongRecord]) -> OutputMatrix:
     """Sum records by (location, activity) into a dense matrix.
 
-    Label order is first-appearance order. Raises :class:`EmptyInput` when
-    there are no records.
+    Label order is first-appearance order. ``np.add.at`` is unbuffered and
+    adds duplicates in record order, so each cell is the left-to-right sum of
+    its values. Raises :class:`EmptyInput` when there are no records.
     """
     if not records:
         raise EmptyInput("no records to pivot")
     loc_index: dict[str, int] = {}
     act_index: dict[str, int] = {}
-    for rec in records:
-        loc_index.setdefault(rec.location, len(loc_index))
-        act_index.setdefault(rec.activity, len(act_index))
+    rows: list[int] = []
+    cols: list[int] = []
+    amounts: list[float] = []
+    for location, activity, value in records:
+        rows.append(loc_index.setdefault(location, len(loc_index)))
+        cols.append(act_index.setdefault(activity, len(act_index)))
+        amounts.append(value)
     values = np.zeros((len(loc_index), len(act_index)))
-    for rec in records:
-        values[loc_index[rec.location], act_index[rec.activity]] += rec.value
+    np.add.at(values, (rows, cols), amounts)
     return OutputMatrix.from_values(values, tuple(loc_index), tuple(act_index))
 
 

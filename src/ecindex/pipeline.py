@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from itertools import chain, repeat
 from operator import itemgetter
@@ -207,8 +207,13 @@ def read_scores_file(
         index = 1
     else:
         raise ValueError(f"column {column!r} not in {header}")
-    labels = tuple(row[0] for row in rows)
-    values = np.array([float(row[index]) for row in rows])
+    for line, row in rows:
+        if len(row) <= index:
+            raise ValueError(
+                f"{path}: line {line} has {len(row)} columns, need {index + 1} for {header[index]!r}"
+            )
+    labels = tuple(row[0] for _, row in rows)
+    values = np.array([float(row[index]) for _, row in rows])
     return labels, values
 
 
@@ -308,22 +313,22 @@ def _run(cfg: PipelineConfig, out_dir: Path, written: list[Path]) -> RunResult:
     with _stage("eci"):
         if want & {"eci", "pci", "compare"}:
             eci_scores = eci(final)
-            sign_conventions["eci"] = _convention_dict(eci_scores)
+            sign_conventions["eci"] = asdict(eci_scores.sign_convention)
         if "eci" in want:
             emit("eci", "eci.csv", write_scores, eci_scores, cfg.delimiter)
 
     with _stage("pci"):
         if "pci" in want:
             pci_scores = pci(final)
-            sign_conventions["pci"] = _convention_dict(pci_scores)
+            sign_conventions["pci"] = asdict(pci_scores.sign_convention)
             emit("pci", "pci.csv", write_scores, pci_scores, cfg.delimiter)
 
     extensive_first = extensive_second = None
     with _stage("extensive"):
         if want & {"extensive", "compare"}:
             extensive_first, extensive_second, solution = extensive_scores(final)
-            sign_conventions["extensive_first"] = _convention_dict(extensive_first)
-            sign_conventions["extensive_second"] = _convention_dict(extensive_second)
+            sign_conventions["extensive_first"] = asdict(extensive_first.sign_convention)
+            sign_conventions["extensive_second"] = asdict(extensive_second.sign_convention)
         if "extensive" in want:
             emit("extensive_first", "extensive_first.csv", write_scores, extensive_first, cfg.delimiter)
             emit("extensive_second", "extensive_second.csv", write_scores, extensive_second, cfg.delimiter)
@@ -390,12 +395,7 @@ def _run(cfg: PipelineConfig, out_dir: Path, written: list[Path]) -> RunResult:
         "input": str(cfg.input_path),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": {
-            "delimiter": cfg.delimiter,
-            "min_location_total": cfg.min_location_total,
-            "min_activity_total": cfg.min_activity_total,
-            "rca_threshold": cfg.rca_threshold,
-            "min_phi": cfg.min_phi,
-            "reflections_iterations": cfg.reflections_iterations,
+            **{f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("input_path", "out_dir")},
             "emit": list(cfg.emit),
         },
         "counts": {
@@ -455,14 +455,6 @@ def _record_drops(
         for label in before.activity_labels
         if label not in kept_activities
     )
-
-
-def _convention_dict(scores: ComplexityScores) -> dict:
-    return {
-        "reference": scores.sign_convention.reference,
-        "correlation": scores.sign_convention.correlation,
-        "fallback_used": scores.sign_convention.fallback_used,
-    }
 
 
 def _write_trajectory(path, labels, raw, zscored, delimiter):

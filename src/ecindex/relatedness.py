@@ -21,10 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from ._io import write_matrix, write_rows
-from .errors import DegenerateMargins, IsolatedActivity
-from .incidence import IncidenceMatrix
-
-SYMMETRY_TOL = 1e-12
+from .errors import IsolatedActivity
+from .incidence import SYMMETRY_TOL, IncidenceMatrix, require_positive_margins
 
 
 @dataclass(frozen=True)
@@ -65,8 +63,7 @@ class DensityMatrix:
 
 def proximity(m: IncidenceMatrix) -> ProximityMatrix:
     """Pairwise activity relatedness from conditional co-occurrence."""
-    if m.values.size == 0 or m.diversity.min() < 1 or m.ubiquity.min() < 1:
-        raise DegenerateMargins("incidence matrix must be pruned (positive margins)")
+    require_positive_margins(m)
     values = np.asarray(m.values, dtype=float)
     cooccurrence = values.T @ values
     phi = cooccurrence / np.maximum.outer(m.ubiquity, m.ubiquity)
@@ -78,24 +75,26 @@ def relatedness_density(m: IncidenceMatrix, phi: ProximityMatrix) -> DensityMatr
     """Share of each activity's proximity mass held by each location.
 
     Self-proximity is excluded from both numerator and denominator, so held
-    and unheld activities are scored by the same formula. Numerator and
-    denominator are evaluated by the identical column-sum reduction (the
-    numerator over a row-masked copy of the off-diagonal proximities), so
-    whenever a location holds every positive-proximity neighbor of an
-    activity the two sums agree bitwise and the density is exactly 1.
+    and unheld activities are scored by the same formula. The denominator
+    sums all rows of the off-diagonal proximities and a location's numerator
+    the rows of the activities it holds, both by numpy's sequential axis-0
+    reduction in row order. Where a location holds every positive-proximity
+    neighbor of an activity, each row it skips has 0.0 in that column, and
+    adding 0.0 leaves a nonnegative partial sum unchanged: the two sums agree
+    bitwise and the density is exactly 1.
     """
     if m.activity_labels != phi.activity_labels:
         raise ValueError("incidence and proximity activity labels must match")
     off_diagonal = phi.values.copy()
     np.fill_diagonal(off_diagonal, 0.0)
-    held = np.asarray(m.values, dtype=float)
     denominator = off_diagonal.sum(axis=0)
     if denominator.min() <= 0:
         isolated = [lab for lab, d in zip(m.activity_labels, denominator) if d <= 0]
         raise IsolatedActivity(f"zero proximity to all other activities: {isolated}")
-    numerator = np.empty_like(held)
-    for c in range(held.shape[0]):
-        numerator[c] = (off_diagonal * held[c][:, None]).sum(axis=0)
+    held = m.values.astype(bool)
+    numerator = np.empty(held.shape)
+    for c, row in enumerate(held):
+        numerator[c] = off_diagonal[row].sum(axis=0)
     return DensityMatrix(numerator / denominator, m.location_labels, m.activity_labels)
 
 

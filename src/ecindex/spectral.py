@@ -30,12 +30,11 @@ from scipy.sparse.csgraph import connected_components
 from ._io import write_rows
 from .errors import (
     ConvergenceFailure,
-    DegenerateMargins,
     DegenerateSpectrum,
     Disconnected,
     ZeroVariance,
 )
-from .incidence import IncidenceMatrix
+from .incidence import SYMMETRY_TOL, IncidenceMatrix, require_positive_margins
 from .ingest import restrict
 
 #: residual bound for every reported eigenpair, scaled by max(1, |lambda|)
@@ -47,8 +46,6 @@ DEGENERATE_EIGENVALUE_TOL = 1e-10
 SIGN_CORRELATION_TOL = 1e-12
 #: allowed deviation of intensive row sums from 1
 ROW_STOCHASTIC_TOL = 1e-12
-#: allowed asymmetry of extensive similarity
-SYMMETRY_TOL = 1e-12
 
 Kind = Literal["extensive", "intensive"]
 Side = Literal["location", "activity"]
@@ -196,7 +193,7 @@ def similarity_extensive(m: IncidenceMatrix, side: Side = "location") -> Similar
 
 def similarity_intensive(m: IncidenceMatrix, side: Side = "location") -> SimilarityMatrix:
     """Row-stochastic averaged co-occurrence; requires strictly positive margins."""
-    _require_positive_margins(m)
+    require_positive_margins(m)
     values = np.asarray(m.values, dtype=float)
     div = m.diversity.astype(float)
     ubi = m.ubiquity.astype(float)
@@ -246,7 +243,7 @@ def eci(m: IncidenceMatrix) -> ComplexityScores:
     :func:`largest_component` first). The eigenvector sign is fixed so the
     correlation with diversity is nonnegative.
     """
-    _require_positive_margins(m)
+    require_positive_margins(m)
     _require_connected(m)
     solution = eigendecompose(similarity_intensive(m, side="location"))
     return _second_eigenvector_scores(
@@ -307,7 +304,7 @@ def method_of_reflections(m: IncidenceMatrix, iterations: int) -> ReflectionsTra
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    _require_positive_margins(m)
+    require_positive_margins(m)
     values = np.asarray(m.values, dtype=float)
     div = m.diversity.astype(float)
     ubi = m.ubiquity.astype(float)
@@ -405,11 +402,6 @@ def write_eigensolution(path: Path, solution: EigenSolution, delimiter: str = ",
         zip(solution.eigenvalues.tolist(), solution.residuals.tolist()),
         delimiter,
     )
-
-
-def _require_positive_margins(m: IncidenceMatrix) -> None:
-    if m.values.size == 0 or m.diversity.min() < 1 or m.ubiquity.min() < 1:
-        raise DegenerateMargins("incidence matrix must be pruned (positive margins)")
 
 
 def _require_connected(m: IncidenceMatrix) -> None:

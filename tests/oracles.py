@@ -34,6 +34,19 @@ def pivot_by_dict(records):
     return values, locations, activities
 
 
+def density_by_masked_products(held: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Relatedness density as it was first written: per location, the column
+    sums of the off-diagonal proximities with the unheld rows zeroed, over the
+    column sums of all of them."""
+    off_diagonal = phi.copy()
+    np.fill_diagonal(off_diagonal, 0.0)
+    held = np.asarray(held, dtype=float)
+    numerator = np.empty_like(held)
+    for c in range(held.shape[0]):
+        numerator[c] = (off_diagonal * held[c][:, None]).sum(axis=0)
+    return numerator / off_diagonal.sum(axis=0)
+
+
 def rca_by_loops(x: np.ndarray) -> np.ndarray:
     """Entrywise specialization ratio computed with explicit loops."""
     n_loc, n_act = x.shape

@@ -256,8 +256,10 @@ SCORES_A = "label,raw,standardized,rank\nL0,1,-1.2,3\nL1,2,0.0,2\nL2,4,1.2,1\n"
         (SCORES_A, ["--column", "nope"], "column 'nope' not in"),
         (SCORES_A.replace("0.0", "zero"), [], "could not convert string to float: 'zero'"),
         (SCORES_A.replace("L1", "Q1").replace("L2", "Q2"), [], "only 1 shared labels"),
+        ("", [], "b.csv: no header line"),
+        (SCORES_A.replace("L0,1,-1.2,3", "L0,1"), [], "b.csv: line 2 has 2 columns"),
     ],
-    ids=["missing-column", "non-numeric-cell", "too-few-shared-labels"],
+    ids=["missing-column", "non-numeric-cell", "too-few-shared-labels", "empty-file", "short-row"],
 )
 def test_compare_failures_are_compare_errors(tmp_path, scores_b, args, message):
     file_a, file_b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -143,6 +143,14 @@ class TestPivot:
         assert m.location_labels == ("B", "A")
         assert m.activity_labels == ("y", "x")
 
+    def test_duplicates_summed_in_record_order(self):
+        records = [LongRecord("A", "x", 1e16), LongRecord("A", "x", 1.0), LongRecord("A", "x", 1.0)]
+        forward = pivot_to_matrix(records).values
+        expected, _, _ = pivot_by_dict(records)
+        assert forward.tobytes() == expected.tobytes()
+        assert forward.tolist() == [[1e16]]
+        assert pivot_to_matrix(records[::-1]).values.tolist() == [[1e16 + 2.0]]
+
     @given(record_lists)
     @settings(deadline=None)
     def test_matches_dict_oracle(self, records):

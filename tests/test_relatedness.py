@@ -12,6 +12,7 @@ from ecindex.relatedness import (
 )
 
 from conftest import labeled_incidence, random_connected_incidence
+from oracles import density_by_masked_products
 
 WORKED = labeled_incidence(np.array([[1, 1], [0, 1]]))
 
@@ -135,6 +136,51 @@ class TestRelatednessDensity:
         other = labeled_incidence(np.array([[1, 1, 0], [0, 1, 1]], dtype=np.int64))
         with pytest.raises(ValueError):
             relatedness_density(other, phi)
+
+
+WORKED_DENSITY_EXAMPLES = [
+    WORKED,
+    labeled_incidence(np.array([[1, 1, 1, 1], [1, 1, 0, 0], [0, 1, 1, 0]])),
+    labeled_incidence(np.array([[1, 1, 0], [0, 1, 1]])),
+]
+
+
+def assert_density_matches_masked_products(m):
+    phi = proximity(m)
+    got = relatedness_density(m, phi).values
+    assert got.tobytes() == density_by_masked_products(m.values, phi.values).tobytes()
+    # exact endpoints: 1 where every positive-proximity neighbor is held, 0
+    # where none is
+    positive = phi.values > 0
+    np.fill_diagonal(positive, False)
+    unheld_neighbor = (m.values == 0).astype(int) @ positive
+    held_neighbor = m.values @ positive
+    assert (got[unheld_neighbor == 0] == 1.0).all()
+    assert (got[held_neighbor == 0] == 0.0).all()
+    return int((unheld_neighbor == 0).sum()), int((held_neighbor == 0).sum())
+
+
+def test_density_matches_masked_products_on_worked_examples():
+    ones = zeros = 0
+    for m in WORKED_DENSITY_EXAMPLES:
+        n1, n0 = assert_density_matches_masked_products(m)
+        ones, zeros = ones + n1, zeros + n0
+    assert ones > 0 and zeros > 0  # both endpoints are exercised
+
+
+def test_density_matches_masked_products_on_bernoulli_ensemble(bernoulli_ensemble_100):
+    for m in bernoulli_ensemble_100:
+        assert_density_matches_masked_products(m)
+
+
+def test_axis0_sum_adds_rows_in_order():
+    # the bitwise density argument rests on numpy summing axis 0 row by row
+    rng = np.random.default_rng(73)
+    rows = rng.random((200, 64)) * 10.0 ** rng.integers(-8, 8, (200, 64))
+    sequential = np.zeros(64)
+    for row in rows:
+        sequential = sequential + row
+    assert rows.sum(axis=0).tobytes() == sequential.tobytes()
 
 
 def test_proximity_matrix_file_roundtrip(tmp_path):
