@@ -4,16 +4,18 @@ Subcommands cover the full pipeline (``run``), each pipeline stage
 (``ingest`` .. ``density``), synthetic world generation (``world``) and score
 comparison (``compare``). Stage commands are thin shells over the pipeline:
 ``eci`` .. ``density`` are ``run --emit <name>``, and ``ingest``, ``rca`` and
-``incidence`` write an intermediate of :func:`ecindex.pipeline.prepare`. All
-numeric output is full round-trip precision. Exit code is 0 on success; on
-failure a stage-tagged error line goes to stderr and the exit code is nonzero.
+``incidence`` write an intermediate of :func:`ecindex.pipeline.prepare`. Their
+flags, ``run``'s and the ``run --config`` keys come from one table, ``_FLAGS``,
+with :class:`ecindex.pipeline.PipelineConfig`'s defaults. Exit code is 0 on
+success; on failure a stage-tagged error line goes to stderr, nonzero exit.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 import click
 
@@ -24,7 +26,6 @@ from .incidence import write_incidence
 from .pipeline import (
     EMIT_CHOICES,
     PipelineConfig,
-    Prepared,
     compare_vectors,
     load_config_file,
     prepare,
@@ -40,22 +41,64 @@ def _fail(err: Exception, stage: str = "unknown") -> NoReturn:
     sys.exit(1)
 
 
-def _single_char(ctx, param, value):
-    if value == "\\t":
-        return "\t"
-    if value is not None and len(value) != 1:
-        raise click.BadParameter("must be a single character ('\\t' for tab)")
-    return value
+class _Delimiter(click.ParamType):
+    """One character; ``\\t`` is a tab."""
+
+    name = "text"
+
+    def convert(self, value, param, ctx):
+        value = "\t" if value == "\\t" else value
+        if len(value) != 1:
+            self.fail("must be a single character ('\\t' for tab)", param, ctx)
+        return value
 
 
-def _input_options(fn):
-    fn = click.option("--input", "input_path", required=True, type=click.Path(path_type=Path), help="Long-format input file (.gz accepted).")(fn)
-    fn = click.option("--delimiter", default=",", show_default=True, callback=_single_char, help="Field delimiter.")(fn)
-    fn = click.option("--min-location-total", default=0.0, show_default=True, help="Left-tail cut: minimum location total output.")(fn)
-    fn = click.option("--min-activity-total", default=0.0, show_default=True, help="Left-tail cut: minimum activity total output.")(fn)
-    fn = click.option("--rca-threshold", default=1.0, show_default=True, help="Specialization threshold for the binary matrix.")(fn)
-    fn = click.option("--out-dir", required=True, type=click.Path(path_type=Path), help="Output directory.")(fn)
-    return fn
+class _EmitList(click.ParamType):
+    """Comma-separated emit names."""
+
+    name = "text"
+
+    def convert(self, value, param, ctx):
+        return tuple(part.strip() for part in value.split(",") if part.strip())
+
+
+class _Flag(NamedTuple):
+    name: str  # the flag without "--"; also the run --config key, with "-" or "_"
+    field: str  # the PipelineConfig field it sets
+    type: click.ParamType  # converts a flag and a config-file value alike
+    help: str
+
+
+_PATH = click.Path(path_type=Path)
+_FLAGS = (
+    _Flag("input", "input_path", _PATH, "Long-format input file (.gz accepted)."),
+    _Flag("delimiter", "delimiter", _Delimiter(), "Field delimiter."),
+    _Flag("min-location-total", "min_location_total", click.FLOAT, "Left-tail cut: minimum location total output."),
+    _Flag("min-activity-total", "min_activity_total", click.FLOAT, "Left-tail cut: minimum activity total output."),
+    _Flag("rca-threshold", "rca_threshold", click.FLOAT, "Specialization threshold for the binary matrix."),
+    _Flag("min-phi", "min_phi", click.FLOAT, "Minimum proximity for the edge list."),
+    _Flag("iterations", "reflections_iterations", click.INT, "Number of reflection updates."),
+    _Flag("emit", "emit", _EmitList(), f"Comma-separated subset of {','.join(EMIT_CHOICES)}."),
+    _Flag("out-dir", "out_dir", _PATH, "Output directory."),
+)
+_CONFIG_KEYS = {flag.name.replace("-", "_"): flag for flag in _FLAGS}
+_DEFAULTS = {f.name: f.default for f in fields(PipelineConfig) if f.default is not MISSING}
+_STAGE_FLAGS = ("input", "delimiter", "min-location-total", "min-activity-total", "rca-threshold", "out-dir")
+
+
+def _flags(*names: str, config_file: bool = False):
+    """Decorator adding the named flags in table order with PipelineConfig's
+    defaults, or, beside a config file, with no defaults and none required."""
+
+    def decorate(fn):
+        for flag in reversed(_FLAGS):
+            if flag.name in names:
+                defaults = {} if config_file else dict(
+                    default=_DEFAULTS.get(flag.field), required=flag.field not in _DEFAULTS, show_default=True)
+                fn = click.option(f"--{flag.name}", flag.field, type=flag.type, help=flag.help, **defaults)(fn)
+        return fn
+
+    return decorate
 
 
 def _config_error(message) -> NoReturn:
@@ -63,13 +106,20 @@ def _config_error(message) -> NoReturn:
     sys.exit(2)
 
 
-def _config(options: dict) -> PipelineConfig:
-    if not Path(options["input_path"]).is_file():
+def _pipeline(step, options: dict):
+    """The config of ``options`` and ``step(config)``; a bad config exits 2, a pipeline error 1."""
+    if not options["input_path"].is_file():
         _config_error(f"input file not found: {options['input_path']}")
     try:
-        return PipelineConfig(**options)
-    except (TypeError, ValueError) as err:
+        cfg = PipelineConfig(**options)
+    except ValueError as err:
         _config_error(err)
+    try:
+        result = step(cfg)
+    except ComplexityError as err:
+        _fail(err)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, result
 
 
 def _report(outputs: dict[str, Path]) -> None:
@@ -77,89 +127,52 @@ def _report(outputs: dict[str, Path]) -> None:
         click.echo(f"wrote {outputs[name]}")
 
 
-def _run_and_report(options: dict) -> None:
-    cfg = _config(options)
-    try:
-        result = run_pipeline(cfg)
-    except ComplexityError as err:
-        _fail(err)
-    _report(result.outputs)
-
-
-def _prepare(options: dict) -> tuple[PipelineConfig, Prepared]:
-    """Config and pipeline intermediates for a command that writes one of them."""
-    cfg = _config(options)
-    try:
-        stages = prepare(cfg)
-    except ComplexityError as err:
-        _fail(err)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, stages
-
-
 @click.group()
 def main():
     """Eigenvector-based complexity indices from location-activity data."""
 
 
-@main.command()
-@_input_options
-def ingest(**options):
-    """Parse, aggregate and size-filter the input into an output matrix."""
-    cfg, stages = _prepare(options)
-    matrix = stages.nonzero
-    path = cfg.out_dir / "output_matrix.csv"
-    write_matrix(path, matrix.values, matrix.location_labels, matrix.activity_labels, cfg.delimiter)
-    _report({"output_matrix": path})
+def _matrix_command(name, doc, stem, intermediate):
+    """A stage command that writes one matrix of :func:`ecindex.pipeline.prepare`."""
+
+    def command(**options):
+        cfg, stages = _pipeline(prepare, options)
+        matrix = getattr(stages, intermediate)
+        path = cfg.out_dir / f"{stem}.csv"
+        write_matrix(path, matrix.values, matrix.location_labels, matrix.activity_labels, cfg.delimiter)
+        _report({stem: path})
+
+    main.command(name=name, help=doc)(_flags(*_STAGE_FLAGS)(command))
+
+
+_matrix_command("ingest", "Parse, aggregate and size-filter the input into an output matrix.", "output_matrix", "nonzero")
+_matrix_command("rca", "Write the specialization (RCA) matrix.", "rca", "specialization")
 
 
 @main.command()
-@_input_options
-def rca(**options):
-    """Write the specialization (RCA) matrix."""
-    cfg, stages = _prepare(options)
-    matrix = stages.specialization
-    path = cfg.out_dir / "rca.csv"
-    write_matrix(path, matrix.values, matrix.location_labels, matrix.activity_labels, cfg.delimiter)
-    _report({"rca": path})
-
-
-@main.command()
-@_input_options
+@_flags(*_STAGE_FLAGS)
 def incidence(**options):
     """Write the pruned binary incidence matrix (before the component cut) with diversity and ubiquity."""
-    cfg, stages = _prepare(options)
+    cfg, stages = _pipeline(prepare, options)
     path = cfg.out_dir / "incidence.csv"
     write_incidence(path, stages.pruned, cfg.delimiter)
     _report({"incidence": path, **write_margins(cfg.out_dir, stages.pruned, cfg.delimiter)})
 
 
-def _emit_command(name, doc, *extra_options):
+def _emit_command(name, doc, *extra_flags):
     """A stage command that is ``run --emit <name>`` with the stage's own flags."""
 
     def command(**options):
-        _run_and_report({**options, "emit": (name,)})
+        _report(_pipeline(run_pipeline, {**options, "emit": (name,)})[1].outputs)
 
-    command.__doc__ = doc
-    for option in extra_options:
-        command = option(command)
-    main.command(name=name)(_input_options(command))
+    main.command(name=name, help=doc)(_flags(*_STAGE_FLAGS, *extra_flags)(command))
 
 
 _emit_command("eci", "Write ECI scores (label, raw, standardized, rank).")
 _emit_command("pci", "Write PCI scores (label, raw, standardized, rank).")
 _emit_command("extensive", "Write the first and second extensive eigenvectors and the spectrum.")
-_emit_command(
-    "reflections",
-    "Write the method-of-reflections trajectory (raw and z-scored).",
-    click.option("--iterations", "reflections_iterations", default=20, show_default=True,
-                 help="Number of reflection updates."),
-)
-_emit_command(
-    "proximity",
-    "Write the activity proximity matrix and thresholded edge list.",
-    click.option("--min-phi", default=0.0, show_default=True, help="Minimum proximity for the edge list."),
-)
+_emit_command("reflections", "Write the method-of-reflections trajectory (raw and z-scored).", "iterations")
+_emit_command("proximity", "Write the activity proximity matrix and thresholded edge list.", "min-phi")
 _emit_command("density", "Write the relatedness density matrix.")
 
 
@@ -171,7 +184,7 @@ _emit_command("density", "Write the relatedness density matrix.")
 @click.option("--letters-per-word", default=3, show_default=True)
 @click.option("--num-letters", default=26, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--delimiter", default=",", show_default=True, callback=_single_char)
+@click.option("--delimiter", default=",", show_default=True, type=_Delimiter())
 @click.option("--out-dir", required=True, type=click.Path(path_type=Path))
 def world(kind, locations, activities, letters_per_location, letters_per_word, num_letters, seed, delimiter, out_dir):
     """Generate a synthetic alphabet economy and its incidence matrix."""
@@ -193,7 +206,7 @@ def world(kind, locations, activities, letters_per_location, letters_per_word, n
 @main.command()
 @click.argument("file_a", type=click.Path(exists=True, path_type=Path))
 @click.argument("file_b", type=click.Path(exists=True, path_type=Path))
-@click.option("--delimiter", default=",", show_default=True, callback=_single_char)
+@click.option("--delimiter", default=",", show_default=True, type=_Delimiter())
 @click.option("--column", default="standardized", show_default=True, help="Score column to compare.")
 def compare(file_a, file_b, delimiter, column):
     """Correlate two score files over their shared labels."""
@@ -211,38 +224,24 @@ def compare(file_a, file_b, delimiter, column):
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True, path_type=Path), help="key = value config file; flags win.")
-@click.option("--input", "input_path", type=click.Path(path_type=Path))
-@click.option("--delimiter", default=None, callback=_single_char)
-@click.option("--min-location-total", type=float, default=None)
-@click.option("--min-activity-total", type=float, default=None)
-@click.option("--rca-threshold", type=float, default=None)
-@click.option("--min-phi", type=float, default=None)
-@click.option("--iterations", "reflections_iterations", type=int, default=None)
-@click.option("--emit", default=None, help=f"Comma-separated subset of {','.join(EMIT_CHOICES)}.")
-@click.option("--out-dir", type=click.Path(path_type=Path))
+@_flags(*(flag.name for flag in _FLAGS), config_file=True)
 def run(config_path, **flags):
     """Run the full pipeline and write the configured artifact set."""
-    try:
-        options = load_config_file(config_path) if config_path is not None else {}
-        for key, field in (("input", "input_path"), ("iterations", "reflections_iterations")):
-            if key in options:
-                options[field] = options.pop(key)
-        options.update({key: value for key, value in flags.items() if value is not None})
-        if "emit" in options and isinstance(options["emit"], str):
-            options["emit"] = tuple(part.strip() for part in options["emit"].split(",") if part.strip())
-        if options.get("delimiter") == "\\t":
-            options["delimiter"] = "\t"
-        for key in ("min_location_total", "min_activity_total", "rca_threshold", "min_phi"):
-            if key in options:
-                options[key] = float(options[key])
-        if "reflections_iterations" in options:
-            options["reflections_iterations"] = int(options["reflections_iterations"])
+    options = {}
+    try:  # each file value goes through its flag's type
+        for key, text in (load_config_file(config_path) if config_path else {}).items():
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+            options[_CONFIG_KEYS[key].field] = _CONFIG_KEYS[key].type.convert(text, None, None)
+    except click.BadParameter as err:
+        _config_error(f"{key}: {err.message}")
     except ValueError as err:
         _config_error(err)
-    missing = {"input_path", "out_dir"} - set(options)
+    options.update({field: value for field, value in flags.items() if value is not None})
+    missing = [f"--{flag.name}" for flag in _FLAGS if flag.field not in options and flag.field not in _DEFAULTS]
     if missing:
-        _config_error(f"missing required options: {sorted(missing)}")
-    _run_and_report(options)
+        _config_error(f"missing required options: {missing}")
+    _report(_pipeline(run_pipeline, options)[1].outputs)
 
 
 if __name__ == "__main__":

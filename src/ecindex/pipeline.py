@@ -88,6 +88,9 @@ class PipelineConfig:
         self.out_dir = Path(self.out_dir)
         if len(self.delimiter) != 1:
             raise ValueError("delimiter must be a single character")
+        for name in ("min_location_total", "min_activity_total", "rca_threshold", "min_phi"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.min_location_total < 0 or self.min_activity_total < 0 or self.min_phi < 0:
             raise ValueError("thresholds must be >= 0")
         if not self.rca_threshold > 0:
@@ -169,14 +172,14 @@ def emit_figure_data(
     for stem, scores in panels.items():
         if scores.labels != diversity_labels:
             raise ValueError(f"panel {stem!r} labels do not match diversity labels")
-    paths: dict[str, Path] = {}
-    for stem, scores in panels.items():
-        rows = sorted(
-            zip(scores.labels, diversity_values.tolist(), scores.raw.tolist()), key=itemgetter(0)
-        )
-        path = Path(out_dir) / f"figure_diversity_vs_{stem}.csv"
-        write_rows(path, ("location", "diversity", "score"), rows, delimiter)
-        paths[f"figure_diversity_vs_{stem}"] = path
+    with _removed_on_failure() as paths:
+        for stem, scores in panels.items():
+            rows = sorted(
+                zip(scores.labels, diversity_values.tolist(), scores.raw.tolist()), key=itemgetter(0)
+            )
+            name = f"figure_diversity_vs_{stem}"
+            paths[name] = Path(out_dir) / f"{name}.csv"
+            write_rows(paths[name], ("location", "diversity", "score"), rows, delimiter)
     return paths
 
 
@@ -207,14 +210,17 @@ def read_scores_file(
         index = 1
     else:
         raise ValueError(f"column {column!r} not in {header}")
-    for line, row in rows:
+    values = np.empty(len(rows))
+    for i, (line, row) in enumerate(rows):
         if len(row) <= index:
             raise ValueError(
                 f"{path}: line {line} has {len(row)} columns, need {index + 1} for {header[index]!r}"
             )
-    labels = tuple(row[0] for _, row in rows)
-    values = np.array([float(row[index]) for _, row in rows])
-    return labels, values
+        try:
+            values[i] = float(row[index])
+        except ValueError as err:
+            raise ValueError(f"{path}: line {line}: {err}") from None
+    return tuple(row[0] for _, row in rows), values
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunResult:
@@ -225,13 +231,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
-        return _run(cfg, out_dir, written)
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+    with _removed_on_failure() as outputs:
+        return _run(cfg, out_dir, outputs)
 
 
 def prepare(cfg: PipelineConfig) -> Prepared:
@@ -276,26 +277,22 @@ def prepare(cfg: PipelineConfig) -> Prepared:
 
 def write_margins(out_dir: Path, m: IncidenceMatrix, delimiter: str = ",") -> dict[str, Path]:
     """``diversity.csv`` and ``ubiquity.csv`` (label, value) of ``m``."""
-    paths: dict[str, Path] = {}
-    for name, labels, values in (
-        ("diversity", m.location_labels, m.diversity),
-        ("ubiquity", m.activity_labels, m.ubiquity),
-    ):
-        paths[name] = Path(out_dir) / f"{name}.csv"
-        write_rows(paths[name], ("label", "value"), zip(labels, values.tolist()), delimiter)
+    with _removed_on_failure() as paths:
+        for name, labels, values in (
+            ("diversity", m.location_labels, m.diversity),
+            ("ubiquity", m.activity_labels, m.ubiquity),
+        ):
+            paths[name] = Path(out_dir) / f"{name}.csv"
+            write_rows(paths[name], ("label", "value"), zip(labels, values.tolist()), delimiter)
     return paths
 
 
-def _run(cfg: PipelineConfig, out_dir: Path, written: list[Path]) -> RunResult:
-    outputs: dict[str, Path] = {}
-
-    def record(paths: dict[str, Path]) -> None:
-        written.extend(paths.values())
-        outputs.update(paths)
+def _run(cfg: PipelineConfig, out_dir: Path, outputs: dict[str, Path]) -> RunResult:
+    """Fills ``outputs`` with each path before its file is opened; a writer of
+    several files removes its own when one of them fails."""
 
     def emit(name: str, filename: str, writer, *args) -> None:
-        path = out_dir / filename
-        record({name: path})
+        path = outputs[name] = out_dir / filename
         writer(path, *args)
 
     stages = prepare(cfg)
@@ -307,7 +304,7 @@ def _run(cfg: PipelineConfig, out_dir: Path, written: list[Path]) -> RunResult:
 
     with _stage("emit"):
         emit("incidence", "incidence.csv", write_incidence, final, cfg.delimiter)
-        record(write_margins(out_dir, final, cfg.delimiter))
+        outputs.update(write_margins(out_dir, final, cfg.delimiter))
 
     eci_scores = None
     with _stage("eci"):
@@ -379,7 +376,7 @@ def _run(cfg: PipelineConfig, out_dir: Path, written: list[Path]) -> RunResult:
                 ),
                 cfg.delimiter,
             )
-            record(emit_figure_data(
+            outputs.update(emit_figure_data(
                 out_dir,
                 final.location_labels,
                 diversity_values,
@@ -420,12 +417,23 @@ def _run(cfg: PipelineConfig, out_dir: Path, written: list[Path]) -> RunResult:
         },
         "outputs": sorted(path.name for path in outputs.values()),
     }
-    manifest_path = out_dir / "manifest.json"
-    record({"manifest": manifest_path})
+    manifest_path = outputs["manifest"] = out_dir / "manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return RunResult(manifest, outputs)
+
+
+@contextmanager
+def _removed_on_failure():
+    """A name -> path dict; every file in it is removed if the block fails."""
+    paths: dict[str, Path] = {}
+    try:
+        yield paths
+    except BaseException:
+        for path in paths.values():
+            path.unlink(missing_ok=True)
+        raise
 
 
 @contextmanager

@@ -77,8 +77,15 @@ def test_run_config_file_with_flag_override(tmp_path):
         ([], ["--input", "{tmp}/missing.csv"], 2),
         (["input = {tmp}/missing.csv"], [], 2),
         (["iterations = 5", "emit = reflections"], [], 0),
+        (["min-location-total = inf"], [], 2),
+        (["min_phi = nan", "emit = proximity"], [], 2),
+        (["rca-threshold = inf"], [], 2),
+        (["foo = 1"], [], 2),
+        (["delimiter = ;;"], [], 2),
+        (["emit = eci,nonsense"], [], 2),
     ],
-    ids=["bad-number", "no-equals", "missing-input-flag", "missing-input-config", "iterations-key"],
+    ids=["bad-number", "no-equals", "missing-input-flag", "missing-input-config", "iterations-key",
+         "inf-cut", "nan-min-phi", "inf-rca-threshold", "unknown-key", "bad-delimiter", "unknown-emit"],
 )
 def test_run_config_problems_are_config_errors(tmp_path, config_lines, flags, exit_code):
     input_path = write_sample(tmp_path / "input.csv")
@@ -96,6 +103,102 @@ def test_run_config_problems_are_config_errors(tmp_path, config_lines, flags, ex
     else:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["config"]["reflections_iterations"] == 5
+
+
+STAGE_FLAGS = {
+    ("--input", "path", None, True),
+    ("--delimiter", "text", ",", False),
+    ("--min-location-total", "float", 0.0, False),
+    ("--min-activity-total", "float", 0.0, False),
+    ("--rca-threshold", "float", 1.0, False),
+    ("--out-dir", "path", None, True),
+}
+RUN_FLAGS = [
+    ("--config", "path"), ("--input", "path"), ("--delimiter", "text"),
+    ("--min-location-total", "float"), ("--min-activity-total", "float"), ("--rca-threshold", "float"),
+    ("--min-phi", "float"), ("--iterations", "integer"), ("--emit", "text"), ("--out-dir", "path"),
+]
+# (flag, type, default, required) of every pipeline command: the surface scripts and config files rely on
+PIPELINE_COMMAND_FLAGS = {
+    **{name: STAGE_FLAGS for name in ("ingest", "rca", "incidence", "eci", "pci", "extensive", "density")},
+    "reflections": STAGE_FLAGS | {("--iterations", "integer", 20, False)},
+    "proximity": STAGE_FLAGS | {("--min-phi", "float", 0.0, False)},
+    "run": {(flag, kind, None, False) for flag, kind in RUN_FLAGS},
+}
+
+
+@pytest.mark.parametrize("command", sorted(PIPELINE_COMMAND_FLAGS))
+def test_pipeline_command_flags_keep_their_defaults(command):
+    params = main.commands[command].params
+    # no default reads as None, whatever sentinel this click version uses for it
+    flags = {(p.opts[0], p.type.name, p.default if isinstance(p.default, (str, float, int)) else None, p.required)
+             for p in params}
+    assert flags == PIPELINE_COMMAND_FLAGS[command]
+    result = invoke(command, "--help")
+    assert result.exit_code == 0
+    for flag, _, default, _ in PIPELINE_COMMAND_FLAGS[command]:
+        assert flag in result.output
+        if default is not None:
+            assert f"[default: {default}]" in " ".join(result.output.split())
+
+
+RUN_SETTINGS = {
+    "input": None, "delimiter": "\\t", "min-location-total": "5", "min-activity-total": "5",
+    "rca-threshold": "0.9", "min-phi": "0.25", "iterations": "7", "emit": "eci,proximity,reflections",
+    "out-dir": None,
+}
+
+
+@pytest.mark.parametrize("key", sorted({k for key in RUN_SETTINGS for k in (key, key.replace("-", "_"))}))
+def test_config_key_acts_as_its_flag(tmp_path, key):
+    input_path = tmp_path / "input.tsv"
+    input_path.write_text(write_sample(tmp_path / "input.csv").read_text().replace(",", "\t"))
+    flag = key.replace("_", "-")
+
+    def run(out_dir, from_file):
+        settings = {**RUN_SETTINGS, "input": input_path, "out-dir": out_dir}
+        config = tmp_path / f"{out_dir.name}.conf"
+        config.write_text(f"{key} = {settings.pop(flag)}\n" if from_file else "")
+        args = [arg for name, value in settings.items() for arg in (f"--{name}", value)]
+        result = invoke("run", "--config", config, *args)
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        del manifest["timestamp"]
+        return manifest
+
+    from_file = run(tmp_path / "file", True)
+    assert from_file == run(tmp_path / "flags", False)
+    assert from_file["config"]["delimiter"] == "\t"
+
+
+@pytest.mark.parametrize("key", ["foo", "input_path", "reflections_iterations"])
+def test_config_keys_are_the_flag_names(tmp_path, key):
+    config = tmp_path / "run.conf"
+    config.write_text(f"input = {write_sample(tmp_path / 'input.csv')}\n{key} = 5\n")
+    result = invoke("run", "--config", config, "--out-dir", tmp_path / "out")
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error [config] unknown config key '{key}'\n"
+
+
+@pytest.mark.parametrize("command", ["run", "proximity"])
+@pytest.mark.parametrize("flag", ["--min-location-total", "--min-activity-total", "--rca-threshold", "--min-phi"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_threshold_flag_is_config_error(tmp_path, command, flag, value):
+    out_dir = tmp_path / "out"
+    result = invoke(command, "--input", write_sample(tmp_path / "input.csv"), "--out-dir", out_dir, flag, value)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error [config] ") and "finite" in result.stderr
+    assert isinstance(result.exception, SystemExit)  # no uncaught traceback
+    assert not out_dir.exists()
+
+
+def test_run_and_stage_commands_share_flag_help():
+    run_help = {p.opts[0]: p.help for p in main.commands["run"].params}
+    for command in PIPELINE_COMMAND_FLAGS:
+        flags = [p.opts[0] for p in main.commands[command].params]
+        assert flags == [flag for flag in run_help if flag in flags]  # one declaration order
+        for p in main.commands[command].params:
+            assert p.help and p.help == run_help[p.opts[0]], (command, p.opts[0])
 
 
 def test_gzip_input_accepted(tmp_path):
@@ -254,7 +357,7 @@ SCORES_A = "label,raw,standardized,rank\nL0,1,-1.2,3\nL1,2,0.0,2\nL2,4,1.2,1\n"
     "scores_b, args, message",
     [
         (SCORES_A, ["--column", "nope"], "column 'nope' not in"),
-        (SCORES_A.replace("0.0", "zero"), [], "could not convert string to float: 'zero'"),
+        (SCORES_A.replace("0.0", "zero"), [], "b.csv: line 3: could not convert string to float: 'zero'"),
         (SCORES_A.replace("L1", "Q1").replace("L2", "Q2"), [], "only 1 shared labels"),
         ("", [], "b.csv: no header line"),
         (SCORES_A.replace("L0,1,-1.2,3", "L0,1"), [], "b.csv: line 2 has 2 columns"),

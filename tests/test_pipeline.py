@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ecindex._io import write_rows
 from ecindex.errors import ComplexityError, EmptyInput, InsufficientOverlap, ZeroVariance
 from ecindex.incidence import read_incidence
 from ecindex.ingest import parse_long_records
@@ -311,6 +312,30 @@ class TestRunPipeline:
         with pytest.raises(ComplexityError) as err:
             run_pipeline(cfg)
         assert err.value.stage == "relatedness"
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "failing_file, emit",
+        [("ubiquity.csv", ("eci",)), ("figure_diversity_vs_extensive_second.csv", ("compare",))],
+        ids=["margins", "figures"],
+    )
+    def test_multi_file_writer_failing_midway_leaves_nothing(self, tmp_path, monkeypatch, failing_file, emit):
+        real_write_rows = write_rows
+
+        def write_rows_failing_on_one_file(path, *args):
+            if path.name == failing_file:
+                path.write_text("label,value\n")
+                raise OSError("disk full")
+            real_write_rows(path, *args)
+
+        monkeypatch.setattr("ecindex.pipeline.write_rows", write_rows_failing_on_one_file)
+        out_dir = tmp_path / "out"
+        cfg = PipelineConfig(
+            input_path=block_input(tmp_path / "input.csv"), out_dir=out_dir,
+            min_location_total=5.0, min_activity_total=5.0, emit=emit,
+        )
+        with pytest.raises(OSError, match="disk full"):
+            run_pipeline(cfg)
         assert list(out_dir.iterdir()) == []
 
     def test_manifest_records_sign_conventions_and_tolerances(self, tmp_path):
