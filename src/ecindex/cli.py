@@ -13,6 +13,7 @@ success; on failure a stage-tagged error line goes to stderr, nonzero exit.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import NamedTuple, NoReturn
@@ -31,7 +32,7 @@ from .pipeline import (
     prepare,
     read_scores_file,
     run_pipeline,
-    write_margins,
+    write_incidence_files,
 )
 
 
@@ -106,19 +107,31 @@ def _config_error(message) -> NoReturn:
     sys.exit(2)
 
 
+@contextmanager
+def _output_errors():
+    """An ``OSError`` in the block exits 1 as an output error, unless a
+    pipeline stage (reading the input) has tagged it."""
+    try:
+        yield
+    except OSError as err:
+        _fail(err, "output")
+
+
 def _pipeline(step, options: dict):
-    """The config of ``options`` and ``step(config)``; a bad config exits 2, a pipeline error 1."""
+    """The config of ``options`` and ``step(config)``; a bad config exits 2, a
+    pipeline or output error 1."""
     if not options["input_path"].is_file():
         _config_error(f"input file not found: {options['input_path']}")
     try:
         cfg = PipelineConfig(**options)
     except ValueError as err:
         _config_error(err)
-    try:
-        result = step(cfg)
-    except ComplexityError as err:
-        _fail(err)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    with _output_errors():
+        try:
+            result = step(cfg)
+        except ComplexityError as err:
+            _fail(err)
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, result
 
 
@@ -139,7 +152,8 @@ def _matrix_command(name, doc, stem, intermediate):
         cfg, stages = _pipeline(prepare, options)
         matrix = getattr(stages, intermediate)
         path = cfg.out_dir / f"{stem}.csv"
-        write_matrix(path, matrix.values, matrix.location_labels, matrix.activity_labels, cfg.delimiter)
+        with _output_errors():
+            write_matrix(path, matrix.values, matrix.location_labels, matrix.activity_labels, cfg.delimiter)
         _report({stem: path})
 
     main.command(name=name, help=doc)(_flags(*_STAGE_FLAGS)(command))
@@ -154,9 +168,8 @@ _matrix_command("rca", "Write the specialization (RCA) matrix.", "rca", "special
 def incidence(**options):
     """Write the pruned binary incidence matrix (before the component cut) with diversity and ubiquity."""
     cfg, stages = _pipeline(prepare, options)
-    path = cfg.out_dir / "incidence.csv"
-    write_incidence(path, stages.pruned, cfg.delimiter)
-    _report({"incidence": path, **write_margins(cfg.out_dir, stages.pruned, cfg.delimiter)})
+    with _output_errors():
+        _report(write_incidence_files(cfg.out_dir, stages.pruned, cfg.delimiter))
 
 
 def _emit_command(name, doc, *extra_flags):
@@ -201,6 +214,8 @@ def world(kind, locations, activities, letters_per_location, letters_per_word, n
         click.echo(f"wrote {out_dir / 'world.txt'}")
     except (ComplexityError, ValueError) as err:
         _fail(err, "world")
+    except OSError as err:
+        _fail(err, "output")
 
 
 @main.command()
@@ -218,7 +233,7 @@ def compare(file_a, file_b, delimiter, column):
         click.echo(f"pearson_r {report.pearson_r!r}")
         click.echo(f"r_squared {report.r_squared!r}")
         click.echo(f"spearman_rho {report.spearman_rho!r}")
-    except (ComplexityError, ValueError) as err:
+    except (ComplexityError, ValueError, OSError) as err:
         _fail(err, "compare")
 
 

@@ -240,7 +240,7 @@ def prepare(cfg: PipelineConfig) -> Prepared:
     -> largest component, each step stage-tagged. Writes nothing."""
     dropped: list[dict] = []
 
-    with _stage("ingest"):
+    with _stage("ingest", (ComplexityError, OSError)):
         with open_text(cfg.input_path) as fh:
             records = parse_long_records(fh, cfg.delimiter)
         raw = pivot_to_matrix(records)
@@ -275,9 +275,12 @@ def prepare(cfg: PipelineConfig) -> Prepared:
     return Prepared(raw, nonzero, specialization, pruned, final, dropped)
 
 
-def write_margins(out_dir: Path, m: IncidenceMatrix, delimiter: str = ",") -> dict[str, Path]:
-    """``diversity.csv`` and ``ubiquity.csv`` (label, value) of ``m``."""
+def write_incidence_files(out_dir: Path, m: IncidenceMatrix, delimiter: str = ",") -> dict[str, Path]:
+    """``incidence.csv``, ``diversity.csv`` and ``ubiquity.csv`` (label, value)
+    of ``m``; none of them is left behind when one fails."""
     with _removed_on_failure() as paths:
+        paths["incidence"] = Path(out_dir) / "incidence.csv"
+        write_incidence(paths["incidence"], m, delimiter)
         for name, labels, values in (
             ("diversity", m.location_labels, m.diversity),
             ("ubiquity", m.activity_labels, m.ubiquity),
@@ -303,8 +306,7 @@ def _run(cfg: PipelineConfig, out_dir: Path, outputs: dict[str, Path]) -> RunRes
     want = set(cfg.emit)
 
     with _stage("emit"):
-        emit("incidence", "incidence.csv", write_incidence, final, cfg.delimiter)
-        outputs.update(write_margins(out_dir, final, cfg.delimiter))
+        outputs.update(write_incidence_files(out_dir, final, cfg.delimiter))
 
     eci_scores = None
     with _stage("eci"):
@@ -437,11 +439,12 @@ def _removed_on_failure():
 
 
 @contextmanager
-def _stage(name: str):
+def _stage(name: str, tagged=ComplexityError):
+    """Tags a ``tagged`` error raised in the block with stage ``name``."""
     try:
         yield
-    except ComplexityError as err:
-        if err.stage is None:
+    except tagged as err:
+        if getattr(err, "stage", None) is None:
             err.stage = name
         raise
 

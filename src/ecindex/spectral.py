@@ -10,9 +10,14 @@ Two similarity kinds are built from a binary incidence matrix M:
   ``diag(1/M_c) @ M @ diag(1/M_p) @ M.T``.
 
 The intensive matrix is not symmetric, but it is diagonally similar to the
-symmetric matrix ``D^{1/2} Mt D^{-1/2}`` with ``D = diag(margins)``, so its
-spectrum is provably real and a symmetric eigensolver applies. ECI is the
-standardized eigenvector of the second-largest eigenvalue (by value, not
+symmetric matrix ``D^{1/2} Mt D^{-1/2}`` with ``D = diag(margins)``. That
+matrix is ``A @ A.T`` on the location side and ``A.T @ A`` on the activity
+side, with the C x P factor ``A = D_c^{-1/2} M D_p^{-1/2}`` (correspondence
+analysis). So one thin SVD ``A = U S V^T`` gives both spectra, real and
+nonnegative: the eigenvalues are ``S**2`` and the eigenvectors are ``U`` (or
+``V``) mapped back by ``D^{-1/2}``. Only the leading ``min(C, P)`` pairs come
+out; the other eigenvalues of the rank-deficient side are exact zeros. ECI is
+the standardized eigenvector of the second-largest eigenvalue (by value, not
 magnitude) of the intensive location-side matrix; PCI is the activity-side
 analog.
 """
@@ -56,9 +61,9 @@ ScoreKind = Literal["ECI", "PCI", "extensive-first", "extensive-second"]
 class SimilarityMatrix:
     """Square location-location or activity-activity similarity.
 
-    ``weights`` holds the averaging margins (diversity or ubiquity) for the
-    intensive kind; they are what makes the symmetrizing change of basis
-    available to the eigensolver.
+    The intensive kind also carries ``weights``, the averaging margins
+    (diversity or ubiquity) of its side, and ``factor``, the C x P matrix
+    ``A = D_c^{-1/2} M D_p^{-1/2}`` whose thin SVD the eigensolver takes.
     """
 
     values: np.ndarray
@@ -66,6 +71,7 @@ class SimilarityMatrix:
     kind: Kind
     side: Side
     weights: np.ndarray | None = None
+    factor: np.ndarray | None = None
 
     def __post_init__(self):
         n = len(self.labels)
@@ -77,8 +83,11 @@ class SimilarityMatrix:
             if np.abs(self.values - self.values.T).max(initial=0.0) > SYMMETRY_TOL:
                 raise ValueError("extensive similarity must be symmetric")
         elif self.kind == "intensive":
-            if self.weights is None:
-                raise ValueError("intensive similarity requires its averaging weights")
+            if self.weights is None or self.factor is None:
+                raise ValueError("intensive similarity requires its averaging weights and factor")
+            axis = 0 if self.side == "location" else 1
+            if self.factor.ndim != 2 or self.factor.shape[axis] != n:
+                raise ValueError("intensive factor must be C x P with this side's labels")
             if np.abs(self.values.sum(axis=1) - 1.0).max(initial=0.0) > ROW_STOCHASTIC_TOL:
                 raise ValueError("intensive similarity rows must sum to 1")
         else:
@@ -87,13 +96,20 @@ class SimilarityMatrix:
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """Full real spectrum, eigenvalues descending, unit-norm column eigenvectors."""
+    """Real eigenpairs, eigenvalues descending, unit-norm column eigenvectors.
+
+    The extensive kind holds the full spectrum. The intensive kind holds the
+    leading ``min(C, P)`` pairs; the rest are exact zeros, so there may be
+    fewer columns than rows.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray
 
     def __post_init__(self):
+        if self.eigenvectors.shape[1] != self.eigenvalues.size:
+            raise ValueError("one eigenvector column per eigenvalue")
         if np.any(np.diff(self.eigenvalues) > 0):
             raise ValueError("eigenvalues must be sorted descending")
         bound = EIGEN_RESIDUAL_TOL * np.maximum(1.0, np.abs(self.eigenvalues))
@@ -192,7 +208,8 @@ def similarity_extensive(m: IncidenceMatrix, side: Side = "location") -> Similar
 
 
 def similarity_intensive(m: IncidenceMatrix, side: Side = "location") -> SimilarityMatrix:
-    """Row-stochastic averaged co-occurrence; requires strictly positive margins."""
+    """Row-stochastic averaged co-occurrence, with its C x P factor; requires
+    strictly positive margins."""
     require_positive_margins(m)
     values = np.asarray(m.values, dtype=float)
     div = m.diversity.astype(float)
@@ -205,29 +222,34 @@ def similarity_intensive(m: IncidenceMatrix, side: Side = "location") -> Similar
         labels, weights = m.activity_labels, ubi
     else:
         raise ValueError(f"unknown side {side!r}")
-    return SimilarityMatrix(sim, labels, kind="intensive", side=side, weights=weights)
+    factor = values / np.sqrt(div)[:, None] / np.sqrt(ubi)
+    return SimilarityMatrix(sim, labels, kind="intensive", side=side, weights=weights, factor=factor)
 
 
 def eigendecompose(s: SimilarityMatrix) -> EigenSolution:
-    """Full eigendecomposition with a guaranteed-real spectrum.
+    """Eigenpairs with a guaranteed-real spectrum, eigenvalues descending.
 
-    The extensive kind is symmetric already. The intensive kind is solved in
-    the symmetrized basis ``S = D^{1/2} Mt D^{-1/2}`` (D = averaging weights)
-    and the eigenvectors are mapped back and renormalized. Residuals are
-    checked against the original matrix.
+    The extensive kind is symmetric already and gets its full spectrum. The
+    intensive kind gets the leading ``min(C, P)`` pairs, the rest being exact
+    zeros, from one thin SVD of its factor ``A = U S V^T``: the eigenvalues
+    are ``S**2`` and the eigenvectors ``U`` (location side) or ``V`` (activity
+    side), mapped back by ``D^{-1/2}`` (D = averaging weights) and
+    renormalized. Residuals are checked against the original matrix.
     """
     if not np.isfinite(s.values).all():
         raise ValueError("similarity matrix must be finite")
     if s.kind == "extensive":
         eigenvalues, vectors = np.linalg.eigh(s.values)
+        eigenvalues = eigenvalues[::-1]
+        vectors = np.ascontiguousarray(vectors[:, ::-1])
     else:
-        scale = np.sqrt(s.weights.astype(float))
-        symmetrized = s.values * scale[:, None] / scale[None, :]
-        eigenvalues, vectors = np.linalg.eigh(symmetrized)
-        vectors = vectors / scale[:, None]
+        # LAPACK is faster on the tall orientation; A.T = V S U^T swaps the sides
+        transposed = s.factor.shape[0] < s.factor.shape[1]
+        left, singular, right_t = np.linalg.svd(s.factor.T if transposed else s.factor, full_matrices=False)
+        eigenvalues = singular**2
+        on_left = (s.side == "location") != transposed
+        vectors = (left if on_left else right_t.T) / np.sqrt(s.weights)[:, None]
         vectors = vectors / np.linalg.norm(vectors, axis=0)
-    eigenvalues = eigenvalues[::-1]
-    vectors = np.ascontiguousarray(vectors[:, ::-1])
     residuals = np.abs(s.values @ vectors - vectors * eigenvalues).max(axis=0)
     bound = EIGEN_RESIDUAL_TOL * np.maximum(1.0, np.abs(eigenvalues))
     if np.any(residuals > bound):
@@ -470,6 +492,8 @@ def _second_eigenvector_scores(
     eigenvalues = solution.eigenvalues
     if eigenvalues.size < 2:
         raise DegenerateSpectrum("no second eigenvalue")
+    if solution.eigenvectors.shape[0] > eigenvalues.size:
+        eigenvalues = np.append(eigenvalues, 0.0)  # the omitted eigenvalues are exact zeros
     gap_above = eigenvalues[0] - eigenvalues[1]
     gap_below = eigenvalues[1] - eigenvalues[2] if eigenvalues.size > 2 else np.inf
     if min(gap_above, gap_below) <= DEGENERATE_EIGENVALUE_TOL:

@@ -1,9 +1,10 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately avoids the code paths it checks: eigenpairs come
-from hand-rolled power iteration with deflation (never ``numpy.linalg.eigh``),
-correlations from the textbook covariance formula, components from plain BFS,
-and aggregations from dict loops.
+from hand-rolled power iteration with deflation, or from a dense
+``numpy.linalg.eigh`` of the full symmetrized intensive matrix where the code
+takes a thin SVD of its factor; correlations from the textbook covariance
+formula, components from plain BFS, and aggregations from dict loops.
 """
 
 from __future__ import annotations
@@ -175,3 +176,16 @@ def symmetrized_intensive(m_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
                 total += m_values[c, p] * m_values[c2, p] / ubi[p]
             sym[c, c2] = total / math.sqrt(div[c] * div[c2])
     return sym, np.sqrt(div)
+
+
+def intensive_eigh(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full spectrum of a row-stochastic intensive matrix, descending, with
+    unit-norm column eigenvectors: a dense ``eigh`` of the symmetrized matrix
+    ``D^{1/2} values D^{-1/2}`` (D = diag(weights)), mapped back by
+    ``D^{-1/2}`` and renormalized."""
+    scale = np.sqrt(np.asarray(weights, dtype=float))
+    symmetrized = values * scale[:, None] / scale[None, :]
+    eigenvalues, vectors = np.linalg.eigh(symmetrized)
+    vectors = vectors / scale[:, None]
+    vectors = vectors / np.linalg.norm(vectors, axis=0)
+    return eigenvalues[::-1], vectors[:, ::-1]

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import ecindex
+from ecindex import pipeline
 from ecindex.cli import main
 from ecindex.pipeline import read_scores_file
 
@@ -276,6 +277,53 @@ def test_stage_subcommand_failures_are_stage_tagged(tmp_path):
     assert not (out_dir / "incidence.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "ingest", "incidence", "eci", "world"])
+def test_unwritable_out_dir_is_output_error(tmp_path, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = [] if command == "world" else ["--input", write_sample(tmp_path / "input.csv")]
+    result = invoke(command, *args, "--out-dir", blocker / "out")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no uncaught traceback
+    assert result.stderr.startswith("error [output] ") and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, filename", [("ingest", "output_matrix.csv"), ("incidence", "incidence.csv")])
+def test_unwritable_output_file_is_output_error(tmp_path, command, filename):
+    out_dir = tmp_path / "out"
+    (out_dir / filename).mkdir(parents=True)
+    result = invoke(command, "--input", write_sample(tmp_path / "input.csv"), "--out-dir", out_dir)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error [output] ") and result.stderr.count("\n") == 1
+
+
+def test_incidence_failing_on_a_margin_file_leaves_nothing(tmp_path, monkeypatch):
+    real_write_rows = pipeline.write_rows
+
+    def write_rows_failing_on_ubiquity(path, *args):
+        if path.name == "ubiquity.csv":
+            path.write_text("label,value\n")
+            raise OSError("disk full")
+        real_write_rows(path, *args)
+
+    monkeypatch.setattr("ecindex.pipeline.write_rows", write_rows_failing_on_ubiquity)
+    out_dir = tmp_path / "out"
+    result = invoke("incidence", "--input", write_sample(tmp_path / "input.csv"), "--out-dir", out_dir)
+    assert result.exit_code == 1
+    assert result.stderr == "error [output] disk full\n"
+    assert list(out_dir.iterdir()) == []
+
+
+def test_unreadable_gzip_input_is_ingest_error(tmp_path):
+    bad = tmp_path / "input.csv.gz"
+    bad.write_text("location,activity,value\n")
+    result = invoke("run", "--input", bad, "--out-dir", tmp_path / "out")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error [ingest] ")
+
+
 def test_world_nested_and_random(tmp_path):
     nested_dir = tmp_path / "nested"
     result = invoke(
@@ -373,6 +421,15 @@ def test_compare_failures_are_compare_errors(tmp_path, scores_b, args, message):
     assert isinstance(result.exception, SystemExit)  # no uncaught traceback
     assert result.stderr.startswith("error [compare] ") and message in result.stderr
     assert result.stderr.count("\n") == 1
+
+
+def test_compare_unreadable_file_is_compare_error(tmp_path):
+    file_a = tmp_path / "a.csv"
+    file_a.write_text(SCORES_A)
+    result = invoke("compare", file_a, tmp_path)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error [compare] ") and result.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -31,12 +31,30 @@ from ecindex.spectral import (
 from conftest import labeled_incidence, nested_triangular, random_connected_incidence
 from oracles import (
     bfs_bipartite_components,
+    intensive_eigh,
     pearson_by_formula,
     power_iteration_eigenpairs,
     symmetrized_intensive,
 )
 
 WORKED = labeled_incidence(np.array([[1, 1], [0, 1]]))
+#: connected and rectangular both ways, so one side of each is rank-deficient
+WIDE = labeled_incidence(np.array([[1, 1, 0, 0, 1], [0, 1, 1, 0, 1], [1, 0, 1, 1, 0]]))
+TALL = labeled_incidence(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1], [0, 0, 1]]))
+
+
+def assert_matches_dense_oracle(m):
+    """The leading min(C, P) eigenvalues and the second eigenvector of both
+    intensive sides agree with a dense ``eigh`` of the symmetrized matrix."""
+    rank = min(m.values.shape)
+    for side in ("location", "activity"):
+        s = similarity_intensive(m, side)
+        solution = eigendecompose(s)
+        oracle_values, oracle_vectors = intensive_eigh(s.values, s.weights)
+        assert solution.eigenvalues.shape == (rank,)
+        assert solution.eigenvectors.shape == (len(s.labels), rank)
+        assert np.abs(solution.eigenvalues - oracle_values[:rank]).max() <= 1e-10
+        assert abs(float(solution.eigenvectors[:, 1] @ oracle_vectors[:, 1])) >= 1.0 - 1e-10
 
 
 class TestSimilarityExtensive:
@@ -131,6 +149,25 @@ class TestEigendecompose:
             mapped /= np.linalg.norm(mapped)
             overlap = abs(float(mapped @ solution.eigenvectors[:, k]))
             assert overlap >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize(
+        "m", [WORKED, WIDE, TALL, *(nested_triangular(n) for n in (5, 8, 12))],
+        ids=["worked", "wide", "tall", "nested5", "nested8", "nested12"],
+    )
+    def test_intensive_matches_dense_eigh_on_worked_examples(self, m):
+        assert_matches_dense_oracle(m)
+
+    def test_intensive_matches_dense_eigh_on_bernoulli_ensemble(self, bernoulli_ensemble_100):
+        for m in bernoulli_ensemble_100:
+            assert_matches_dense_oracle(m)
+
+    def test_intensive_sides_share_one_spectrum(self):
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            m = random_connected_incidence(rng, 40, 60, 0.2, 0.5)
+            location = eigendecompose(similarity_intensive(m, "location")).eigenvalues
+            activity = eigendecompose(similarity_intensive(m, "activity")).eigenvalues
+            assert np.abs(location - activity).max() <= 1e-12
 
     def test_intensive_unit_eigenvector_is_constant(self):
         rng = np.random.default_rng(17)
@@ -229,6 +266,15 @@ class TestPci:
     def test_degenerate_spectrum_on_connected_input(self):
         with pytest.raises(DegenerateSpectrum):
             pci(labeled_incidence(np.ones((3, 4), dtype=np.int64)))
+
+    def test_rank_deficient_side_keeps_its_refusal(self):
+        # ECI is identified (2 locations, eigenvalues 1 and 0), but the 5 x 5
+        # activity matrix has rank 1: its second eigenvalue is a fourfold 0,
+        # of which the two computed pairs hold only one
+        m = labeled_incidence(np.ones((2, 5), dtype=np.int64))
+        eci(m)
+        with pytest.raises(DegenerateSpectrum):
+            pci(m)
 
 
 class TestExtensiveScores:
@@ -389,6 +435,21 @@ class TestDataContracts:
             SimilarityMatrix(
                 np.array([[0.5, 0.5], [0.5, 0.5]]), ("a", "b"), "intensive", "location"
             )
+
+    def test_intensive_requires_factor(self):
+        with pytest.raises(ValueError):
+            SimilarityMatrix(
+                np.array([[0.5, 0.5], [0.5, 0.5]]),
+                ("a", "b"),
+                "intensive",
+                "location",
+                weights=np.array([2.0, 2.0]),
+            )
+
+    def test_intensive_factor_must_match_the_side(self):
+        s = similarity_intensive(WIDE, "location")
+        with pytest.raises(ValueError):
+            SimilarityMatrix(s.values, s.labels, "intensive", "location", s.weights, s.factor.T)
 
     def test_eigensolution_rejects_bad_residuals(self):
         with pytest.raises(ValueError):
