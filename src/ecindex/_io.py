@@ -1,28 +1,108 @@
 """Small shared helpers for delimiter-separated output files.
 
-Writers hand :func:`write_rows` rows of Python ``str``, ``int`` and ``float``
-cells. ``csv`` writes ``str(x)`` for each, which for a ``float`` is the
-shortest decimal text that round-trips to the same IEEE double and for an
-``int`` is its integer text. Rounding is the consumer's job.
+Every file is written exactly as ``csv.writer(fh, delimiter=delimiter,
+lineterminator="\\n")`` writes it: ``\\n`` line ends and Python ``csv``'s
+minimal quoting, which quotes a cell holding the delimiter, ``"`` or a line
+break (and a row made of one empty cell) and doubles its ``"``; whether a
+lone CR counts as a line break is the running Python's ``csv`` rule. A number
+cell is written as ``str(x)``, which for a ``float`` is the shortest decimal
+text that round-trips to the same IEEE double and for an ``int`` is its
+integer text. Rounding is the consumer's job.
+
+The matrix writers format numbers with :func:`number_texts`, which calls
+``str`` once per distinct value of a block of rows: proximity is a ratio of
+small integers, so its matrix of millions of cells holds a few hundred
+distinct numbers.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+#: about this many cells are formatted, joined and checked at a time; the
+#: writers' extra memory is bounded by one such block, not by the file
+BLOCK_CELLS = 1 << 14
 
-def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence], delimiter: str = ",") -> None:
-    """Header then rows. Cells must be Python ``str``/``int``/``float`` (use
-    ``.tolist()`` on numpy data): ``csv`` writes ``str(x)``, the shortest
-    round-trip text, and quotes cells that contain the delimiter or ``"``."""
+
+def number_texts(block: np.ndarray) -> np.ndarray:
+    """``str(x)`` for each ``x`` of ``block.tolist()``, as an object array of
+    its shape, with one ``str`` call per distinct value. Floats are told apart
+    by their bit patterns, so ``-0.0`` and ``0.0`` keep their own texts. Its
+    memory grows with ``block``: callers hand it about :data:`BLOCK_CELLS`
+    cells at a time."""
+    if block.dtype.kind in "iu" and block.size:
+        low = int(block.min())
+        span = int(block.max()) - low
+        if span < block.size:  # e.g. 0/1 incidence: a lookup table, no sort
+            texts = np.array([str(v) for v in range(low, low + span + 1)], dtype=object)
+            return texts[block - low]
+    if block.dtype.kind == "f":
+        bits = block.astype(np.float64, copy=False).view(np.uint64)
+        keys, inverse = np.unique(bits.ravel(), return_inverse=True)
+        distinct = keys.view(np.float64).tolist()
+    else:
+        keys, inverse = np.unique(block.ravel(), return_inverse=True)
+        distinct = keys.tolist()
+    texts = np.array([str(x) for x in distinct], dtype=object)
+    return texts[inverse].reshape(block.shape)
+
+
+class Columns(tuple):
+    """A block of rows given column by column: one equal-length list of
+    ``str`` cells per field. The matrix writers hand :func:`write_rows` these,
+    so it joins a block at a time without keeping a tuple per row."""
+
+    def rows(self) -> Iterator[tuple]:
+        return zip(*self)
+
+
+def write_rows(path: Path, header: Sequence[str], rows: Iterable, delimiter: str = ",") -> None:
+    """Header then rows, byte for byte as ``csv.writer`` writes them (see the
+    module docstring).
+
+    ``rows`` yields either rows, whose cells must be Python ``str``/``int``/
+    ``float`` (use ``.tolist()`` on numpy data) and which ``csv.writer``
+    writes, or :class:`Columns` blocks. A block's rows are joined with one
+    call per row; when its text is what ``csv`` would write, that text goes
+    out as is, else the block goes through ``csv.writer``, so quoting is
+    always that of the running Python's ``csv``.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        rows = iter(rows)
+        for block in rows:
+            if not isinstance(block, Columns):  # plain rows, all of them
+                writer.writerow(block)
+                writer.writerows(rows)
+            elif (text := _unquoted_text(block, delimiter)) is None:
+                writer.writerows(block.rows())
+            else:
+                fh.write(text)
+                fh.write("\n")
+
+
+def _unquoted_text(block: Columns, delimiter: str) -> str | None:
+    """The rows of ``block`` joined by ``delimiter`` and line breaks, or
+    ``None`` when ``csv`` would quote a cell: one holds the delimiter (the
+    text has more of them than the cells need), ``"``, CR or a line break,
+    or a row is one empty cell."""
+    n_rows = len(block[0])
+    lines = list(map(delimiter.join, block.rows()))
+    text = "\n".join(lines)
+    if (
+        text.count(delimiter) == n_rows * (len(block) - 1)
+        and text.count("\n") == n_rows - 1
+        and '"' not in text
+        and "\r" not in text
+        and "" not in lines
+    ):
+        return text
+    return None
 
 
 def write_matrix(
@@ -34,9 +114,12 @@ def write_matrix(
     corner: str = "location",
 ) -> None:
     """Header row of column labels, one row per row label."""
-    header = [corner, *col_labels]
-    rows = ([label, *row.tolist()] for label, row in zip(row_labels, values))
-    write_rows(path, header, rows, delimiter)
+    step = max(1, BLOCK_CELLS // max(1, values.shape[1]))
+    blocks = (
+        Columns((list(row_labels[start:start + step]), *number_texts(values[start:start + step]).T.tolist()))
+        for start in range(0, values.shape[0], step)
+    )
+    write_rows(path, [corner, *col_labels], blocks, delimiter)
 
 
 def read_matrix(path: Path, delimiter: str = ",") -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:

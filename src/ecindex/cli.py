@@ -28,6 +28,7 @@ from .pipeline import (
     EMIT_CHOICES,
     PipelineConfig,
     compare_vectors,
+    created_dir,
     load_config_file,
     prepare,
     read_scores_file,
@@ -131,7 +132,6 @@ def _pipeline(step, options: dict):
             result = step(cfg)
         except ComplexityError as err:
             _fail(err)
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, result
 
 
@@ -152,7 +152,7 @@ def _matrix_command(name, doc, stem, intermediate):
         cfg, stages = _pipeline(prepare, options)
         matrix = getattr(stages, intermediate)
         path = cfg.out_dir / f"{stem}.csv"
-        with _output_errors():
+        with _output_errors(), created_dir(cfg.out_dir):
             write_matrix(path, matrix.values, matrix.location_labels, matrix.activity_labels, cfg.delimiter)
         _report({stem: path})
 
@@ -168,8 +168,9 @@ _matrix_command("rca", "Write the specialization (RCA) matrix.", "rca", "special
 def incidence(**options):
     """Write the pruned binary incidence matrix (before the component cut) with diversity and ubiquity."""
     cfg, stages = _pipeline(prepare, options)
-    with _output_errors():
-        _report(write_incidence_files(cfg.out_dir, stages.pruned, cfg.delimiter))
+    with _output_errors(), created_dir(cfg.out_dir):
+        outputs = write_incidence_files(cfg.out_dir, stages.pruned, cfg.delimiter)
+    _report(outputs)
 
 
 def _emit_command(name, doc, *extra_flags):

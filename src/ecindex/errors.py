@@ -36,6 +36,10 @@ class NegativeValue(ParseError):
     """The value column is negative."""
 
 
+class UndecodableInput(ComplexityError):
+    """The input file is not UTF-8 text."""
+
+
 class EmptyInput(ComplexityError):
     """No usable data remained at this point of the pipeline."""
 

@@ -16,7 +16,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
-from itertools import chain, repeat
+from itertools import chain, repeat, takewhile
 from operator import itemgetter
 from pathlib import Path
 
@@ -27,6 +27,7 @@ from .errors import (
     ComplexityError,
     EmptyInput,
     InsufficientOverlap,
+    UndecodableInput,
     ZeroVariance,
 )
 from .incidence import (
@@ -227,12 +228,30 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     """Execute the full pipeline and write the configured artifact set.
 
     Module errors propagate with their pipeline stage attached; partially
-    written outputs are removed on failure.
+    written outputs are removed on failure, and so is the output directory
+    if this run created it and it is left empty.
     """
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with _removed_on_failure() as outputs:
+    with created_dir(out_dir), _removed_on_failure() as outputs:
         return _run(cfg, out_dir, outputs)
+
+
+@contextmanager
+def created_dir(path: Path):
+    """Creates directory ``path`` with its missing parents; if the block
+    fails, removes the ones it created that are still empty, deepest first.
+    A directory that existed before is left as it is."""
+    missing = list(takewhile(lambda d: not d.exists(), (path, *path.parents)))
+    path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for directory in missing:
+            try:
+                directory.rmdir()
+            except OSError:  # not empty
+                break
+        raise
 
 
 def prepare(cfg: PipelineConfig) -> Prepared:
@@ -241,8 +260,13 @@ def prepare(cfg: PipelineConfig) -> Prepared:
     dropped: list[dict] = []
 
     with _stage("ingest", (ComplexityError, OSError)):
-        with open_text(cfg.input_path) as fh:
-            records = parse_long_records(fh, cfg.delimiter)
+        try:
+            with open_text(cfg.input_path) as fh:
+                records = parse_long_records(fh, cfg.delimiter)
+        except UnicodeDecodeError as err:
+            raise UndecodableInput(
+                f"{cfg.input_path}: not UTF-8 text: {err.reason} (byte 0x{err.object[err.start]:02x})"
+            ) from None
         raw = pivot_to_matrix(records)
 
     with _stage("left_tail_filter"):

@@ -15,12 +15,11 @@ the run manifest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from ._io import write_matrix, write_rows
+from ._io import BLOCK_CELLS, Columns, number_texts, write_matrix, write_rows
 from .errors import IsolatedActivity
 from .incidence import SYMMETRY_TOL, IncidenceMatrix, require_positive_margins
 
@@ -106,14 +105,17 @@ def write_proximity_edges(
     path: Path, phi: ProximityMatrix, min_phi: float = 0.0, delimiter: str = ","
 ) -> None:
     """Upper-triangle edge list (activityA, activityB, phi), thresholded."""
-    labels = phi.activity_labels
+    labels = np.array(phi.activity_labels, dtype=object)
+    step = max(1, BLOCK_CELLS // max(1, len(labels)))
 
-    def rows():
-        for i, row in enumerate(phi.values):
-            cols = np.flatnonzero(row[i + 1:] >= min_phi) + (i + 1)
-            yield from zip(repeat(labels[i]), map(labels.__getitem__, cols.tolist()), row[cols].tolist())
+    def blocks():  # the kept cells of a block of rows, in row-major order
+        for start in range(0, len(labels), step):
+            block = phi.values[start:start + step]
+            rows, cols = np.nonzero(np.triu(block >= min_phi, start + 1))
+            texts = number_texts(block[rows, cols])
+            yield Columns((labels[rows + start].tolist(), labels[cols].tolist(), texts.tolist()))
 
-    write_rows(path, ("activityA", "activityB", "phi"), rows(), delimiter)
+    write_rows(path, ("activityA", "activityB", "phi"), blocks(), delimiter)
 
 
 def write_density(path: Path, density: DensityMatrix, delimiter: str = ",") -> None:

@@ -312,7 +312,7 @@ def test_incidence_failing_on_a_margin_file_leaves_nothing(tmp_path, monkeypatch
     result = invoke("incidence", "--input", write_sample(tmp_path / "input.csv"), "--out-dir", out_dir)
     assert result.exit_code == 1
     assert result.stderr == "error [output] disk full\n"
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()  # nor the directory this run created
 
 
 def test_unreadable_gzip_input_is_ingest_error(tmp_path):
@@ -322,6 +322,60 @@ def test_unreadable_gzip_input_is_ingest_error(tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error [ingest] ")
+
+
+PIPELINE_COMMANDS = ["run", "ingest", "rca", "incidence", "eci", "pci", "extensive", "reflections", "proximity", "density"]
+
+
+@pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
+@pytest.mark.parametrize("command", PIPELINE_COMMANDS)
+def test_non_utf8_input_is_one_ingest_error_line(tmp_path, command, gz):
+    data = b"location,activity,value\nCaf\xe9,A,1\nL1,A,2\n"
+    latin = tmp_path / ("latin.csv.gz" if gz else "latin.csv")
+    latin.write_bytes(gzip.compress(data) if gz else data)
+    out_dir = tmp_path / "out"
+    result = invoke(command, "--input", latin, "--out-dir", out_dir)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no uncaught traceback
+    assert result.stderr == f"error [ingest] {latin}: not UTF-8 text: invalid continuation byte (byte 0xe9)\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "eci"])
+def test_failed_run_removes_the_out_dir_it_created(tmp_path, command):
+    negative = tmp_path / "neg.csv"
+    negative.write_text("location,activity,value\nL0,A0,-1\n")
+    out_dir = tmp_path / "new" / "out"
+    result = invoke(command, "--input", negative, "--out-dir", out_dir)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error [ingest] line 2: ")
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "eci", "incidence"])
+def test_failed_run_keeps_an_out_dir_that_existed(tmp_path, command):
+    negative = tmp_path / "neg.csv"
+    negative.write_text("location,activity,value\nL0,A0,-1\n")
+    empty, kept = tmp_path / "empty", tmp_path / "kept"
+    empty.mkdir()
+    kept.mkdir()
+    (kept / "notes.txt").write_text("mine\n")
+    for out_dir in (empty, kept):
+        result = invoke(command, "--input", negative, "--out-dir", out_dir)
+        assert result.exit_code == 1
+    assert list(empty.iterdir()) == []
+    assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+
+
+def test_incidence_output_error_removes_the_out_dir_it_created(tmp_path, monkeypatch):
+    def failing(path, *args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("ecindex.pipeline.write_incidence", failing)
+    out_dir = tmp_path / "new" / "out"
+    result = invoke("incidence", "--input", write_sample(tmp_path / "input.csv"), "--out-dir", out_dir)
+    assert result.stderr == "error [output] disk full\n"
+    assert not (tmp_path / "new").exists()
 
 
 def test_world_nested_and_random(tmp_path):

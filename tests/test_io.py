@@ -1,8 +1,16 @@
-"""The output text format, pinned by literal expected file contents."""
+"""The output text format, pinned by literal expected file contents and by
+the ``csv`` module as the oracle of every writer."""
+
+import csv
+import io
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecindex._io import write_matrix, write_rows
+from ecindex import _io
+from ecindex._io import BLOCK_CELLS, Columns, number_texts, write_matrix, write_rows
 from ecindex.relatedness import ProximityMatrix, write_proximity_edges
 
 
@@ -61,3 +69,170 @@ def test_proximity_edges_are_listed_in_row_major_upper_triangle_order(tmp_path):
     )
     write_proximity_edges(path, phi, min_phi=0.5)
     assert path.read_text() == "activityA,activityB,phi\np,q,0.5\np,s,0.75\nr,s,0.5\n"
+
+
+# --- the block number formatter -------------------------------------------
+
+
+def csv_text(header, rows, delimiter=","):
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def written(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def assert_matrix_written_as_csv_writes_it(path, values, delimiter=","):
+    """write_matrix against the row-at-a-time csv path it replaced."""
+    row_labels = tuple(f"r{i}" for i in range(values.shape[0]))
+    col_labels = tuple(f"c{j}" for j in range(values.shape[1]))
+    write_matrix(path, values, row_labels, col_labels, delimiter)
+    rows = [[label, *row.tolist()] for label, row in zip(row_labels, values)]
+    assert written(path) == csv_text(["location", *col_labels], rows, delimiter)
+
+
+SPECIAL_ARRAYS = {
+    "signed-zeros": np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, -0.0]]),
+    "special-floats": np.array([[float("nan"), float("inf"), -float("inf"), 1e16, 1e-05, -1e-05, 0.1, 1 / 3]]),
+    "int-0-1": np.array([[1, 0, 0], [0, 1, 1]], dtype=np.int64),
+    "int-wide-range": np.array([[7, -3], [2**40, 0]], dtype=np.int64),
+    "bool": np.array([[True, False]]),
+    "1x1": np.array([[0.5]]),
+    "1-row": np.array([[0.25, 0.5, 0.25, 1.0]]),
+    "0-rows": np.zeros((0, 4)),
+    "0-cols": np.zeros((3, 0)),
+}
+
+
+@pytest.mark.parametrize("values", SPECIAL_ARRAYS.values(), ids=SPECIAL_ARRAYS.keys())
+def test_number_texts_are_str_of_each_cell(values, tmp_path):
+    assert number_texts(values).tolist() == [[str(x) for x in row] for row in values.tolist()]
+    assert_matrix_written_as_csv_writes_it(tmp_path / "m.csv", values)
+
+
+def test_number_texts_keep_signed_zeros_apart_in_one_block():
+    assert number_texts(np.array([0.0, -0.0, 0.0, -0.0])).tolist() == ["0.0", "-0.0", "0.0", "-0.0"]
+
+
+def test_write_matrix_wider_than_one_block(tmp_path):
+    rng = np.random.default_rng(0)
+    values = rng.integers(0, 9, (3, BLOCK_CELLS + 5)) / rng.integers(1, 9, (3, BLOCK_CELLS + 5))
+    assert_matrix_written_as_csv_writes_it(tmp_path / "m.csv", values)
+
+
+@pytest.mark.parametrize("block_cells", [1, 2, 5, 7])
+def test_write_matrix_across_block_boundaries(tmp_path, monkeypatch, block_cells):
+    # 3 columns: a block of 7 cells ends inside the third row, one of 2 inside the first
+    monkeypatch.setattr(_io, "BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(block_cells)
+    values = rng.integers(0, 5, (11, 3)) / 4.0
+    values[4, 1] = -0.0
+    for delimiter in (",", "."):
+        assert_matrix_written_as_csv_writes_it(tmp_path / "m.csv", values, delimiter)
+    assert_matrix_written_as_csv_writes_it(tmp_path / "m.csv", rng.integers(-2, 3, (11, 3)))
+
+
+def test_write_matrix_formats_one_bounded_block_at_a_time(tmp_path, monkeypatch):
+    sizes = []
+
+    def spy(block):
+        sizes.append(block.size)
+        return number_texts(block)
+
+    monkeypatch.setattr(_io, "number_texts", spy)
+    values = np.random.default_rng(1).random((1000, 100))
+    assert_matrix_written_as_csv_writes_it(tmp_path / "m.csv", values)
+    assert sum(sizes) == values.size
+    assert max(sizes) <= BLOCK_CELLS
+
+
+# --- write_rows against the csv module ------------------------------------
+
+DELIMITERS = [",", ";", ".", "\t", "|", "e", "1", "-"]
+texts = st.text(alphabet=',;."\r\n\t|e1-', max_size=4)
+cells = st.one_of(
+    texts,
+    st.integers(-100, 100),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, float("nan"), float("inf"), 1e16, 1e-05]),
+)
+
+
+@given(
+    st.lists(st.one_of(st.lists(cells, min_size=1, max_size=5), st.just([""])), max_size=12),
+    st.sampled_from(DELIMITERS),
+)
+@settings(deadline=None, max_examples=300)
+def test_write_rows_writes_rows_as_csv_writes_them(tmp_path_factory, rows, delimiter):
+    path = tmp_path_factory.mktemp("oracle") / "rows.csv"
+    write_rows(path, ("a,b", "c"), rows, delimiter)
+    assert written(path) == csv_text(("a,b", "c"), rows, delimiter)
+
+
+@given(
+    st.lists(
+        st.integers(1, 4).flatmap(
+            lambda width: st.lists(st.lists(cells.map(str), min_size=width, max_size=width), min_size=1, max_size=6)
+        ),
+        max_size=4,
+    ),
+    st.sampled_from(DELIMITERS),
+)
+@settings(deadline=None, max_examples=300)
+def test_write_rows_writes_columns_blocks_as_csv_writes_their_rows(tmp_path_factory, blocks, delimiter):
+    path = tmp_path_factory.mktemp("oracle") / "rows.csv"
+    write_rows(path, ("x",), [Columns(map(list, zip(*rows))) for rows in blocks], delimiter)
+    assert written(path) == csv_text(("x",), [row for rows in blocks for row in rows], delimiter)
+
+
+def test_columns_blocks_of_single_empty_cells_are_quoted(tmp_path):
+    write_rows(tmp_path / "rows.csv", ("x",), [Columns([["a", ""]]), Columns([["b"]])])
+    assert written(tmp_path / "rows.csv") == 'x\na\n""\nb\n'
+
+
+# --- the proximity writers against the row-at-a-time csv path -------------
+
+LABELS = ("plain", "a,b", 'say "hi"', "x;y", "line\nbreak", "cr\rhere", "e1", "-")
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", ".", "\t", "e"])
+def test_proximity_writers_write_what_csv_writes(tmp_path, delimiter):
+    rng = np.random.default_rng(3)
+    n = len(LABELS)
+    counts = rng.integers(0, 5, (n, n))
+    phi_values = np.minimum(counts, counts.T) / 4.0
+    np.fill_diagonal(phi_values, 1.0)
+    phi = ProximityMatrix(phi_values, LABELS)
+
+    write_matrix(tmp_path / "m.csv", phi.values, LABELS, LABELS, delimiter, corner="activity")
+    rows = [[label, *row.tolist()] for label, row in zip(LABELS, phi.values)]
+    assert written(tmp_path / "m.csv") == csv_text(["activity", *LABELS], rows, delimiter)
+
+    for min_phi in (0.0, 0.5):
+        write_proximity_edges(tmp_path / "e.csv", phi, min_phi, delimiter)
+        edges = [
+            (LABELS[i], LABELS[j], phi.values[i, j].item())
+            for i in range(n) for j in range(i + 1, n) if phi.values[i, j] >= min_phi
+        ]
+        assert written(tmp_path / "e.csv") == csv_text(("activityA", "activityB", "phi"), edges, delimiter)
+
+
+def test_proximity_edges_are_formatted_one_bounded_block_at_a_time(tmp_path, monkeypatch):
+    sizes = []
+
+    def spy(block):
+        sizes.append(block.size)
+        return number_texts(block)
+
+    monkeypatch.setattr("ecindex.relatedness.number_texts", spy)
+    n = 300
+    values = np.full((n, n), 0.5)
+    np.fill_diagonal(values, 1.0)
+    write_proximity_edges(tmp_path / "e.csv", ProximityMatrix(values, tuple(f"A{i}" for i in range(n))))
+    assert sum(sizes) == n * (n - 1) // 2
+    assert max(sizes) <= BLOCK_CELLS
