@@ -1,6 +1,7 @@
-"""Small shared helpers for delimiter-separated output files.
+"""Small shared helpers for output files: the staged output directory
+(:func:`staged_dir`) and delimiter-separated files.
 
-Every file is written exactly as ``csv.writer(fh, delimiter=delimiter,
+Every delimited file is written exactly as ``csv.writer(fh, delimiter=delimiter,
 lineterminator="\\n")`` writes it: ``\\n`` line ends and Python ``csv``'s
 minimal quoting, which quotes a cell holding the delimiter, ``"`` or a line
 break (and a row made of one empty cell) and doubles its ``"``; whether a
@@ -18,6 +19,10 @@ distinct numbers.
 from __future__ import annotations
 
 import csv
+import os
+import shutil
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -49,6 +54,27 @@ def number_texts(block: np.ndarray) -> np.ndarray:
         distinct = keys.tolist()
     texts = np.array([str(x) for x in distinct], dtype=object)
     return texts[inverse].reshape(block.shape)
+
+
+@contextmanager
+def staged_dir(out_dir: Path) -> Iterator[Path]:
+    """A fresh hidden directory ``.<out_dir name>.*`` inside ``out_dir`` or its
+    nearest existing ancestor, for the block to write ``out_dir``'s files in.
+    When the block succeeds, ``out_dir`` is created with its missing parents
+    and each staged file is moved into it with ``os.replace``,
+    ``manifest.json`` last. The staging directory is removed either way, so a
+    failed block leaves ``out_dir`` and every directory above it as they were.
+    """
+    out_dir = Path(out_dir)
+    anchor = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=anchor))
+    try:
+        yield stage
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path in sorted(stage.iterdir(), key=lambda p: (p.name == "manifest.json", p.name)):
+            os.replace(path, out_dir / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 class Columns(tuple):

@@ -20,7 +20,7 @@ from typing import NamedTuple, NoReturn
 
 import click
 
-from ._io import write_matrix
+from ._io import staged_dir, write_matrix
 from .alphabet import generate_nested_world, generate_random_world, world_to_incidence, write_world
 from .errors import ComplexityError
 from .incidence import write_incidence
@@ -28,7 +28,6 @@ from .pipeline import (
     EMIT_CHOICES,
     PipelineConfig,
     compare_vectors,
-    created_dir,
     load_config_file,
     prepare,
     read_scores_file,
@@ -151,10 +150,9 @@ def _matrix_command(name, doc, stem, intermediate):
     def command(**options):
         cfg, stages = _pipeline(prepare, options)
         matrix = getattr(stages, intermediate)
-        path = cfg.out_dir / f"{stem}.csv"
-        with _output_errors(), created_dir(cfg.out_dir):
-            write_matrix(path, matrix.values, matrix.location_labels, matrix.activity_labels, cfg.delimiter)
-        _report({stem: path})
+        with _output_errors(), staged_dir(cfg.out_dir) as stage:
+            write_matrix(stage / f"{stem}.csv", matrix.values, matrix.location_labels, matrix.activity_labels, cfg.delimiter)
+        _report({stem: cfg.out_dir / f"{stem}.csv"})
 
     main.command(name=name, help=doc)(_flags(*_STAGE_FLAGS)(command))
 
@@ -168,9 +166,9 @@ _matrix_command("rca", "Write the specialization (RCA) matrix.", "rca", "special
 def incidence(**options):
     """Write the pruned binary incidence matrix (before the component cut) with diversity and ubiquity."""
     cfg, stages = _pipeline(prepare, options)
-    with _output_errors(), created_dir(cfg.out_dir):
-        outputs = write_incidence_files(cfg.out_dir, stages.pruned, cfg.delimiter)
-    _report(outputs)
+    with _output_errors(), staged_dir(cfg.out_dir) as stage:
+        outputs = write_incidence_files(stage, stages.pruned, cfg.delimiter)
+    _report({name: cfg.out_dir / path.name for name, path in outputs.items()})
 
 
 def _emit_command(name, doc, *extra_flags):
@@ -209,9 +207,9 @@ def world(kind, locations, activities, letters_per_location, letters_per_word, n
             generated = generate_random_world(
                 locations, activities, letters_per_location, letters_per_word, seed, num_letters
             )
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_world(out_dir / "world.txt", generated)
-        write_incidence(out_dir / "world_incidence.csv", world_to_incidence(generated), delimiter)
+        with staged_dir(out_dir) as stage:
+            write_world(stage / "world.txt", generated)
+            write_incidence(stage / "world_incidence.csv", world_to_incidence(generated), delimiter)
         click.echo(f"wrote {out_dir / 'world.txt'}")
     except (ComplexityError, ValueError) as err:
         _fail(err, "world")

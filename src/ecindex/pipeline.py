@@ -5,9 +5,11 @@ binarize -> prune -> largest component, then emits score and relatedness
 files per the configured emit flags. Every label from the raw input either
 reaches an output file or appears in exactly one drop record of the manifest,
 with the stage and reason that removed it. :func:`prepare` runs the steps up
-to the final incidence matrix and writes nothing. Reruns with identical
-config and input on the same machine with the same BLAS thread count produce
-byte-identical outputs; only the manifest timestamp differs.
+to the final incidence matrix and writes nothing. :func:`run_pipeline` writes
+through :func:`ecindex._io.staged_dir`: a failed run leaves the output
+directory as it was, and a failed rerun keeps the previous results. Reruns
+with identical config and input on the same machine with the same BLAS thread
+count produce byte-identical outputs; only the manifest timestamp differs.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
-from itertools import chain, repeat, takewhile
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from ._io import read_columns, write_rows
+from ._io import read_columns, staged_dir, write_rows
 from .errors import (
     ComplexityError,
     EmptyInput,
@@ -166,21 +168,22 @@ def emit_figure_data(
     panels: dict[str, ComplexityScores],
     delimiter: str = ",",
 ) -> dict[str, Path]:
-    """One scatter file per panel: label, diversity, raw score, sorted by label.
+    """One scatter file per panel in ``out_dir``: label, diversity, raw score,
+    sorted by label.
 
     Plotting itself is out of scope; these are figure-ready data files.
     """
     for stem, scores in panels.items():
         if scores.labels != diversity_labels:
             raise ValueError(f"panel {stem!r} labels do not match diversity labels")
-    with _removed_on_failure() as paths:
-        for stem, scores in panels.items():
-            rows = sorted(
-                zip(scores.labels, diversity_values.tolist(), scores.raw.tolist()), key=itemgetter(0)
-            )
-            name = f"figure_diversity_vs_{stem}"
-            paths[name] = Path(out_dir) / f"{name}.csv"
-            write_rows(paths[name], ("location", "diversity", "score"), rows, delimiter)
+    paths = {}
+    for stem, scores in panels.items():
+        rows = sorted(
+            zip(scores.labels, diversity_values.tolist(), scores.raw.tolist()), key=itemgetter(0)
+        )
+        name = f"figure_diversity_vs_{stem}"
+        paths[name] = Path(out_dir) / f"{name}.csv"
+        write_rows(paths[name], ("location", "diversity", "score"), rows, delimiter)
     return paths
 
 
@@ -227,31 +230,15 @@ def read_scores_file(
 def run_pipeline(cfg: PipelineConfig) -> RunResult:
     """Execute the full pipeline and write the configured artifact set.
 
-    Module errors propagate with their pipeline stage attached; partially
-    written outputs are removed on failure, and so is the output directory
-    if this run created it and it is left empty.
+    Module errors propagate with their pipeline stage attached. Files are
+    written in a staging directory (see :func:`ecindex._io.staged_dir`) and
+    moved into ``cfg.out_dir`` only when every stage has succeeded, one file
+    at a time with ``manifest.json`` last; a failed run leaves ``cfg.out_dir``
+    as it was. The returned outputs name the files under ``cfg.out_dir``.
     """
-    out_dir = Path(cfg.out_dir)
-    with created_dir(out_dir), _removed_on_failure() as outputs:
-        return _run(cfg, out_dir, outputs)
-
-
-@contextmanager
-def created_dir(path: Path):
-    """Creates directory ``path`` with its missing parents; if the block
-    fails, removes the ones it created that are still empty, deepest first.
-    A directory that existed before is left as it is."""
-    missing = list(takewhile(lambda d: not d.exists(), (path, *path.parents)))
-    path.mkdir(parents=True, exist_ok=True)
-    try:
-        yield
-    except BaseException:
-        for directory in missing:
-            try:
-                directory.rmdir()
-            except OSError:  # not empty
-                break
-        raise
+    with staged_dir(cfg.out_dir) as stage:
+        manifest, outputs = _run(cfg, stage)
+    return RunResult(manifest, {name: cfg.out_dir / path.name for name, path in outputs.items()})
 
 
 def prepare(cfg: PipelineConfig) -> Prepared:
@@ -301,22 +288,22 @@ def prepare(cfg: PipelineConfig) -> Prepared:
 
 def write_incidence_files(out_dir: Path, m: IncidenceMatrix, delimiter: str = ",") -> dict[str, Path]:
     """``incidence.csv``, ``diversity.csv`` and ``ubiquity.csv`` (label, value)
-    of ``m``; none of them is left behind when one fails."""
-    with _removed_on_failure() as paths:
-        paths["incidence"] = Path(out_dir) / "incidence.csv"
-        write_incidence(paths["incidence"], m, delimiter)
-        for name, labels, values in (
-            ("diversity", m.location_labels, m.diversity),
-            ("ubiquity", m.activity_labels, m.ubiquity),
-        ):
-            paths[name] = Path(out_dir) / f"{name}.csv"
-            write_rows(paths[name], ("label", "value"), zip(labels, values.tolist()), delimiter)
+    of ``m`` in ``out_dir``."""
+    paths = {"incidence": Path(out_dir) / "incidence.csv"}
+    write_incidence(paths["incidence"], m, delimiter)
+    for name, labels, values in (
+        ("diversity", m.location_labels, m.diversity),
+        ("ubiquity", m.activity_labels, m.ubiquity),
+    ):
+        paths[name] = Path(out_dir) / f"{name}.csv"
+        write_rows(paths[name], ("label", "value"), zip(labels, values.tolist()), delimiter)
     return paths
 
 
-def _run(cfg: PipelineConfig, out_dir: Path, outputs: dict[str, Path]) -> RunResult:
-    """Fills ``outputs`` with each path before its file is opened; a writer of
-    several files removes its own when one of them fails."""
+def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
+    """The manifest and the name -> path dict of every file written in
+    ``out_dir``."""
+    outputs: dict[str, Path] = {}
 
     def emit(name: str, filename: str, writer, *args) -> None:
         path = outputs[name] = out_dir / filename
@@ -447,19 +434,7 @@ def _run(cfg: PipelineConfig, out_dir: Path, outputs: dict[str, Path]) -> RunRes
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return RunResult(manifest, outputs)
-
-
-@contextmanager
-def _removed_on_failure():
-    """A name -> path dict; every file in it is removed if the block fails."""
-    paths: dict[str, Path] = {}
-    try:
-        yield paths
-    except BaseException:
-        for path in paths.values():
-            path.unlink(missing_ok=True)
-        raise
+    return manifest, outputs
 
 
 @contextmanager

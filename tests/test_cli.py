@@ -35,6 +35,7 @@ def test_run_success_and_outputs(tmp_path):
     assert result.exit_code == 0, result.output
     for name in ("eci.csv", "pci.csv", "manifest.json", "proximity_edges.csv"):
         assert (out_dir / name).exists()
+    assert not list(tmp_path.rglob(".out.*"))  # no staging directory left
 
 
 def test_run_failure_has_stage_tag_and_nonzero_exit(tmp_path):
@@ -296,6 +297,25 @@ def test_unwritable_output_file_is_output_error(tmp_path, command, filename):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error [output] ") and result.stderr.count("\n") == 1
+    assert not list(tmp_path.rglob(".out.*"))  # no staging directory left
+
+
+@pytest.mark.parametrize(
+    "command, writer",
+    [("ingest", "ecindex._io.write_rows"), ("rca", "ecindex._io.write_rows"), ("world", "ecindex.cli.write_incidence")],
+)
+def test_failed_write_leaves_no_out_dir(tmp_path, monkeypatch, command, writer):
+    def half_written(path, *args):
+        path.write_text("location,A0\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(writer, half_written)
+    args = [] if command == "world" else ["--input", write_sample(tmp_path / "input.csv")]
+    out_dir = tmp_path / "out"
+    result = invoke(command, *args, "--out-dir", out_dir)
+    assert result.exit_code == 1
+    assert result.stderr == "error [output] disk full\n"
+    assert not out_dir.exists()
 
 
 def test_incidence_failing_on_a_margin_file_leaves_nothing(tmp_path, monkeypatch):
@@ -350,6 +370,7 @@ def test_failed_run_removes_the_out_dir_it_created(tmp_path, command):
     assert result.exit_code == 1
     assert result.stderr.startswith("error [ingest] line 2: ")
     assert not (tmp_path / "new").exists()
+    assert not list(tmp_path.rglob(".out.*"))  # no staging directory left
 
 
 @pytest.mark.parametrize("command", ["run", "eci", "incidence"])

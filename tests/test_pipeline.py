@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,6 +339,46 @@ class TestRunPipeline:
         with pytest.raises(OSError, match="disk full"):
             run_pipeline(cfg)
         assert not out_dir.exists()  # nor the directory this run created
+
+    def test_failed_rerun_keeps_the_previous_results(self, tmp_path, monkeypatch):
+        def failing(path, *args):
+            raise OSError("disk full")
+
+        out_dir = tmp_path / "out"
+        cfg = PipelineConfig(
+            input_path=block_input(tmp_path / "input.csv"), out_dir=out_dir,
+            min_location_total=5.0, min_activity_total=5.0,
+        )
+        run_pipeline(cfg)
+        first = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        monkeypatch.setattr("ecindex.pipeline.write_density", failing)
+        with pytest.raises(OSError, match="disk full"):
+            run_pipeline(cfg)
+        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == first
+        assert all((out_dir / name).is_file() for name in json.loads(first["manifest.json"])["outputs"])
+
+    @pytest.mark.parametrize("failing_move", [2, 5], ids=["second", "last"])
+    def test_failed_move_leaves_the_manifest_unmoved(self, tmp_path, monkeypatch, failing_move):
+        real_replace = os.replace
+        moved = []
+
+        def replace_failing_once(src, dst):
+            moved.append(Path(dst).name)
+            if len(moved) == failing_move:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_failing_once)
+        out_dir = tmp_path / "out"
+        cfg = PipelineConfig(
+            input_path=block_input(tmp_path / "input.csv"), out_dir=out_dir,
+            min_location_total=5.0, min_activity_total=5.0, emit=("eci",),
+        )
+        with pytest.raises(OSError, match="disk full"):
+            run_pipeline(cfg)
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted(moved[:-1])
+        assert not (out_dir / "manifest.json").exists()
+        assert not list(tmp_path.rglob(".out.*"))  # no staging directory left
 
     def test_manifest_records_sign_conventions_and_tolerances(self, tmp_path):
         input_path = block_input(tmp_path / "input.csv")
