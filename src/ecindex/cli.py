@@ -210,7 +210,7 @@ def world(kind, locations, activities, letters_per_location, letters_per_word, n
         with staged_dir(out_dir) as stage:
             write_world(stage / "world.txt", generated)
             write_incidence(stage / "world_incidence.csv", world_to_incidence(generated), delimiter)
-        click.echo(f"wrote {out_dir / 'world.txt'}")
+        _report({"world": out_dir / "world.txt", "world_incidence": out_dir / "world_incidence.csv"})
     except (ComplexityError, ValueError) as err:
         _fail(err, "world")
     except OSError as err:

@@ -7,7 +7,8 @@ reaches an output file or appears in exactly one drop record of the manifest,
 with the stage and reason that removed it. :func:`prepare` runs the steps up
 to the final incidence matrix and writes nothing. :func:`run_pipeline` writes
 through :func:`ecindex._io.staged_dir`: a failed run leaves the output
-directory as it was, and a failed rerun keeps the previous results. Reruns
+directory as it was, and a failed rerun keeps the previous results, while a
+successful one removes the previous results it did not rewrite. Reruns
 with identical config and input on the same machine with the same BLAS thread
 count produce byte-identical outputs; only the manifest timestamp differs.
 """
@@ -234,10 +235,16 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     written in a staging directory (see :func:`ecindex._io.staged_dir`) and
     moved into ``cfg.out_dir`` only when every stage has succeeded, one file
     at a time with ``manifest.json`` last; a failed run leaves ``cfg.out_dir``
-    as it was. The returned outputs name the files under ``cfg.out_dir``.
+    as it was. After that, the files that the previous ``manifest.json`` in
+    ``cfg.out_dir`` listed and this run did not write are removed, and no
+    other file. The returned outputs name the files under ``cfg.out_dir``.
     """
+    previous = _listed_outputs(cfg.out_dir / "manifest.json")
     with staged_dir(cfg.out_dir) as stage:
         manifest, outputs = _run(cfg, stage)
+    for name in previous - {path.name for path in outputs.values()}:
+        if (cfg.out_dir / name).is_file():
+            (cfg.out_dir / name).unlink()
     return RunResult(manifest, {name: cfg.out_dir / path.name for name, path in outputs.items()})
 
 
@@ -446,6 +453,19 @@ def _stage(name: str, tagged=ComplexityError):
         if getattr(err, "stage", None) is None:
             err.stage = name
         raise
+
+
+def _listed_outputs(manifest_path: Path) -> set[str]:
+    """The plain file names in the ``outputs`` list of the manifest at
+    ``manifest_path``; none when it is missing or unreadable."""
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            listed = json.load(fh)["outputs"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return set()
+    if not isinstance(listed, list):
+        return set()
+    return {name for name in listed if isinstance(name, str) and name not in ("", "..") and Path(name).name == name}
 
 
 def _record_drops(

@@ -9,15 +9,15 @@ Two similarity kinds are built from a binary incidence matrix M:
   lives from the second eigenvector down. The location-side matrix is
   ``diag(1/M_c) @ M @ diag(1/M_p) @ M.T``.
 
-The intensive matrix is not symmetric, but it is diagonally similar to the
-symmetric matrix ``D^{1/2} Mt D^{-1/2}`` with ``D = diag(margins)``. That
-matrix is ``A @ A.T`` on the location side and ``A.T @ A`` on the activity
-side, with the C x P factor ``A = D_c^{-1/2} M D_p^{-1/2}`` (correspondence
-analysis). So one thin SVD ``A = U S V^T`` gives both spectra, real and
-nonnegative: the eigenvalues are ``S**2`` and the eigenvectors are ``U`` (or
-``V``) mapped back by ``D^{-1/2}``. Only the leading ``min(C, P)`` pairs come
-out; the other eigenvalues of the rank-deficient side are exact zeros. ECI is
-the standardized eigenvector of the second-largest eigenvalue (by value, not
+Both kinds are diagonally similar to ``A @ A.T`` (location side) or
+``A.T @ A`` (activity side) for a C x P factor ``A = D_c^{-1/2} M D_p^{-1/2}``:
+the margins give ``D`` for the intensive kind (correspondence analysis), and
+``D = I``, so ``A = M``, for the extensive kind. So one thin SVD
+``A = U S V^T`` gives every spectrum, real and nonnegative: the eigenvalues
+are ``S**2`` and the eigenvectors are ``U`` (or ``V``) mapped back by
+``D^{-1/2}``. Only the leading ``min(C, P)`` pairs come out; the other
+eigenvalues of the rank-deficient side are exact zeros. ECI is the
+standardized eigenvector of the second-largest eigenvalue (by value, not
 magnitude) of the intensive location-side matrix; PCI is the activity-side
 analog.
 """
@@ -25,6 +25,7 @@ analog.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Literal
 
@@ -61,9 +62,10 @@ ScoreKind = Literal["ECI", "PCI", "extensive-first", "extensive-second"]
 class SimilarityMatrix:
     """Square location-location or activity-activity similarity.
 
-    The intensive kind also carries ``weights``, the averaging margins
-    (diversity or ubiquity) of its side, and ``factor``, the C x P matrix
-    ``A = D_c^{-1/2} M D_p^{-1/2}`` whose thin SVD the eigensolver takes.
+    ``factor`` is the C x P matrix ``A = D_c^{-1/2} M D_p^{-1/2}`` whose thin
+    SVD the eigensolver takes, and ``weights`` is this side's diagonal of
+    ``D``: the averaging margins (diversity or ubiquity) for the intensive
+    kind, ones for the extensive kind, whose factor is ``M`` itself.
     """
 
     values: np.ndarray
@@ -79,15 +81,15 @@ class SimilarityMatrix:
             raise ValueError("similarity matrix must be square over its labels")
         if self.values.size and self.values.min() < 0:
             raise ValueError("similarity entries must be nonnegative")
+        if self.weights is None or self.factor is None:
+            raise ValueError("similarity requires its weights and factor")
+        axis = 0 if self.side == "location" else 1
+        if self.weights.shape != (n,) or self.factor.ndim != 2 or self.factor.shape[axis] != n:
+            raise ValueError("factor must be C x P and weights one per label of this side")
         if self.kind == "extensive":
             if np.abs(self.values - self.values.T).max(initial=0.0) > SYMMETRY_TOL:
                 raise ValueError("extensive similarity must be symmetric")
         elif self.kind == "intensive":
-            if self.weights is None or self.factor is None:
-                raise ValueError("intensive similarity requires its averaging weights and factor")
-            axis = 0 if self.side == "location" else 1
-            if self.factor.ndim != 2 or self.factor.shape[axis] != n:
-                raise ValueError("intensive factor must be C x P with this side's labels")
             if np.abs(self.values.sum(axis=1) - 1.0).max(initial=0.0) > ROW_STOCHASTIC_TOL:
                 raise ValueError("intensive similarity rows must sum to 1")
         else:
@@ -98,9 +100,8 @@ class SimilarityMatrix:
 class EigenSolution:
     """Real eigenpairs, eigenvalues descending, unit-norm column eigenvectors.
 
-    The extensive kind holds the full spectrum. The intensive kind holds the
-    leading ``min(C, P)`` pairs; the rest are exact zeros, so there may be
-    fewer columns than rows.
+    Holds the leading ``min(C, P)`` pairs; the other eigenvalues of the side
+    are exact zeros, so there may be fewer columns than rows.
     """
 
     eigenvalues: np.ndarray
@@ -196,7 +197,8 @@ def standardize(v: np.ndarray) -> np.ndarray:
 
 
 def similarity_extensive(m: IncidenceMatrix, side: Side = "location") -> SimilarityMatrix:
-    """Shared-activity (or shared-location) counts: ``M @ M.T`` or ``M.T @ M``."""
+    """Shared-activity (or shared-location) counts: ``M @ M.T`` or ``M.T @ M``,
+    with the factor ``M`` and unit weights."""
     values = np.asarray(m.values, dtype=float)
     if side == "location":
         sim, labels = values @ values.T, m.location_labels
@@ -204,7 +206,7 @@ def similarity_extensive(m: IncidenceMatrix, side: Side = "location") -> Similar
         sim, labels = values.T @ values, m.activity_labels
     else:
         raise ValueError(f"unknown side {side!r}")
-    return SimilarityMatrix(sim, labels, kind="extensive", side=side)
+    return SimilarityMatrix(sim, labels, "extensive", side, np.ones(len(labels)), values)
 
 
 def similarity_intensive(m: IncidenceMatrix, side: Side = "location") -> SimilarityMatrix:
@@ -227,29 +229,23 @@ def similarity_intensive(m: IncidenceMatrix, side: Side = "location") -> Similar
 
 
 def eigendecompose(s: SimilarityMatrix) -> EigenSolution:
-    """Eigenpairs with a guaranteed-real spectrum, eigenvalues descending.
+    """The leading ``min(C, P)`` eigenpairs, eigenvalues descending; the other
+    eigenvalues are exact zeros.
 
-    The extensive kind is symmetric already and gets its full spectrum. The
-    intensive kind gets the leading ``min(C, P)`` pairs, the rest being exact
-    zeros, from one thin SVD of its factor ``A = U S V^T``: the eigenvalues
-    are ``S**2`` and the eigenvectors ``U`` (location side) or ``V`` (activity
-    side), mapped back by ``D^{-1/2}`` (D = averaging weights) and
-    renormalized. Residuals are checked against the original matrix.
+    One thin SVD of the factor ``A = U S V^T``: the eigenvalues are ``S**2``
+    and the eigenvectors ``U`` (location side) or ``V`` (activity side),
+    mapped back by ``D^{-1/2}`` (D = the weights) and renormalized. Residuals
+    are checked against the original matrix.
     """
     if not np.isfinite(s.values).all():
         raise ValueError("similarity matrix must be finite")
-    if s.kind == "extensive":
-        eigenvalues, vectors = np.linalg.eigh(s.values)
-        eigenvalues = eigenvalues[::-1]
-        vectors = np.ascontiguousarray(vectors[:, ::-1])
-    else:
-        # LAPACK is faster on the tall orientation; A.T = V S U^T swaps the sides
-        transposed = s.factor.shape[0] < s.factor.shape[1]
-        left, singular, right_t = np.linalg.svd(s.factor.T if transposed else s.factor, full_matrices=False)
-        eigenvalues = singular**2
-        on_left = (s.side == "location") != transposed
-        vectors = (left if on_left else right_t.T) / np.sqrt(s.weights)[:, None]
-        vectors = vectors / np.linalg.norm(vectors, axis=0)
+    # LAPACK is faster on the tall orientation; A.T = V S U^T swaps the sides
+    transposed = s.factor.shape[0] < s.factor.shape[1]
+    left, singular, right_t = np.linalg.svd(s.factor.T if transposed else s.factor, full_matrices=False)
+    eigenvalues = singular**2
+    on_left = (s.side == "location") != transposed
+    vectors = (left if on_left else right_t.T) / np.sqrt(s.weights)[:, None]
+    vectors = vectors / np.linalg.norm(vectors, axis=0)
     residuals = np.abs(s.values @ vectors - vectors * eigenvalues).max(axis=0)
     bound = EIGEN_RESIDUAL_TOL * np.maximum(1.0, np.abs(eigenvalues))
     if np.any(residuals > bound):
@@ -303,7 +299,9 @@ def extensive_scores(
     else:
         labels, reference = m.activity_labels, m.ubiquity.astype(float)
     eigenvalues = solution.eigenvalues
-    if eigenvalues.size < 2 or eigenvalues[0] - eigenvalues[1] <= DEGENERATE_EIGENVALUE_TOL:
+    if eigenvalues.size < 2:
+        raise DegenerateSpectrum("one location or one activity: the extensive eigenvectors are not identified")
+    if eigenvalues[0] - eigenvalues[1] <= DEGENERATE_EIGENVALUE_TOL:
         raise DegenerateSpectrum("leading extensive eigenvalue is not simple")
     first = _scores_for_index(solution, 0, labels, "extensive-first", "diversity", reference)
     second = _second_eigenvector_scores(solution, labels, "extensive-second", "diversity", reference)
@@ -418,12 +416,11 @@ def write_scores(path: Path, scores: ComplexityScores, delimiter: str = ",") -> 
 
 
 def write_eigensolution(path: Path, solution: EigenSolution, delimiter: str = ",") -> None:
-    write_rows(
-        path,
-        ("eigenvalue", "residual"),
-        zip(solution.eigenvalues.tolist(), solution.residuals.tolist()),
-        delimiter,
-    )
+    """Columns eigenvalue, residual: one row per eigenvalue of the side, the
+    rows past the computed pairs being the exact zeros ``0.0,0.0``."""
+    computed = zip(solution.eigenvalues.tolist(), solution.residuals.tolist())
+    zeros = repeat((0.0, 0.0), solution.eigenvectors.shape[0] - solution.eigenvalues.size)
+    write_rows(path, ("eigenvalue", "residual"), chain(computed, zeros), delimiter)
 
 
 def _require_connected(m: IncidenceMatrix) -> None:
@@ -475,8 +472,8 @@ def _scores_for_index(
     reference: np.ndarray,
 ) -> ComplexityScores:
     raw = solution.eigenvectors[:, index].copy()
-    if raw.std() == 0.0:
-        raise DegenerateSpectrum(f"{kind} eigenvector has zero variance")
+    if raw.std() <= DEGENERATE_EIGENVALUE_TOL * np.abs(raw).max():  # a spread at rounding level
+        raise DegenerateSpectrum(f"{kind} eigenvector is constant up to rounding; it ranks nothing")
     standardized = standardize(raw)
     raw, standardized, convention = _fix_sign(raw, standardized, reference_name, reference)
     return ComplexityScores(labels, raw, standardized, convention, kind)

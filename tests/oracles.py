@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the code paths it checks: eigenpairs come
 from hand-rolled power iteration with deflation, or from a dense
-``numpy.linalg.eigh`` of the full symmetrized intensive matrix where the code
+``numpy.linalg.eigh`` of the full symmetrized similarity matrix where the code
 takes a thin SVD of its factor; correlations from the textbook covariance
 formula, components from plain BFS, and aggregations from dict loops.
 """
@@ -178,11 +178,12 @@ def symmetrized_intensive(m_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return sym, np.sqrt(div)
 
 
-def intensive_eigh(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectrum of a row-stochastic intensive matrix, descending, with
-    unit-norm column eigenvectors: a dense ``eigh`` of the symmetrized matrix
-    ``D^{1/2} values D^{-1/2}`` (D = diag(weights)), mapped back by
-    ``D^{-1/2}`` and renormalized."""
+def dense_eigh(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full spectrum of a similarity matrix, descending, with unit-norm column
+    eigenvectors: a dense ``eigh`` of the symmetrized matrix
+    ``D^{1/2} values D^{-1/2}`` (D = diag(weights): the margins of an
+    intensive matrix, ones for an extensive one, which is symmetric already),
+    mapped back by ``D^{-1/2}`` and renormalized."""
     scale = np.sqrt(np.asarray(weights, dtype=float))
     symmetrized = values * scale[:, None] / scale[None, :]
     eigenvalues, vectors = np.linalg.eigh(symmetrized)

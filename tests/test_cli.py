@@ -419,6 +419,29 @@ def test_world_nested_and_random(tmp_path):
     assert result.exit_code == 0, result.output
 
 
+def test_world_reports_both_files(tmp_path):
+    out_dir = tmp_path / "w"
+    result = invoke("world", "--out-dir", out_dir)
+    assert result.exit_code == 0, result.output
+    assert result.stdout == f"wrote {out_dir / 'world.txt'}\nwrote {out_dir / 'world_incidence.csv'}\n"
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (3, 2), (4, 3), (5, 2), (6, 4), (7, 3), (3, 5)], ids=str)
+def test_extensive_on_a_rank_one_table_is_an_extensive_error(tmp_path, shape):
+    # every location has the same product mix, so the incidence is all ones
+    n_loc, n_act = shape
+    input_path = tmp_path / "input.csv"
+    input_path.write_text("location,activity,value\n" + "".join(
+        f"L{c},A{p},{(c + 1) * (p + 1)}\n" for c in range(n_loc) for p in range(n_act)
+    ))
+    result = invoke("extensive", "--input", input_path, "--out-dir", tmp_path / "out")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no uncaught traceback
+    assert result.stderr.startswith("error [extensive] ")
+    assert result.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_world_infeasible_reports_error(tmp_path):
     result = invoke(
         "world", "--kind", "random", "--locations", 2, "--activities", 12,

@@ -357,6 +357,64 @@ class TestRunPipeline:
         assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == first
         assert all((out_dir / name).is_file() for name in json.loads(first["manifest.json"])["outputs"])
 
+    def test_narrower_rerun_removes_what_the_old_manifest_listed(self, tmp_path):
+        out_dir = tmp_path / "out"
+        cfg = PipelineConfig(
+            input_path=block_input(tmp_path / "input.csv"), out_dir=out_dir,
+            min_location_total=5.0, min_activity_total=5.0,
+        )
+        run_pipeline(cfg)
+        (out_dir / "notes.txt").write_text("mine\n")
+        cfg.emit = ("eci",)
+        result = run_pipeline(cfg)
+        listed = json.loads((out_dir / "manifest.json").read_text())["outputs"]
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted([*listed, "manifest.json", "notes.txt"])
+        assert sorted(path.name for path in result.outputs.values()) == sorted([*listed, "manifest.json"])
+        assert (out_dir / "notes.txt").read_text() == "mine\n"
+
+    @pytest.mark.parametrize(
+        "old_manifest, notes_removed",
+        [
+            (b'{"outputs": ["notes.txt", "../outside.txt", "sub/inner.txt", "sub", "", ".", ".."]}', True),
+            (b'{"outputs": {"notes.txt": 1}}', False),
+            (b'["notes.txt"]', False),
+            (b"{not json", False),
+            (b"\xff\xfe", False),
+        ],
+        ids=["unsafe-names", "not-a-list", "no-outputs-key", "not-json", "not-utf8"],
+    )
+    def test_rerun_removes_only_plain_names_of_a_readable_manifest(self, tmp_path, old_manifest, notes_removed):
+        out_dir = tmp_path / "out"
+        (out_dir / "sub").mkdir(parents=True)
+        for path in (out_dir / "notes.txt", out_dir / "sub" / "inner.txt", tmp_path / "outside.txt"):
+            path.write_text("keep\n")
+        (out_dir / "manifest.json").write_bytes(old_manifest)
+        cfg = PipelineConfig(
+            input_path=block_input(tmp_path / "input.csv"), out_dir=out_dir,
+            min_location_total=5.0, min_activity_total=5.0, emit=("eci",),
+        )
+        run_pipeline(cfg)
+        assert (out_dir / "notes.txt").exists() != notes_removed
+        assert (out_dir / "sub" / "inner.txt").read_text() == "keep\n"
+        assert (tmp_path / "outside.txt").read_text() == "keep\n"
+
+    def test_tall_table_writes_every_extensive_eigenvalue(self, tmp_path):
+        # 8 locations over 3 activities: M M^T has rank 3, so 5 exact zeros
+        input_path = tmp_path / "input.csv"
+        rng = np.random.default_rng(5)
+        input_path.write_text("location,activity,value\n" + "".join(
+            f"L{c},A{p},{int(rng.integers(1, 100))}\n" for c in range(8) for p in range(3)
+        ))
+        cfg = PipelineConfig(input_path=input_path, out_dir=tmp_path / "out", emit=("extensive",))
+        result = run_pipeline(cfg)
+        final = read_incidence(result.outputs["incidence"])
+        assert final.values.shape == (8, 3)
+        lines = result.outputs["extensive_eigenvalues"].read_text().splitlines()
+        assert lines[0] == "eigenvalue,residual"
+        assert len(lines) == 1 + 8
+        assert lines[4:] == ["0.0,0.0"] * 5
+        assert all(float(line.split(",")[0]) > 0 for line in lines[1:4])
+
     @pytest.mark.parametrize("failing_move", [2, 5], ids=["second", "last"])
     def test_failed_move_leaves_the_manifest_unmoved(self, tmp_path, monkeypatch, failing_move):
         real_replace = os.replace

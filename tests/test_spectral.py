@@ -31,7 +31,7 @@ from ecindex.spectral import (
 from conftest import labeled_incidence, nested_triangular, random_connected_incidence
 from oracles import (
     bfs_bipartite_components,
-    intensive_eigh,
+    dense_eigh,
     pearson_by_formula,
     power_iteration_eigenpairs,
     symmetrized_intensive,
@@ -41,20 +41,26 @@ WORKED = labeled_incidence(np.array([[1, 1], [0, 1]]))
 #: connected and rectangular both ways, so one side of each is rank-deficient
 WIDE = labeled_incidence(np.array([[1, 1, 0, 0, 1], [0, 1, 1, 0, 1], [1, 0, 1, 1, 0]]))
 TALL = labeled_incidence(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1], [0, 0, 1]]))
+WORKED_EXAMPLES = pytest.mark.parametrize(
+    "m", [WORKED, WIDE, TALL, *(nested_triangular(n) for n in (5, 8, 12))],
+    ids=["worked", "wide", "tall", "nested5", "nested8", "nested12"],
+)
 
 
-def assert_matches_dense_oracle(m):
-    """The leading min(C, P) eigenvalues and the second eigenvector of both
-    intensive sides agree with a dense ``eigh`` of the symmetrized matrix."""
+def assert_matches_dense_oracle(m, build=similarity_intensive):
+    """The leading min(C, P) eigenvalues (within 1e-10 of the largest) and
+    the first two eigenvectors of both sides of ``build(m, side)`` agree with
+    a dense ``eigh`` of the symmetrized matrix."""
     rank = min(m.values.shape)
     for side in ("location", "activity"):
-        s = similarity_intensive(m, side)
+        s = build(m, side)
         solution = eigendecompose(s)
-        oracle_values, oracle_vectors = intensive_eigh(s.values, s.weights)
+        oracle_values, oracle_vectors = dense_eigh(s.values, s.weights)
         assert solution.eigenvalues.shape == (rank,)
         assert solution.eigenvectors.shape == (len(s.labels), rank)
-        assert np.abs(solution.eigenvalues - oracle_values[:rank]).max() <= 1e-10
-        assert abs(float(solution.eigenvectors[:, 1] @ oracle_vectors[:, 1])) >= 1.0 - 1e-10
+        assert np.abs(solution.eigenvalues - oracle_values[:rank]).max() <= 1e-10 * oracle_values[0]
+        for k in range(2):
+            assert abs(float(solution.eigenvectors[:, k] @ oracle_vectors[:, k])) >= 1.0 - 1e-10
 
 
 class TestSimilarityExtensive:
@@ -124,7 +130,8 @@ class TestEigendecompose:
         assert np.allclose(solution.eigenvalues, expected, rtol=0, atol=1e-12)
 
     def test_identity_matrix(self):
-        s = SimilarityMatrix(np.eye(4), ("a", "b", "c", "d"), kind="extensive", side="location")
+        s = similarity_extensive(labeled_incidence(np.eye(4, dtype=np.int64)), "location")
+        assert np.array_equal(s.values, np.eye(4))
         solution = eigendecompose(s)
         assert np.allclose(solution.eigenvalues, 1.0, rtol=0, atol=0)
 
@@ -150,16 +157,21 @@ class TestEigendecompose:
             overlap = abs(float(mapped @ solution.eigenvectors[:, k]))
             assert overlap >= 1.0 - 1e-9
 
-    @pytest.mark.parametrize(
-        "m", [WORKED, WIDE, TALL, *(nested_triangular(n) for n in (5, 8, 12))],
-        ids=["worked", "wide", "tall", "nested5", "nested8", "nested12"],
-    )
+    @WORKED_EXAMPLES
     def test_intensive_matches_dense_eigh_on_worked_examples(self, m):
         assert_matches_dense_oracle(m)
 
     def test_intensive_matches_dense_eigh_on_bernoulli_ensemble(self, bernoulli_ensemble_100):
         for m in bernoulli_ensemble_100:
             assert_matches_dense_oracle(m)
+
+    @WORKED_EXAMPLES
+    def test_extensive_matches_dense_eigh_on_worked_examples(self, m):
+        assert_matches_dense_oracle(m, similarity_extensive)
+
+    def test_extensive_matches_dense_eigh_on_bernoulli_ensemble(self, bernoulli_ensemble_100):
+        for m in bernoulli_ensemble_100:
+            assert_matches_dense_oracle(m, similarity_extensive)
 
     def test_intensive_sides_share_one_spectrum(self):
         rng = np.random.default_rng(19)
@@ -286,6 +298,15 @@ class TestExtensiveScores:
             assert (first.raw >= -1e-12).all()
             assert first.sign_convention.correlation > 0
             assert solution.eigenvalues[0] >= solution.eigenvalues[1]
+
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 2), (4, 3), (5, 2), (6, 4), (7, 3), (3, 5)], ids=str)
+    def test_rank_one_table_is_degenerate(self, shape):
+        # every location has the same mix: the first eigenvector is constant
+        # and the rest of the spectrum is zero
+        m = labeled_incidence(np.ones(shape, dtype=np.int64))
+        for side in ("location", "activity"):
+            with pytest.raises(DegenerateSpectrum):
+                extensive_scores(m, side)
 
     def test_second_orthogonal_to_first(self):
         m = random_connected_incidence(np.random.default_rng(29), 20, 30, 0.3, 0.5)
@@ -417,8 +438,10 @@ class TestPermutationInvariance:
 
 class TestDataContracts:
     def test_similarity_rejects_asymmetric_extensive(self):
-        with pytest.raises(ValueError):
-            SimilarityMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), ("a", "b"), "extensive", "location")
+        with pytest.raises(ValueError, match="symmetric"):
+            SimilarityMatrix(
+                np.array([[1.0, 2.0], [0.0, 1.0]]), ("a", "b"), "extensive", "location", np.ones(2), np.eye(2)
+            )
 
     def test_similarity_rejects_non_stochastic_intensive(self):
         with pytest.raises(ValueError):
