@@ -3,7 +3,9 @@
 Subcommands cover the full pipeline (``run``), each pipeline stage
 (``ingest`` .. ``density``), synthetic world generation (``world``) and score
 comparison (``compare``). Stage commands are thin shells over the pipeline:
-``eci`` .. ``density`` are ``run --emit <name>``, and ``ingest``, ``rca`` and
+``eci`` .. ``density`` are ``run --emit <name>`` that keep the files an
+earlier run left in the output directory (``run`` removes the ones the old
+manifest listed and it did not write), and ``ingest``, ``rca`` and
 ``incidence`` write an intermediate of :func:`ecindex.pipeline.prepare`. Their
 flags, ``run``'s and the ``run --config`` keys come from one table, ``_FLAGS``,
 with :class:`ecindex.pipeline.PipelineConfig`'s defaults. Exit code is 0 on
@@ -172,10 +174,12 @@ def incidence(**options):
 
 
 def _emit_command(name, doc, *extra_flags):
-    """A stage command that is ``run --emit <name>`` with the stage's own flags."""
+    """A stage command that is ``run --emit <name>`` with the stage's own
+    flags, adding its files to those already in the output directory."""
 
     def command(**options):
-        _report(_pipeline(run_pipeline, {**options, "emit": (name,)})[1].outputs)
+        step = lambda cfg: run_pipeline(cfg, replace=False)  # noqa: E731
+        _report(_pipeline(step, {**options, "emit": (name,)})[1].outputs)
 
     main.command(name=name, help=doc)(_flags(*_STAGE_FLAGS, *extra_flags)(command))
 

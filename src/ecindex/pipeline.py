@@ -228,18 +228,19 @@ def read_scores_file(
     return tuple(row[0] for _, row in rows), values
 
 
-def run_pipeline(cfg: PipelineConfig) -> RunResult:
+def run_pipeline(cfg: PipelineConfig, replace: bool = True) -> RunResult:
     """Execute the full pipeline and write the configured artifact set.
 
     Module errors propagate with their pipeline stage attached. Files are
     written in a staging directory (see :func:`ecindex._io.staged_dir`) and
     moved into ``cfg.out_dir`` only when every stage has succeeded, one file
     at a time with ``manifest.json`` last; a failed run leaves ``cfg.out_dir``
-    as it was. After that, the files that the previous ``manifest.json`` in
-    ``cfg.out_dir`` listed and this run did not write are removed, and no
-    other file. The returned outputs name the files under ``cfg.out_dir``.
+    as it was. With ``replace``, the files that the previous ``manifest.json``
+    in ``cfg.out_dir`` listed and this run did not write are then removed, and
+    no other file; without it, they stay. The returned outputs name the files
+    under ``cfg.out_dir``.
     """
-    previous = _listed_outputs(cfg.out_dir / "manifest.json")
+    previous = _listed_outputs(cfg.out_dir / "manifest.json") if replace else set()
     with staged_dir(cfg.out_dir) as stage:
         manifest, outputs = _run(cfg, stage)
     for name in previous - {path.name for path in outputs.values()}:

@@ -72,8 +72,8 @@ class SimilarityMatrix:
     labels: tuple[str, ...]
     kind: Kind
     side: Side
-    weights: np.ndarray | None = None
-    factor: np.ndarray | None = None
+    weights: np.ndarray
+    factor: np.ndarray
 
     def __post_init__(self):
         n = len(self.labels)
@@ -81,8 +81,6 @@ class SimilarityMatrix:
             raise ValueError("similarity matrix must be square over its labels")
         if self.values.size and self.values.min() < 0:
             raise ValueError("similarity entries must be nonnegative")
-        if self.weights is None or self.factor is None:
-            raise ValueError("similarity requires its weights and factor")
         axis = 0 if self.side == "location" else 1
         if self.weights.shape != (n,) or self.factor.ndim != 2 or self.factor.shape[axis] != n:
             raise ValueError("factor must be C x P and weights one per label of this side")

@@ -254,6 +254,21 @@ def test_subcommand_matches_run_output(tmp_path, command):
             assert (sub_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
+def test_stage_commands_share_one_out_dir(tmp_path):
+    # the README sequence: each stage command adds its files and keeps a full run's
+    input_path = write_sample(tmp_path / "input.csv")
+    out_dir = tmp_path / "results"
+    common = ["--input", input_path, "--min-location-total", 5, "--min-activity-total", 5, "--out-dir", out_dir]
+    assert invoke("run", *common).exit_code == 0
+    before = {path.name for path in out_dir.iterdir()}
+    for command in ("eci", "pci", "extensive"):
+        assert invoke(command, *common).exit_code == 0, command
+    assert {path.name for path in out_dir.iterdir()} == before
+    result = invoke("compare", out_dir / "eci.csv", out_dir / "extensive_first.csv")
+    assert result.exit_code == 0, result.output
+    assert result.stdout.startswith("n ")
+
+
 def test_stage_subcommand_failures_are_stage_tagged(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("location,activity,value\n")

@@ -444,23 +444,24 @@ class TestDataContracts:
             )
 
     def test_similarity_rejects_non_stochastic_intensive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sum to 1"):
             SimilarityMatrix(
                 np.array([[0.9, 0.3], [0.5, 0.5]]),
                 ("a", "b"),
                 "intensive",
                 "location",
                 weights=np.array([2.0, 1.0]),
+                factor=np.eye(2),
             )
 
     def test_intensive_requires_weights(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SimilarityMatrix(
                 np.array([[0.5, 0.5], [0.5, 0.5]]), ("a", "b"), "intensive", "location"
             )
 
     def test_intensive_requires_factor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SimilarityMatrix(
                 np.array([[0.5, 0.5], [0.5, 0.5]]),
                 ("a", "b"),
@@ -468,6 +469,12 @@ class TestDataContracts:
                 "location",
                 weights=np.array([2.0, 2.0]),
             )
+
+    @pytest.mark.parametrize("build", [similarity_extensive, similarity_intensive])
+    def test_weights_must_be_one_per_label(self, build):
+        s = build(WIDE, "location")
+        with pytest.raises(ValueError, match="one per label"):
+            SimilarityMatrix(s.values, s.labels, s.kind, s.side, s.weights[:-1], s.factor)
 
     def test_intensive_factor_must_match_the_side(self):
         s = similarity_intensive(WIDE, "location")
