@@ -329,7 +329,7 @@ def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
 
     eci_scores = None
     with _stage("eci"):
-        if want & {"eci", "pci", "compare"}:
+        if want & {"eci", "compare"}:
             eci_scores = eci(final)
             sign_conventions["eci"] = asdict(eci_scores.sign_convention)
         if "eci" in want:

@@ -30,8 +30,6 @@ from pathlib import Path
 from typing import Literal
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ._io import write_rows
 from .errors import (
@@ -354,17 +352,26 @@ def method_of_reflections(m: IncidenceMatrix, iterations: int) -> ReflectionsTra
 def bipartite_components(values: np.ndarray) -> tuple[int, np.ndarray]:
     """Connected components of the location-activity graph (edges where M=1).
 
-    Returns the component count and one component id per node; the first C
-    ids belong to locations, the remaining P to activities.
+    Returns the component count and one component id per node (the first C
+    for locations, the remaining P for activities), numbering components by
+    their smallest node. Min-label propagation with pointer jumping (Shiloach
+    & Vishkin 1982): each edge lowers the label of one end's label to the
+    other end's label, then every label jumps to its label's label, until
+    nothing changes. Labels only fall and stay in their component, so the
+    fixed point is each component's smallest node.
     """
-    n_loc, n_act = values.shape
-    adjacency = csr_matrix(values)
-    rows, cols = adjacency.nonzero()
-    n = n_loc + n_act
-    graph = csr_matrix(
-        (np.ones(len(rows)), (rows, cols + n_loc)), shape=(n, n)
-    )
-    return connected_components(graph, directed=False)
+    locations, activities = np.nonzero(values)
+    activities += values.shape[0]
+    label = np.arange(sum(values.shape))
+    while True:
+        previous = label.copy()
+        np.minimum.at(label, label[locations], label[activities])
+        np.minimum.at(label, label[activities], label[locations])
+        label = label[label]
+        if np.array_equal(label, previous):
+            break
+    roots, ids = np.unique(label, return_inverse=True)
+    return len(roots), ids
 
 
 def largest_component(m: IncidenceMatrix) -> tuple[IncidenceMatrix, ComponentReport]:
@@ -375,24 +382,18 @@ def largest_component(m: IncidenceMatrix) -> tuple[IncidenceMatrix, ComponentRep
     zero-filled: they get no score at all.
     """
     n_components, assignment = bipartite_components(m.values)
-    if n_components == 1:
-        return m, ComponentReport(1, (), ())
+    if n_components <= 1:  # connected, or no node at all
+        return m, ComponentReport(n_components, (), ())
     n_loc = len(m.location_labels)
-    best_key = None
-    best_component = -1
-    for component in range(n_components):
-        loc_idx = np.flatnonzero(assignment[:n_loc] == component)
-        act_idx = np.flatnonzero(assignment[n_loc:] == component)
-        key = (
-            -len(loc_idx),
-            -len(act_idx),
-            tuple(sorted(m.location_labels[i] for i in loc_idx)),
-            tuple(sorted(m.activity_labels[j] for j in act_idx)),
-        )
-        if best_key is None or key < best_key:
-            best_key, best_component = key, component
-    keep_loc = assignment[:n_loc] == best_component
-    keep_act = assignment[n_loc:] == best_component
+    location_ids, activity_ids = assignment[:n_loc], assignment[n_loc:]
+
+    def key(component: int) -> tuple:
+        locations = sorted(m.location_labels[i] for i in np.flatnonzero(location_ids == component))
+        activities = sorted(m.activity_labels[j] for j in np.flatnonzero(activity_ids == component))
+        return -len(locations), -len(activities), locations, activities
+
+    best = min(range(n_components), key=key)
+    keep_loc, keep_act = location_ids == best, activity_ids == best
     submatrix = restrict(m, keep_loc, keep_act)
     report = ComponentReport(
         n_components,

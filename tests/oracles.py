@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths it checks: eigenpairs come
 from hand-rolled power iteration with deflation, or from a dense
 ``numpy.linalg.eigh`` of the full symmetrized similarity matrix where the code
 takes a thin SVD of its factor; correlations from the textbook covariance
-formula, components from plain BFS, and aggregations from dict loops.
+formula, components from plain BFS or from scipy's graph search, and
+aggregations from dict loops.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 from collections import defaultdict
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 
 def pivot_by_dict(records):
@@ -126,6 +129,16 @@ def bfs_bipartite_components(values: np.ndarray) -> list[tuple[set[int], set[int
         if p not in seen_act:
             components.append((set(), {p}))
     return components
+
+
+def scipy_bipartite_components(values: np.ndarray) -> tuple[int, np.ndarray]:
+    """Component count and ids of the bipartite graph (locations first) from
+    scipy's graph search, which numbers components by their smallest node."""
+    n_loc, n_act = values.shape
+    rows, cols = np.nonzero(values)
+    n = n_loc + n_act
+    graph = csr_matrix((np.ones(len(rows)), (rows, cols + n_loc)), shape=(n, n))
+    return connected_components(graph, directed=False)
 
 
 def power_iteration_eigenpairs(

@@ -557,13 +557,45 @@ def test_stage_command_missing_input_is_config_error(tmp_path, command):
 
 
 def test_import_leaves_scipy_stats_unloaded():
+    """No scipy module at all: numpy and click are the only dependencies."""
     src = str(Path(ecindex.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, ecindex.cli; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", "import sys, ecindex.cli; print([m for m in sys.modules if m.startswith('scipy')])"],
         env=env, check=True, capture_output=True, text=True,
     )
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n"
+
+
+def test_run_without_scipy_writes_the_same_bytes(tmp_path):
+    """With every ``scipy`` import made to fail, ``run`` with every emit
+    succeeds and writes the same files, byte for byte, as a normal run; only
+    the manifest's timestamp differs."""
+    input_path = write_sample(tmp_path / "input.csv")
+    src = str(Path(ecindex.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys{}; from ecindex.cli import main; main(sys.argv[1:])"
+    out_dirs = {}
+    for name, block in (("normal", ""), ("blocked", "; sys.modules['scipy'] = None")):
+        out_dirs[name] = tmp_path / name
+        subprocess.run(
+            [
+                sys.executable, "-c", script.format(block), "run", "--input", str(input_path),
+                "--out-dir", str(out_dirs[name]), "--min-location-total", "5",
+                "--min-activity-total", "5", "--emit", ",".join(pipeline.EMIT_CHOICES),
+            ],
+            env=env, check=True, capture_output=True,
+        )
+    names = sorted(path.name for path in out_dirs["normal"].iterdir())
+    assert names == sorted(path.name for path in out_dirs["blocked"].iterdir())
+    assert len(names) == 18  # every output of every emit, and the manifest
+    for name in names:
+        if name != "manifest.json":
+            assert (out_dirs["normal"] / name).read_bytes() == (out_dirs["blocked"] / name).read_bytes(), name
+    manifests = [json.loads((out_dirs[key] / "manifest.json").read_text()) for key in ("normal", "blocked")]
+    for manifest in manifests:
+        del manifest["timestamp"]
+    assert manifests[0] == manifests[1]
 
 
 def test_reruns_agree_across_blas_thread_counts(tmp_path):

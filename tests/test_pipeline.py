@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ecindex import spectral
 from ecindex._io import write_rows
 from ecindex.errors import ComplexityError, EmptyInput, InsufficientOverlap, ZeroVariance
 from ecindex.incidence import read_incidence
@@ -460,6 +461,31 @@ class TestRunPipeline:
         result = run_pipeline(cfg)
         names = set(result.outputs)
         assert names == {"incidence", "diversity", "ubiquity", "eci", "manifest"}
+
+    @pytest.mark.parametrize(
+        ("emit", "solves", "checks"),
+        [(("pci",), 2, 2), (("eci",), 1, 2), (("eci", "pci"), 3, 3), (("extensive",), 1, 1)],
+    )
+    def test_each_emit_solves_only_what_it_writes(self, tmp_path, monkeypatch, emit, solves, checks):
+        """A pci-only run solves PCI and the ECI it takes its sign from, once
+        each; ``checks`` counts the largest-component cut and each ``eci``."""
+        calls = {"eigendecompose": 0, "bipartite_components": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(spectral, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(spectral, name, counted)
+        cfg = PipelineConfig(
+            input_path=block_input(tmp_path / "input.csv"), out_dir=tmp_path / "out",
+            min_location_total=5.0, min_activity_total=5.0, emit=emit,
+        )
+        manifest = run_pipeline(cfg).manifest
+        assert calls == {"eigendecompose": solves, "bipartite_components": checks}
+        assert sorted(manifest["sign_conventions"]) == sorted(
+            name for name in ("eci", "pci", "extensive_first", "extensive_second")
+            if name.split("_")[0] in emit
+        )
 
     def test_prepare_writes_nothing_and_feeds_run(self, tmp_path):
         cfg = PipelineConfig(

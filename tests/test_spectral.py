@@ -12,6 +12,7 @@ from ecindex.errors import (
 from ecindex.incidence import IncidenceMatrix
 from ecindex.spectral import (
     ComplexityScores,
+    ComponentReport,
     EigenSolution,
     SignConvention,
     SimilarityMatrix,
@@ -34,6 +35,7 @@ from oracles import (
     dense_eigh,
     pearson_by_formula,
     power_iteration_eigenpairs,
+    scipy_bipartite_components,
     symmetrized_intensive,
 )
 
@@ -378,6 +380,12 @@ class TestLargestComponent:
         assert report.excluded_locations == ("L001",)
         assert report.excluded_activities == ("A001",)
 
+    def test_empty_matrix_has_no_component(self):
+        m = labeled_incidence(np.zeros((0, 0), dtype=np.int64))
+        kept, report = largest_component(m)
+        assert kept is m
+        assert report == ComponentReport(0, (), ())
+
     def test_connected_unchanged(self):
         kept, report = largest_component(WORKED)
         assert report.n_components == 1
@@ -415,6 +423,85 @@ class TestLargestComponent:
                 ),
             )
             assert kept.shape == (len(best[0]), len(best[1]))
+
+
+def path_table(n: int) -> np.ndarray:
+    """A path L0 - A0 - L1 - A1 - ... - A(n-1) - Ln: n + 1 locations, n
+    activities, diameter 2n."""
+    values = np.zeros((n + 1, n), dtype=np.int64)
+    values[np.arange(n), np.arange(n)] = values[np.arange(n) + 1, np.arange(n)] = 1
+    return values
+
+
+class TestBipartiteComponents:
+    """The component count and ids equal scipy's, and the partition equals
+    the plain-BFS oracle's."""
+
+    @staticmethod
+    def assert_matches_oracles(values) -> int:
+        """The component count, once it matches both oracles."""
+        count, ids = bipartite_components(values)
+        oracle_count, oracle_ids = scipy_bipartite_components(values)
+        assert count == oracle_count
+        assert np.array_equal(ids, oracle_ids)
+        n_loc = values.shape[0]
+        partition = {
+            (frozenset(np.flatnonzero(ids[:n_loc] == k).tolist()), frozenset(np.flatnonzero(ids[n_loc:] == k).tolist()))
+            for k in range(count)
+        }
+        assert partition == {(frozenset(locs), frozenset(acts)) for locs, acts in bfs_bipartite_components(values)}
+        return count
+
+    def test_bernoulli_ensemble_is_one_component(self, bernoulli_ensemble_100):
+        for m in bernoulli_ensemble_100:
+            assert self.assert_matches_oracles(m.values) == 1
+
+    def test_sparse_bernoulli_tables(self):
+        """Unpruned tables up to 30 x 30 at densities up to 0.3: many
+        components, isolated rows and columns, empty shapes."""
+        rng = np.random.default_rng(51)
+        counts = set()
+        for _ in range(200):
+            n_loc, n_act = (int(n) for n in rng.integers(0, 31, size=2))
+            values = (rng.random((n_loc, n_act)) < rng.uniform(0.0, 0.3)).astype(np.int64)
+            counts.add(self.assert_matches_oracles(values))
+        assert len(counts) > 20
+
+    @pytest.mark.parametrize("order", ["forward", "reversed", "transposed", "shuffled"])
+    def test_path_of_length_1000(self, order):
+        values = path_table(500)
+        if order == "reversed":
+            values = values[::-1, ::-1]
+        elif order == "transposed":
+            values = values.T
+        elif order == "shuffled":
+            rng = np.random.default_rng(52)
+            values = values[rng.permutation(values.shape[0])][:, rng.permutation(values.shape[1])]
+        assert self.assert_matches_oracles(values) == 1
+
+    def test_disjoint_blocks(self):
+        rng = np.random.default_rng(53)
+        blocks = [np.ones((int(rng.integers(1, 6)), int(rng.integers(1, 6))), dtype=np.int64) for _ in range(5)]
+        n_loc, n_act = sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)
+        values = np.zeros((n_loc, n_act), dtype=np.int64)
+        row = col = 0
+        for block in blocks:
+            values[row:row + block.shape[0], col:col + block.shape[1]] = block
+            row, col = row + block.shape[0], col + block.shape[1]
+        shuffled = values[rng.permutation(n_loc)][:, rng.permutation(n_act)]
+        for table in (values, shuffled):
+            assert self.assert_matches_oracles(table) == 5
+
+    def test_isolated_rows_and_columns(self):
+        values = np.array([[0, 0, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0], [0, 0, 1, 0]], dtype=np.int64)
+        assert self.assert_matches_oracles(values) == 5  # {L1, L3, A0, A2}, L0, L2, A1, A3
+        assert bipartite_components(values)[1].tolist() == [0, 1, 2, 1, 1, 3, 1, 4]
+
+    @pytest.mark.parametrize("shape", [(4, 6), (0, 5), (5, 0), (0, 0)])
+    def test_tables_without_edges(self, shape):
+        values = np.zeros(shape, dtype=np.int64)
+        assert self.assert_matches_oracles(values) == sum(shape)
+        assert bipartite_components(values)[1].tolist() == list(range(sum(shape)))
 
 
 class TestPermutationInvariance:
