@@ -37,7 +37,8 @@ class NegativeValue(ParseError):
 
 
 class UndecodableInput(ComplexityError):
-    """The input file is not UTF-8 text."""
+    """The input file is not UTF-8 text, or its gzip data is truncated or
+    corrupt."""
 
 
 class EmptyInput(ComplexityError):

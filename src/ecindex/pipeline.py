@@ -16,8 +16,10 @@ count produce byte-identical outputs; only the manifest timestamp differs.
 from __future__ import annotations
 
 import json
+import re
+import zlib
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from datetime import datetime, timezone
 from itertools import chain, repeat
 from operator import itemgetter
@@ -189,12 +191,13 @@ def emit_figure_data(
 
 
 def load_config_file(path: Path) -> dict[str, str]:
-    """Plain-text ``key = value`` config; '#' starts a comment. CLI flags win
-    over file values."""
+    """Plain-text ``key = value`` config. '#' starts a comment at the start of
+    a line or after whitespace, so a value may hold one (``out_dir = runs#2``).
+    CLI flags win over file values."""
     options: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
+            text = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not text:
                 continue
             key, sep, value = text.partition("=")
@@ -262,6 +265,8 @@ def prepare(cfg: PipelineConfig) -> Prepared:
             raise UndecodableInput(
                 f"{cfg.input_path}: not UTF-8 text: {err.reason} (byte 0x{err.object[err.start]:02x})"
             ) from None
+        except (EOFError, zlib.error) as err:
+            raise UndecodableInput(f"{cfg.input_path}: damaged gzip data: {err}") from None
         raw = pivot_to_matrix(records)
 
     with _stage("left_tail_filter"):
@@ -313,101 +318,60 @@ def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
     ``out_dir``."""
     outputs: dict[str, Path] = {}
 
-    def emit(name: str, filename: str, writer, *args) -> None:
-        path = outputs[name] = out_dir / filename
-        writer(path, *args)
+    def emit(name: str, writer, *args) -> None:
+        path = outputs[name] = out_dir / f"{name}.csv"
+        writer(path, *args, cfg.delimiter)
 
     stages = prepare(cfg)
     final = stages.final
-
-    sign_conventions: dict[str, dict] = {}
-    diversity_values = final.diversity.astype(float)
     want = set(cfg.emit)
+    scores: dict[str, ComplexityScores] = {}
 
     with _stage("emit"):
         outputs.update(write_incidence_files(out_dir, final, cfg.delimiter))
 
-    eci_scores = None
     with _stage("eci"):
         if want & {"eci", "compare"}:
-            eci_scores = eci(final)
-            sign_conventions["eci"] = asdict(eci_scores.sign_convention)
-        if "eci" in want:
-            emit("eci", "eci.csv", write_scores, eci_scores, cfg.delimiter)
+            scores["eci"] = eci(final)
 
     with _stage("pci"):
         if "pci" in want:
-            pci_scores = pci(final)
-            sign_conventions["pci"] = asdict(pci_scores.sign_convention)
-            emit("pci", "pci.csv", write_scores, pci_scores, cfg.delimiter)
+            scores["pci"] = pci(final)
 
-    extensive_first = extensive_second = None
     with _stage("extensive"):
         if want & {"extensive", "compare"}:
-            extensive_first, extensive_second, solution = extensive_scores(final)
-            sign_conventions["extensive_first"] = asdict(extensive_first.sign_convention)
-            sign_conventions["extensive_second"] = asdict(extensive_second.sign_convention)
-        if "extensive" in want:
-            emit("extensive_first", "extensive_first.csv", write_scores, extensive_first, cfg.delimiter)
-            emit("extensive_second", "extensive_second.csv", write_scores, extensive_second, cfg.delimiter)
-            emit("extensive_eigenvalues", "extensive_eigenvalues.csv", write_eigensolution, solution, cfg.delimiter)
+            scores["extensive_first"], scores["extensive_second"], solution = extensive_scores(final)
+
+    for name, side in scores.items():
+        if name.split("_")[0] in want:
+            emit(name, write_scores, side)
+    if "extensive" in want:
+        emit("extensive_eigenvalues", write_eigensolution, solution)
 
     with _stage("relatedness"):
         if want & {"proximity", "density"}:
             phi = proximity(final)
         if "proximity" in want:
-            emit("proximity_matrix", "proximity_matrix.csv", write_proximity, phi, cfg.delimiter)
-            emit(
-                "proximity_edges", "proximity_edges.csv",
-                lambda path, p, d: write_proximity_edges(path, p, cfg.min_phi, d),
-                phi, cfg.delimiter,
-            )
+            emit("proximity_matrix", write_proximity, phi)
+            emit("proximity_edges", write_proximity_edges, phi, cfg.min_phi)
         if "density" in want:
-            density = relatedness_density(final, phi)
-            emit("density", "density.csv", write_density, density, cfg.delimiter)
+            emit("density", write_density, relatedness_density(final, phi))
 
     with _stage("reflections"):
         if "reflections" in want:
-            trajectory = method_of_reflections(final, cfg.reflections_iterations)
-            emit(
-                "reflections_locations", "reflections_locations.csv",
-                _write_trajectory, trajectory.location_labels,
-                trajectory.kc, trajectory.kc_zscored, cfg.delimiter,
-            )
-            emit(
-                "reflections_activities", "reflections_activities.csv",
-                _write_trajectory, trajectory.activity_labels,
-                trajectory.kp, trajectory.kp_zscored, cfg.delimiter,
-            )
+            traj = method_of_reflections(final, cfg.reflections_iterations)
+            emit("reflections_locations", _write_trajectory, traj.location_labels, traj.kc, traj.kc_zscored)
+            emit("reflections_activities", _write_trajectory, traj.activity_labels, traj.kp, traj.kp_zscored)
 
     with _stage("compare"):
         if "compare" in want:
-            labeled_diversity = (final.location_labels, diversity_values)
+            diversity = (final.location_labels, final.diversity.astype(float))
+            panels = {name: scores[name] for name in ("extensive_first", "extensive_second", "eci")}
             reports = [
-                compare_vectors(labeled_diversity, extensive_first, "diversity", "extensive_first"),
-                compare_vectors(labeled_diversity, extensive_second, "diversity", "extensive_second"),
-                compare_vectors(labeled_diversity, eci_scores, "diversity", "eci"),
+                astuple(compare_vectors(diversity, panel, "diversity", name)) for name, panel in panels.items()
             ]
-            emit(
-                "comparisons", "comparisons.csv", write_rows,
-                ("a", "b", "n", "pearson_r", "r_squared", "spearman_rho"),
-                (
-                    (rep.name_a, rep.name_b, rep.n, rep.pearson_r, rep.r_squared, rep.spearman_rho)
-                    for rep in reports
-                ),
-                cfg.delimiter,
-            )
-            outputs.update(emit_figure_data(
-                out_dir,
-                final.location_labels,
-                diversity_values,
-                {
-                    "extensive_first": extensive_first,
-                    "extensive_second": extensive_second,
-                    "eci": eci_scores,
-                },
-                cfg.delimiter,
-            ))
+            emit("comparisons", write_rows, ("a", "b", "n", "pearson_r", "r_squared", "spearman_rho"), reports)
+            outputs.update(emit_figure_data(out_dir, *diversity, panels, cfg.delimiter))
 
     manifest = {
         "input": str(cfg.input_path),
@@ -429,7 +393,7 @@ def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
             "row_stochastic": ROW_STOCHASTIC_TOL,
             "sign_correlation_zero": SIGN_CORRELATION_TOL,
         },
-        "sign_conventions": sign_conventions,
+        "sign_conventions": {name: asdict(side.sign_convention) for name, side in scores.items()},
         "metadata": {
             "component_choice": "largest connected component by locations, "
             "ties by activities then lexicographic label set",

@@ -14,7 +14,7 @@ from ecindex import pipeline
 from ecindex.cli import main
 from ecindex.pipeline import read_scores_file
 
-from test_pipeline import block_input
+from test_pipeline import block_input, damaged_gzip
 
 
 def invoke(*args):
@@ -69,6 +69,29 @@ def test_run_config_file_with_flag_override(tmp_path):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["config"]["min_activity_total"] == 5.0
     assert manifest["config"]["emit"] == ["eci"]
+
+
+def test_run_config_values_may_hold_a_hash(tmp_path):
+    input_path = write_sample(tmp_path / "in#1.csv")
+    old = tmp_path / "runs"
+    old.mkdir()
+    (old / "pci.csv").write_text("kept\n")
+    (old / "manifest.json").write_text(json.dumps({"outputs": ["pci.csv"]}))
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"input = {input_path}\n"
+        f"out_dir = {tmp_path / 'runs#2'}  # second run\n"
+        "min-location-total = 5\n"
+        "min-activity-total = 5\n"
+        "emit = eci\n"
+    )
+    result = invoke("run", "--config", config)
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((tmp_path / "runs#2" / "manifest.json").read_text())
+    assert manifest["input"] == str(input_path)
+    assert (tmp_path / "runs#2" / "eci.csv").is_file()
+    assert (old / "pci.csv").read_text() == "kept\n"
+    assert sorted(path.name for path in old.iterdir()) == ["manifest.json", "pci.csv"]
 
 
 @pytest.mark.parametrize(
@@ -374,6 +397,22 @@ def test_non_utf8_input_is_one_ingest_error_line(tmp_path, command, gz):
     assert isinstance(result.exception, SystemExit)  # no uncaught traceback
     assert result.stderr == f"error [ingest] {latin}: not UTF-8 text: invalid continuation byte (byte 0xe9)\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "flipped"])
+@pytest.mark.parametrize("command", ["run", "ingest"])
+def test_damaged_gzip_is_one_ingest_error_line(tmp_path, command, damage):
+    table = damaged_gzip(tmp_path / "input.csv.gz", damage)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_text("mine\n")
+    result = invoke(command, "--input", table, "--out-dir", out_dir)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no uncaught traceback
+    assert result.stderr.startswith(f"error [ingest] {table}: damaged gzip data: ")
+    assert [path.name for path in out_dir.iterdir()] == ["notes.txt"]
+    assert (out_dir / "notes.txt").read_text() == "mine\n"
+    assert not list(tmp_path.rglob(".out.*"))  # no staging directory left
 
 
 @pytest.mark.parametrize("command", ["run", "eci"])

@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 from pathlib import Path
@@ -8,10 +9,11 @@ from scipy import stats
 
 from ecindex import spectral
 from ecindex._io import write_rows
-from ecindex.errors import ComplexityError, EmptyInput, InsufficientOverlap, ZeroVariance
+from ecindex.errors import ComplexityError, EmptyInput, InsufficientOverlap, UndecodableInput, ZeroVariance
 from ecindex.incidence import read_incidence
 from ecindex.ingest import parse_long_records
 from ecindex.pipeline import (
+    EMIT_CHOICES,
     PipelineConfig,
     _average_ranks,
     compare_vectors,
@@ -41,6 +43,36 @@ def block_input(path):
     lines += ["tinyloc,A0,2", "B0,tinyact,1", "zeroloc,A1,0"]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def damaged_gzip(path, damage):
+    """``block_input``'s table gzipped to ``path``, then cut in half
+    ("truncated") or with one early byte of the deflate stream flipped
+    ("flipped")."""
+    data = bytearray(gzip.compress(block_input(path.with_suffix("")).read_bytes(), mtime=0))
+    if damage == "truncated":
+        del data[len(data) // 2:]
+    else:
+        data[20] ^= 0xFF
+    path.write_bytes(data)
+    return path
+
+
+#: The files each emit name adds to incidence, diversity, ubiquity and the manifest.
+EMIT_FILES = {
+    "eci": ("eci",),
+    "pci": ("pci",),
+    "extensive": ("extensive_first", "extensive_second", "extensive_eigenvalues"),
+    "proximity": ("proximity_matrix", "proximity_edges"),
+    "density": ("density",),
+    "reflections": ("reflections_locations", "reflections_activities"),
+    "compare": (
+        "comparisons",
+        "figure_diversity_vs_extensive_first",
+        "figure_diversity_vs_extensive_second",
+        "figure_diversity_vs_eci",
+    ),
+}
 
 
 class TestCompareVectors:
@@ -284,6 +316,14 @@ class TestRunPipeline:
             run_pipeline(cfg)
         assert err.value.stage == "ingest"
 
+    @pytest.mark.parametrize("damage", ["truncated", "flipped"])
+    def test_damaged_gzip_tagged_with_ingest_stage(self, tmp_path, damage):
+        cfg = PipelineConfig(input_path=damaged_gzip(tmp_path / "input.csv.gz", damage), out_dir=tmp_path / "out")
+        with pytest.raises(UndecodableInput, match="damaged gzip data") as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "ingest"
+        assert not cfg.out_dir.exists()
+
     def test_partial_outputs_removed_on_failure(self, tmp_path):
         # only two locations survive to the scored component, so the
         # comparison stage rejects its N >= 3 precondition after earlier
@@ -451,16 +491,24 @@ class TestRunPipeline:
         assert manifest["sign_conventions"]["eci"]["correlation"] >= 0
         assert "extensive_first" in manifest["sign_conventions"]
 
-    def test_emit_flags_limit_outputs(self, tmp_path):
+    @pytest.mark.parametrize(
+        "emit",
+        [pytest.param((name,), id=name) for name in EMIT_CHOICES]
+        + [pytest.param(EMIT_CHOICES, id="all"), pytest.param((), id="none")],
+    )
+    def test_emit_flags_limit_outputs(self, tmp_path, emit):
         input_path = block_input(tmp_path / "input.csv")
         cfg = PipelineConfig(
             input_path=input_path, out_dir=tmp_path / "out",
             min_location_total=5.0, min_activity_total=5.0,
-            emit=("eci",),
+            emit=emit,
         )
         result = run_pipeline(cfg)
-        names = set(result.outputs)
-        assert names == {"incidence", "diversity", "ubiquity", "eci", "manifest"}
+        files = {"incidence", "diversity", "ubiquity"}.union(*(EMIT_FILES[name] for name in emit))
+        assert set(result.outputs) == files | {"manifest"}
+        assert result.manifest["outputs"] == sorted(f"{name}.csv" for name in files)
+        written = sorted(path.name for path in cfg.out_dir.iterdir())
+        assert written == sorted([*result.manifest["outputs"], "manifest.json"])
 
     @pytest.mark.parametrize(
         ("emit", "solves", "checks"),
@@ -510,12 +558,17 @@ class TestConfig:
             "min-location-total = 12.5\n"
             "rca_threshold = 1.0  # inclusive\n"
             "emit = eci,pci\n"
+            "input = in#1.csv\n"
+            "out_dir = runs#2\t# a '#' after whitespace starts a comment\n"
+            "  #delimiter = ;\n"
         )
         options = load_config_file(path)
         assert options == {
             "min_location_total": "12.5",
             "rca_threshold": "1.0",
             "emit": "eci,pci",
+            "input": "in#1.csv",
+            "out_dir": "runs#2",
         }
 
     def test_malformed_line_rejected(self, tmp_path):
