@@ -4,8 +4,8 @@ Quickstart::
 
     from ecindex import ingest, incidence, spectral
 
-    records = ingest.parse_long_records(open("exports.csv"))
-    matrix = ingest.drop_empty_margins(ingest.pivot_to_matrix(records))
+    table = ingest.parse_long_records(open("exports.csv"))
+    matrix = ingest.drop_empty_margins(ingest.pivot_to_matrix(table))
     pruned, _ = incidence.prune_degenerate(
         incidence.binarize(incidence.compute_rca(matrix))
     )
@@ -29,7 +29,7 @@ from .incidence import (
     prune_degenerate,
 )
 from .ingest import (
-    LongRecord,
+    LongTable,
     OutputMatrix,
     drop_empty_margins,
     left_tail_filter,
@@ -67,7 +67,7 @@ __all__ = [
     "DensityMatrix",
     "EigenSolution",
     "IncidenceMatrix",
-    "LongRecord",
+    "LongTable",
     "OutputMatrix",
     "PipelineConfig",
     "ProximityMatrix",

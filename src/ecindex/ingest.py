@@ -4,6 +4,19 @@ Input is delimiter-separated text with a header row and three columns in
 order (location, activity, value). Values are nonnegative decimal reals,
 e.g. export USD. Gzip-compressed files are accepted when the name ends in
 ``.gz``.
+
+:func:`parse_long_records` reads the whole text and hands it to numpy's C
+reader (``np.loadtxt``), the fast path for plain tables. The record parser, a
+``csv`` loop over the same text, reads it instead when the text holds ``"``
+(csv quoting), NUL or CR (a file from :func:`open_text` holds no CR: it reads
+CR and CRLF line ends as ``\\n``), when the header is not three fields, and
+when no line follows the header, and when the C reader refuses the table or
+reads it otherwise than ``csv`` would: a row count other than the number of
+non-empty lines, a non-finite or negative value, a label that is empty after
+trimming. Text that ``float``
+reads and numpy does not, such as ``1_000``, takes the record parser too.
+Every error and its 1-based line number come from the record parser, and
+both paths build the same :class:`LongTable` from the same table.
 """
 
 from __future__ import annotations
@@ -14,7 +27,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -23,13 +36,33 @@ from .errors import EmptyInput, MalformedLine, NegativeValue, NonNumericValue
 #: relative tolerance for stored vs recomputed margins
 MARGIN_RTOL = 1e-9
 
+#: the fields numpy's C reader parses each data row into
+_ROW = np.dtype([("l", object), ("a", object), ("v", "f8")])
 
-class LongRecord(NamedTuple):
-    """One (location, activity, value) observation; duplicates allowed."""
 
-    location: str
-    activity: str
-    value: float
+@dataclass(frozen=True, eq=False)
+class LongTable:
+    """Long-format rows column by column, in file order; duplicate (location,
+    activity) pairs are kept as separate rows. ``locations`` and
+    ``activities`` are object arrays of trimmed labels, ``values`` is
+    float64."""
+
+    locations: np.ndarray
+    activities: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __eq__(self, other) -> bool:
+        """Same labels, and values with the same bits (``-0.0`` is not ``0.0``)."""
+        if not isinstance(other, LongTable):
+            return NotImplemented
+        return (
+            self.locations.tolist() == other.locations.tolist()
+            and self.activities.tolist() == other.activities.tolist()
+            and self.values.tobytes() == other.values.tobytes()
+        )
 
 
 @dataclass(frozen=True)
@@ -92,26 +125,87 @@ def open_text(path: str | Path) -> IO[str]:
     return open(path, "r", encoding="utf-8")
 
 
-def parse_long_records(stream: Iterable[str] | str, delimiter: str = ",") -> list[LongRecord]:
-    """Parse header-prefixed long-format text into records.
+def parse_long_records(stream: Iterable[str] | str, delimiter: str = ",") -> LongTable:
+    """Parse header-prefixed long-format text into a :class:`LongTable`.
 
-    Duplicate (location, activity) pairs are kept as separate records;
-    merging happens in :func:`pivot_to_matrix`. Labels are whitespace-trimmed
-    and matched case-sensitively. Raises :class:`MalformedLine`,
+    ``stream`` is the text itself, a file object (read whole), or any other
+    iterable of lines (read by the record parser). Duplicate (location,
+    activity) pairs are kept as separate rows; merging happens in
+    :func:`pivot_to_matrix`. Labels are whitespace-trimmed and matched
+    case-sensitively; blank lines are skipped. Raises :class:`MalformedLine`,
     :class:`NonNumericValue` or :class:`NegativeValue` with the offending
     1-based line number.
     """
     if len(delimiter) != 1:
         raise ValueError("delimiter must be a single character")
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
+    if isinstance(stream, str) or hasattr(stream, "read"):
+        text = stream if isinstance(stream, str) else stream.read()
+        table = _parse_columns(text, delimiter)
+        if table is not None:
+            return table
+        stream = io.StringIO(text)
+    return _parse_records(stream, delimiter)
+
+
+def _parse_columns(text: str, delimiter: str) -> LongTable | None:
+    """The table numpy's C reader reads from ``text``, or ``None`` when the
+    record parser must read it (see the module docstring)."""
+    header_end = text.find("\n")
+    header = text if header_end < 0 else text[:header_end]
+    if '"' in text or "\0" in text or "\r" in text or len(header.split(delimiter)) != 3:
+        return None
+    expected = _data_lines(text)
+    if not expected:  # numpy warns on a table without rows
+        return None
+    # as bytes: a StringIO would hold the text again at 4 bytes a character
+    lines = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="\n")
+    try:
+        data = np.loadtxt(lines, delimiter=delimiter, skiprows=1, dtype=_ROW, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    values = data["v"]
+    if len(data) != expected or not (np.isfinite(values).all() and (values >= 0).all()):
+        return None
+    locations = _trimmed(data["l"])
+    activities = _trimmed(data["a"])
+    if locations is None or activities is None:
+        return None
+    return LongTable(locations, activities, values)
+
+
+def _data_lines(text: str) -> int:
+    """The number of non-empty lines after the first."""
+    if "\n\n" not in text:
+        return text.count("\n") - text.endswith("\n")
+    lines = text.split("\n")[1:]
+    return len(lines) - lines.count("")
+
+
+def _trimmed(labels: np.ndarray) -> np.ndarray | None:
+    """``labels`` whitespace-trimmed, or ``None`` when one is empty after
+    trimming. Only the distinct labels are trimmed; padded variants of one
+    label become that label."""
+    distinct = list(dict.fromkeys(labels.tolist()))
+    trimmed = [label.strip() for label in distinct]
+    if not all(trimmed):
+        return None
+    if trimmed == distinct:
+        return labels
+    return np.array(trimmed, dtype=object)[_label_index(labels)[0]]
+
+
+def _parse_records(stream: Iterable[str], delimiter: str) -> LongTable:
+    """The record parser: one ``csv`` row at a time, each checked, so that
+    every error carries its 1-based line number."""
     reader = csv.reader(stream, delimiter=delimiter)
     header = next(reader, None)
     if header is None:
         raise EmptyInput("input has no header line")
     if len(header) != 3:
         raise MalformedLine(f"header must name exactly 3 columns, got {len(header)}", reader.line_num)
-    records: list[LongRecord] = []
+    locations: list[str] = []
+    activities: list[str] = []
+    values: list[float] = []
     for row in reader:
         if not row:
             continue
@@ -131,31 +225,34 @@ def parse_long_records(stream: Iterable[str] | str, delimiter: str = ",") -> lis
             raise NonNumericValue(f"value {text!r} is not finite", line)
         if value < 0:
             raise NegativeValue(f"value {value!r} is negative", line)
-        records.append(LongRecord(location, activity, value))
-    return records
+        locations.append(location)
+        activities.append(activity)
+        values.append(value)
+    return LongTable(np.array(locations, dtype=object), np.array(activities, dtype=object), np.array(values))
 
 
-def pivot_to_matrix(records: list[LongRecord]) -> OutputMatrix:
-    """Sum records by (location, activity) into a dense matrix.
+def pivot_to_matrix(table: LongTable) -> OutputMatrix:
+    """Sum rows by (location, activity) into a dense matrix.
 
     Label order is first-appearance order. ``np.add.at`` is unbuffered and
-    adds duplicates in record order, so each cell is the left-to-right sum of
-    its values. Raises :class:`EmptyInput` when there are no records.
+    adds duplicates in row order, so each cell is the left-to-right sum of
+    its values. Raises :class:`EmptyInput` when the table has no rows.
     """
-    if not records:
+    if not len(table):
         raise EmptyInput("no records to pivot")
-    loc_index: dict[str, int] = {}
-    act_index: dict[str, int] = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    amounts: list[float] = []
-    for location, activity, value in records:
-        rows.append(loc_index.setdefault(location, len(loc_index)))
-        cols.append(act_index.setdefault(activity, len(act_index)))
-        amounts.append(value)
-    values = np.zeros((len(loc_index), len(act_index)))
-    np.add.at(values, (rows, cols), amounts)
-    return OutputMatrix.from_values(values, tuple(loc_index), tuple(act_index))
+    rows, locations = _label_index(table.locations)
+    cols, activities = _label_index(table.activities)
+    values = np.zeros((len(locations), len(activities)))
+    np.add.at(values, (rows, cols), table.values)
+    return OutputMatrix.from_values(values, locations, activities)
+
+
+def _label_index(labels: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Each label's position among the distinct labels, and the distinct
+    labels in first-appearance order."""
+    labels = labels.tolist()
+    index = {label: i for i, label in enumerate(dict.fromkeys(labels))}
+    return np.fromiter(map(index.__getitem__, labels), np.intp, len(labels)), tuple(index)
 
 
 def left_tail_filter(

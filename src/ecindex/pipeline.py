@@ -210,7 +210,11 @@ def load_config_file(path: Path) -> dict[str, str]:
 def read_scores_file(
     path: Path, delimiter: str = ",", column: str = "standardized"
 ) -> tuple[tuple[str, ...], np.ndarray]:
-    """Labels and one numeric column of a score file (or any label,value file)."""
+    """Labels and one numeric column of a score file (or any label,value file).
+
+    Raises ``ValueError`` naming the file and line for a short row, a cell
+    that is not a finite number, and a label that an earlier line holds.
+    """
     header, rows = read_columns(path, delimiter)
     if column in header:
         index = header.index(column)
@@ -219,15 +223,20 @@ def read_scores_file(
     else:
         raise ValueError(f"column {column!r} not in {header}")
     values = np.empty(len(rows))
+    lines: dict[str, int] = {}
     for i, (line, row) in enumerate(rows):
         if len(row) <= index:
             raise ValueError(
                 f"{path}: line {line} has {len(row)} columns, need {index + 1} for {header[index]!r}"
             )
+        if (first := lines.setdefault(row[0], line)) != line:
+            raise ValueError(f"{path}: label {row[0]!r} is on line {first} and line {line}")
         try:
             values[i] = float(row[index])
         except ValueError as err:
             raise ValueError(f"{path}: line {line}: {err}") from None
+        if not np.isfinite(values[i]):
+            raise ValueError(f"{path}: line {line}: score {row[index]!r} is not finite")
     return tuple(row[0] for _, row in rows), values
 
 
@@ -260,14 +269,14 @@ def prepare(cfg: PipelineConfig) -> Prepared:
     with _stage("ingest", (ComplexityError, OSError)):
         try:
             with open_text(cfg.input_path) as fh:
-                records = parse_long_records(fh, cfg.delimiter)
+                table = parse_long_records(fh, cfg.delimiter)
         except UnicodeDecodeError as err:
             raise UndecodableInput(
                 f"{cfg.input_path}: not UTF-8 text: {err.reason} (byte 0x{err.object[err.start]:02x})"
             ) from None
         except (EOFError, zlib.error) as err:
             raise UndecodableInput(f"{cfg.input_path}: damaged gzip data: {err}") from None
-        raw = pivot_to_matrix(records)
+        raw = pivot_to_matrix(table)
 
     with _stage("left_tail_filter"):
         filtered = left_tail_filter(raw, cfg.min_location_total, cfg.min_activity_total)

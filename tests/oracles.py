@@ -18,19 +18,22 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 
-def pivot_by_dict(records):
-    """Sum-by-key aggregation oracle: dict of dicts, first-appearance order."""
+def pivot_by_dict(table):
+    """Sum-by-key aggregation oracle over a ``LongTable``'s rows: dict of
+    dicts, first-appearance order."""
     totals: dict[str, dict[str, float]] = defaultdict(dict)
     locations: list[str] = []
     activities: list[str] = []
-    for rec in records:
-        if rec.location not in totals or rec.activity not in totals[rec.location]:
-            totals[rec.location][rec.activity] = 0.0
-        if rec.location not in locations:
-            locations.append(rec.location)
-        if rec.activity not in activities:
-            activities.append(rec.activity)
-        totals[rec.location][rec.activity] += rec.value
+    for location, activity, value in zip(
+        table.locations.tolist(), table.activities.tolist(), table.values.tolist()
+    ):
+        if location not in totals or activity not in totals[location]:
+            totals[location][activity] = 0.0
+        if location not in locations:
+            locations.append(location)
+        if activity not in activities:
+            activities.append(activity)
+        totals[location][activity] += value
     values = np.zeros((len(locations), len(activities)))
     for i, loc in enumerate(locations):
         for j, act in enumerate(activities):

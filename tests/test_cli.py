@@ -561,8 +561,11 @@ SCORES_A = "label,raw,standardized,rank\nL0,1,-1.2,3\nL1,2,0.0,2\nL2,4,1.2,1\n"
         (SCORES_A.replace("L1", "Q1").replace("L2", "Q2"), [], "only 1 shared labels"),
         ("", [], "b.csv: no header line"),
         (SCORES_A.replace("L0,1,-1.2,3", "L0,1"), [], "b.csv: line 2 has 2 columns"),
+        (SCORES_A.replace("0.0", "nan"), [], "b.csv: line 3: score 'nan' is not finite"),
+        (SCORES_A.replace("-1.2", "-inf"), [], "b.csv: line 2: score '-inf' is not finite"),
     ],
-    ids=["missing-column", "non-numeric-cell", "too-few-shared-labels", "empty-file", "short-row"],
+    ids=["missing-column", "non-numeric-cell", "too-few-shared-labels", "empty-file", "short-row",
+         "nan-cell", "infinite-cell"],
 )
 def test_compare_failures_are_compare_errors(tmp_path, scores_b, args, message):
     file_a, file_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -572,6 +575,21 @@ def test_compare_failures_are_compare_errors(tmp_path, scores_b, args, message):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # no uncaught traceback
     assert result.stderr.startswith("error [compare] ") and message in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("position", ["a", "b"])
+def test_compare_refuses_a_duplicated_label(tmp_path, position):
+    # a repeated label would be counted twice in the first file, and in the
+    # second only its last score would be used
+    for name in ("a", "b"):
+        text = SCORES_A + "L3,8,0.5,1\n"
+        (tmp_path / f"{name}.csv").write_text(text + "L0,9,2.0,1\n" if name == position else text)
+    result = invoke("compare", tmp_path / "a.csv", tmp_path / "b.csv")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error [compare] ")
+    assert f"{position}.csv: label 'L0' is on line 2 and line 6" in result.stderr
     assert result.stderr.count("\n") == 1
 
 

@@ -1,4 +1,5 @@
 import gzip
+import io
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from ecindex.errors import (
     NonNumericValue,
 )
 from ecindex.ingest import (
-    LongRecord,
+    LongTable,
     OutputMatrix,
+    _parse_columns,
+    _parse_records,
     drop_empty_margins,
     left_tail_filter,
     open_text,
@@ -24,14 +27,22 @@ from ecindex.ingest import (
 from oracles import pivot_by_dict
 
 
+def table(*rows) -> LongTable:
+    """The LongTable of (location, activity, value) rows."""
+    locations, activities, values = zip(*rows) if rows else ((), (), ())
+    return LongTable(
+        np.array(locations, dtype=object), np.array(activities, dtype=object), np.array(values, dtype=float)
+    )
+
+
 class TestParseLongRecords:
     def test_single_row(self):
-        records = parse_long_records("loc,act,val\nFRA,wine,100")
-        assert records == [LongRecord("FRA", "wine", 100.0)]
+        assert parse_long_records("loc,act,val\nFRA,wine,100") == table(("FRA", "wine", 100.0))
 
     def test_duplicates_not_merged(self):
-        records = parse_long_records("loc,act,val\nFRA,wine,100\nFRA,wine,50")
-        assert [r.value for r in records] == [100.0, 50.0]
+        parsed = parse_long_records("loc,act,val\nFRA,wine,100\nFRA,wine,50")
+        assert parsed.values.tolist() == [100.0, 50.0]
+        assert len(parsed) == 2
 
     def test_negative_value_carries_line_number(self):
         with pytest.raises(NegativeValue) as err:
@@ -58,9 +69,8 @@ class TestParseLongRecords:
             parse_long_records("loc,act,val\n   ,wine,1")
 
     def test_labels_trimmed_case_sensitive(self):
-        records = parse_long_records("loc,act,val\n FRA ,wine,1\nfra,wine,2")
-        assert records[0].location == "FRA"
-        assert records[1].location == "fra"
+        parsed = parse_long_records("loc,act,val\n FRA ,wine,1\nfra,wine,2")
+        assert parsed.locations.tolist() == ["FRA", "fra"]
 
     def test_header_must_have_three_columns(self):
         with pytest.raises(MalformedLine):
@@ -71,19 +81,20 @@ class TestParseLongRecords:
             parse_long_records("")
 
     def test_header_only_gives_no_records(self):
-        assert parse_long_records("loc,act,val\n") == []
+        assert parse_long_records("loc,act,val\n") == table()
 
     def test_blank_lines_skipped(self):
-        records = parse_long_records("loc,act,val\n\nFRA,wine,1\n\n")
-        assert len(records) == 1
+        assert len(parse_long_records("loc,act,val\n\nFRA,wine,1\n\n")) == 1
 
     def test_alternate_delimiter(self):
-        records = parse_long_records("loc;act;val\nFRA;wine;1.5", delimiter=";")
-        assert records[0].value == 1.5
+        assert parse_long_records("loc;act;val\nFRA;wine;1.5", delimiter=";").values.tolist() == [1.5]
 
     def test_scientific_notation(self):
-        records = parse_long_records("loc,act,val\nFRA,wine,1e3")
-        assert records[0].value == 1000.0
+        assert parse_long_records("loc,act,val\nFRA,wine,1e3").values.tolist() == [1000.0]
+
+    def test_iterable_of_lines_goes_to_the_record_parser(self):
+        parsed = parse_long_records(iter(["loc,act,val\n", " FRA ,wine,1_000\n"]))
+        assert parsed == table(("FRA", "wine", 1000.0))
 
 
 def test_open_text_gzip_roundtrip(tmp_path):
@@ -91,8 +102,8 @@ def test_open_text_gzip_roundtrip(tmp_path):
     with gzip.open(path, "wt", encoding="utf-8") as fh:
         fh.write("loc,act,val\nFRA,wine,100\n")
     with open_text(path) as fh:
-        records = parse_long_records(fh)
-    assert records == [LongRecord("FRA", "wine", 100.0)]
+        parsed = parse_long_records(fh)
+    assert parsed == table(("FRA", "wine", 100.0))
 
 
 def test_open_text_plain(tmp_path):
@@ -102,12 +113,177 @@ def test_open_text_plain(tmp_path):
         assert len(parse_long_records(fh)) == 1
 
 
-record_lists = st.lists(
-    st.builds(
-        LongRecord,
-        location=st.sampled_from(["A", "B", "C", "D"]),
-        activity=st.sampled_from(["x", "y", "z"]),
-        value=st.integers(min_value=0, max_value=1000).map(float),
+def test_long_table_equality_compares_value_bits():
+    assert table(("A", "x", 0.0)) == table(("A", "x", 0.0))
+    assert table(("A", "x", 0.0)) != table(("A", "x", -0.0))
+    assert table(("A", "x", 1.0)) != table(("A", "y", 1.0))
+    assert table(("A", "x", 1.0)) != (("A", "x", 1.0),)
+
+
+def outcome(parse):
+    """What ``parse()`` returns, or the class and line number of what it raises."""
+    try:
+        return parse()
+    except Exception as err:  # the record parser's errors include csv.Error
+        return type(err), getattr(err, "line_number", None)
+
+
+def assert_paths_agree(text: str, delimiter: str = ",") -> LongTable | None:
+    """``parse_long_records`` gives what the record parser gives (a table, or
+    the same error class at the same line), and the fast path, when it takes
+    the text, gives the record parser's table. Returns the fast path's table."""
+    expected = outcome(lambda: _parse_records(io.StringIO(text), delimiter))
+    assert outcome(lambda: parse_long_records(text, delimiter)) == expected
+    fast = _parse_columns(text, delimiter)
+    if fast is not None:
+        assert isinstance(expected, LongTable)
+        assert fast == expected
+    return fast
+
+
+def gzip_stream(text: str, newline: str) -> io.TextIOWrapper:
+    """``text`` with ``newline`` line ends, gzipped and opened as ``open_text``
+    opens a ``.gz`` file."""
+    data = gzip.compress(text.replace("\n", newline).encode("utf-8"))
+    return io.TextIOWrapper(gzip.GzipFile(fileobj=io.BytesIO(data)), encoding="utf-8")
+
+
+H = "location,activity,value\n"
+
+
+class TestFastPath:
+    """numpy's C reader against the record parser."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            H + "A,x,1\n",
+            H + "A,x,1",
+            H + "A,x,1\nA,x,2\nB,y,3.5\nA,x,1e3\n",
+            H + " A ,x,1\nA,x,2\nA  , y ,3\n",
+            H + "b#1,x#,1\n#c,x,2\n",
+            H + "A,x,1\n\n\nB,y,2\n\n",
+            H + "A,x,-0\nB,y,0\n",
+            H + "A,x,+1\nB,y,.5\nC,z,5.\nD,w, 7 \n",
+            H + "A,x,1e-400\n",
+        ],
+        ids=["one-row", "no-final-newline", "duplicates", "padded", "hash", "blank-lines",
+             "minus-zero", "number-forms", "underflow"],
+    )
+    def test_takes_plain_tables(self, text):
+        assert assert_paths_agree(text) is not None
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            H + '"A,1",x,1\n',
+            H + '"A",x,1\n',
+            H + "A,x,1\r\nB,y,2\r\n",
+            H + "A,x,1_000\n",
+            H + "A,x,\uff11\uff12\n",
+            H + "A,x,nan\n",
+            H + "A,x,-inf\n",
+            H + "A,x,1e400\n",
+            H + "A,x,-3\n",
+            H + "A,x,\n",
+            H + "A,x,abc\n",
+            H + "A,x,1\n   \nB,y,2\n",
+            H + "A,x,1\n\t\n",
+            H + "A,x\n",
+            H + "A,x,1,\n",
+            H + ",x,1\n",
+            H + "A, ,1\n",
+            H + "A\0,x,1\n",
+            "location,activity\nA,x\n",
+            "location,activity,value,extra\nA,x,1,2\n",
+            "\nA,x,1\n",
+            "",
+            H,
+            H + "\n\n",
+        ],
+        ids=["quoted-delimiter", "quoted", "crlf", "underscore", "full-width", "nan", "minus-inf",
+             "overflow", "negative", "empty-value", "word", "spaces-line", "tab-line", "short-row",
+             "long-row", "empty-location", "blank-activity", "nul", "two-field-header",
+             "four-field-header", "blank-header", "empty-text", "header-only",
+             "header-blank-lines"],
+    )
+    def test_leaves_odd_tables_to_the_record_parser(self, text):
+        assert assert_paths_agree(text) is None
+
+    @pytest.mark.parametrize("delimiter", [";", "\t", " ", "#", "."])
+    def test_other_delimiters(self, delimiter):
+        text = H.replace(",", delimiter) + "A{d}x{d}1\nB{d}y{d}2\n".format(d=delimiter)
+        assert assert_paths_agree(text, delimiter) is not None
+
+    def test_a_row_the_reader_skips_goes_to_the_record_parser(self, monkeypatch):
+        # a numpy whose reader skips whitespace-only lines must not hide the
+        # record parser's MalformedLine: the row counts differ
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda fh, **kw: loadtxt([ln for ln in fh if ln.strip()], **kw))
+        text = H + "A,x,1\n   \nB,y,2\n"
+        assert _parse_columns(text, ",") is None
+        with pytest.raises(MalformedLine) as err:
+            parse_long_records(text)
+        assert err.value.line_number == 3
+
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_crlf_file_takes_the_fast_path(self, tmp_path, compressed):
+        text = H + " A ,x,1\nB,y,2.5\n\nA,x,3\n"
+        path = tmp_path / ("t.csv.gz" if compressed else "t.csv")
+        data = text.replace("\n", "\r\n").encode("utf-8")
+        path.write_bytes(gzip.compress(data) if compressed else data)
+        with open_text(path) as fh:
+            assert _parse_columns(fh.read(), ",") is not None
+        with open_text(path) as fh:
+            assert parse_long_records(fh) == table(("A", "x", 1.0), ("B", "y", 2.5), ("A", "x", 3.0))
+
+
+CLEAN_LINES = st.one_of(
+    st.tuples(
+        st.sampled_from(["A", "B", "b#1", " A", "A ", "  B  ", "\u00e9", "\uff21"]),
+        st.sampled_from(["x", "y", " x", "#"]),
+        st.sampled_from(["0", "1", "2.5", "1e3", " 7 ", "-0", "+4", ".5", "1e-400"]),
+    ).map(list),
+    st.just([]),
+)
+ODD_LINES = st.one_of(
+    st.tuples(
+        st.sampled_from(["A", "", "   ", '"A"', '"A,B"', '"say ""hi"""', "A\0"]),
+        st.sampled_from(["x", ""]),
+        st.sampled_from(["1", "1_000", "\uff11", "nan", "-inf", "1e400", "-3", "", "abc", '"5"']),
+    ).map(list),
+    st.sampled_from([[" "], ["\t"], ["A", "x"], ["A", "x", "1", "2"]]),
+)
+
+
+@st.composite
+def long_texts(draw):
+    """A header and data rows, mostly plain; up to two odd lines (the first
+    line is the header) go anywhere."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", " "]))
+    rows = [["location", "activity", "value"], *draw(st.lists(CLEAN_LINES, max_size=12))]
+    for odd in draw(st.lists(ODD_LINES, max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), odd)
+    text = "\n".join(delimiter.join(row) for row in rows) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    return text, delimiter
+
+
+@given(long_texts(), st.sampled_from(["\n", "\r\n"]))
+@settings(deadline=None, max_examples=300)
+def test_fast_path_matches_the_record_parser(case, newline):
+    text, delimiter = case
+    assert_paths_agree(text.replace("\n", newline), delimiter)
+    # a file, gzipped, with either line end: open_text hands both paths "\n"
+    expected = outcome(lambda: _parse_records(io.StringIO(text), delimiter))
+    with gzip_stream(text, newline) as fh:
+        assert outcome(lambda: parse_long_records(fh, delimiter)) == expected
+
+
+rows_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["A", "B", "C", "D"]),
+        st.sampled_from(["x", "y", "z"]),
+        st.integers(min_value=0, max_value=1000).map(float),
     ),
     min_size=1,
     max_size=30,
@@ -116,17 +292,17 @@ record_lists = st.lists(
 
 class TestPivot:
     def test_duplicate_pairs_summed(self):
-        m = pivot_to_matrix([LongRecord("A", "x", 100.0), LongRecord("A", "x", 50.0)])
+        m = pivot_to_matrix(table(("A", "x", 100.0), ("A", "x", 50.0)))
         assert m.values.tolist() == [[150.0]]
 
     def test_two_by_two(self):
-        m = pivot_to_matrix([LongRecord("A", "x", 10.0), LongRecord("B", "y", 20.0)])
+        m = pivot_to_matrix(table(("A", "x", 10.0), ("B", "y", 20.0)))
         assert m.values.tolist() == [[10.0, 0.0], [0.0, 20.0]]
         assert m.location_labels == ("A", "B")
         assert m.activity_labels == ("x", "y")
 
     def test_single_record_margins(self):
-        m = pivot_to_matrix([LongRecord("A", "x", 5.0)])
+        m = pivot_to_matrix(table(("A", "x", 5.0)))
         assert m.values.tolist() == [[5.0]]
         assert m.row_totals.tolist() == [5.0]
         assert m.col_totals.tolist() == [5.0]
@@ -134,54 +310,57 @@ class TestPivot:
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
-            pivot_to_matrix([])
+            pivot_to_matrix(table())
 
     def test_first_appearance_order(self):
-        m = pivot_to_matrix(
-            [LongRecord("B", "y", 1.0), LongRecord("A", "x", 2.0), LongRecord("B", "x", 3.0)]
-        )
+        m = pivot_to_matrix(table(("B", "y", 1.0), ("A", "x", 2.0), ("B", "x", 3.0)))
         assert m.location_labels == ("B", "A")
         assert m.activity_labels == ("y", "x")
 
+    def test_padded_labels_merge_in_first_appearance_order(self):
+        m = pivot_to_matrix(parse_long_records(H + "B,y,1\n A,x,2\nA ,y,3\n B ,x,4\n"))
+        assert m.location_labels == ("B", "A")
+        assert m.values.tolist() == [[1.0, 4.0], [3.0, 2.0]]
+
     def test_duplicates_summed_in_record_order(self):
-        records = [LongRecord("A", "x", 1e16), LongRecord("A", "x", 1.0), LongRecord("A", "x", 1.0)]
-        forward = pivot_to_matrix(records).values
-        expected, _, _ = pivot_by_dict(records)
+        rows = [("A", "x", 1e16), ("A", "x", 1.0), ("A", "x", 1.0)]
+        forward = pivot_to_matrix(table(*rows)).values
+        expected, _, _ = pivot_by_dict(table(*rows))
         assert forward.tobytes() == expected.tobytes()
         assert forward.tolist() == [[1e16]]
-        assert pivot_to_matrix(records[::-1]).values.tolist() == [[1e16 + 2.0]]
+        assert pivot_to_matrix(table(*rows[::-1])).values.tolist() == [[1e16 + 2.0]]
 
-    @given(record_lists)
+    @given(rows_strategy)
     @settings(deadline=None)
-    def test_matches_dict_oracle(self, records):
-        m = pivot_to_matrix(records)
-        expected, locations, activities = pivot_by_dict(records)
+    def test_matches_dict_oracle(self, rows):
+        m = pivot_to_matrix(table(*rows))
+        expected, locations, activities = pivot_by_dict(table(*rows))
         assert m.location_labels == tuple(locations)
         assert m.activity_labels == tuple(activities)
         assert np.array_equal(m.values, expected)
 
-    @given(record_lists, st.randoms())
+    @given(rows_strategy, st.randoms())
     @settings(deadline=None)
-    def test_permutation_equivariance(self, records, rnd):
-        shuffled = list(records)
+    def test_permutation_equivariance(self, rows, rnd):
+        shuffled = list(rows)
         rnd.shuffle(shuffled)
-        a = pivot_to_matrix(records)
-        b = pivot_to_matrix(shuffled)
+        a = pivot_to_matrix(table(*rows))
+        b = pivot_to_matrix(table(*shuffled))
         loc_perm = [b.location_labels.index(lab) for lab in a.location_labels]
         act_perm = [b.activity_labels.index(lab) for lab in a.activity_labels]
         assert np.array_equal(a.values, b.values[np.ix_(loc_perm, act_perm)])
 
-    @given(record_lists)
+    @given(rows_strategy)
     @settings(deadline=None)
-    def test_grand_total_is_exact_sum(self, records):
+    def test_grand_total_is_exact_sum(self, rows):
         # integer-valued inputs make the float sums exact
-        m = pivot_to_matrix(records)
-        assert m.grand_total == sum(r.value for r in records)
+        m = pivot_to_matrix(table(*rows))
+        assert m.grand_total == sum(value for _, _, value in rows)
 
 
 class TestLeftTailFilter:
     def test_zero_thresholds_keep_everything(self):
-        m = pivot_to_matrix([LongRecord("A", "x", 10.0), LongRecord("B", "y", 20.0)])
+        m = pivot_to_matrix(table(("A", "x", 10.0), ("B", "y", 20.0)))
         filtered = left_tail_filter(m, 0.0, 0.0)
         assert np.array_equal(filtered.values, m.values)
         assert filtered.location_labels == m.location_labels
@@ -203,7 +382,7 @@ class TestLeftTailFilter:
         assert filtered.location_labels == ()
 
     def test_invalid_threshold(self):
-        m = pivot_to_matrix([LongRecord("A", "x", 1.0)])
+        m = pivot_to_matrix(table(("A", "x", 1.0)))
         with pytest.raises(ValueError):
             left_tail_filter(m, -1.0, 0.0)
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from ecindex import spectral
 from ecindex._io import write_rows
 from ecindex.errors import ComplexityError, EmptyInput, InsufficientOverlap, UndecodableInput, ZeroVariance
 from ecindex.incidence import read_incidence
-from ecindex.ingest import parse_long_records
+from ecindex.ingest import _parse_columns, parse_long_records
 from ecindex.pipeline import (
     EMIT_CHOICES,
     PipelineConfig,
@@ -181,11 +181,10 @@ class TestEmitFigureData:
             {"extensive_first": first},
         )
         with open(paths["figure_diversity_vs_extensive_first"]) as fh:
-            records = parse_long_records(fh)
-        by_label = {rec.location: rec for rec in records}
+            table = parse_long_records(fh)
+        by_label = dict(zip(table.locations, zip(table.activities, table.values)))
         for i, label in enumerate(m.location_labels):
-            assert by_label[label].activity == repr(float(m.diversity[i]))
-            assert by_label[label].value == first.raw[i]
+            assert by_label[label] == (repr(float(m.diversity[i])), first.raw[i])
 
     def test_label_mismatch_rejected(self, tmp_path, scored_matrix):
         m, first, _, _ = scored_matrix
@@ -289,6 +288,21 @@ class TestRunPipeline:
         assert labels == expected.labels
         assert np.array_equal(values, expected.standardized)
 
+    @staticmethod
+    def assert_same_run(first, second):
+        """Every output byte-identical; the manifests differ only in the timestamp."""
+        assert first.outputs.keys() == second.outputs.keys()
+        for name, path in first.outputs.items():
+            other = second.outputs[name]
+            if name == "manifest":
+                a = json.loads(path.read_text())
+                b = json.loads(other.read_text())
+                a.pop("timestamp")
+                b.pop("timestamp")
+                assert a == b
+            else:
+                assert path.read_bytes() == other.read_bytes(), name
+
     def test_reruns_byte_identical_except_timestamp(self, tmp_path):
         input_path = block_input(tmp_path / "input.csv")
         results = []
@@ -298,15 +312,26 @@ class TestRunPipeline:
                 min_location_total=5.0, min_activity_total=5.0,
             )
             results.append(run_pipeline(cfg))
-        for name, path in results[0].outputs.items():
-            other = results[1].outputs[name]
-            if name == "manifest":
-                a = json.loads(path.read_text())
-                b = json.loads(other.read_text())
-                assert a.pop("timestamp") != b.pop("timestamp") or True
-                assert a == b
-            else:
-                assert path.read_bytes() == other.read_bytes(), name
+        self.assert_same_run(*results)
+
+    def test_record_parser_and_fast_path_give_the_same_run(self, tmp_path):
+        # quoting every label sends the table to the record parser; the plain
+        # table takes numpy's reader. One input path, so the manifests match
+        input_path = block_input(tmp_path / "input.csv")
+        plain = input_path.read_text()
+        header, *rows = plain.splitlines()
+        quoted = header + "\n" + "".join('"{}","{}",{}\n'.format(*row.split(",")) for row in rows)
+        assert _parse_columns(plain, ",") is not None
+        assert _parse_columns(quoted, ",") is None
+        results = []
+        for name, text in (("plain", plain), ("quoted", quoted)):
+            input_path.write_text(text)
+            cfg = PipelineConfig(
+                input_path=input_path, out_dir=tmp_path / name,
+                min_location_total=5.0, min_activity_total=5.0,
+            )
+            results.append(run_pipeline(cfg))
+        self.assert_same_run(*results)
 
     def test_empty_input_tagged_with_ingest_stage(self, tmp_path):
         input_path = tmp_path / "empty.csv"
