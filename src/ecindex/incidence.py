@@ -8,6 +8,7 @@ all-zero so downstream averaging never divides by zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from ._io import read_matrix, write_matrix
 from .errors import DegenerateMargins, EmptyAfterPrune, ZeroMargin
 from .ingest import OutputMatrix, restrict
 
-#: allowed asymmetry of a similarity or proximity matrix
+#: allowed asymmetry of a proximity matrix
 SYMMETRY_TOL = 1e-12
 
 
@@ -37,7 +38,7 @@ class SpecializationMatrix:
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    """Binary location-activity matrix with cached integer margins.
+    """Binary location-activity matrix; its integer margins derive from ``values``.
 
     ``diversity[c]`` counts the activities of location ``c`` (row sum) and
     ``ubiquity[p]`` the locations of activity ``p`` (column sum). Margins may
@@ -47,8 +48,6 @@ class IncidenceMatrix:
     values: np.ndarray
     location_labels: tuple[str, ...]
     activity_labels: tuple[str, ...]
-    diversity: np.ndarray
-    ubiquity: np.ndarray
 
     def __post_init__(self):
         values = self.values
@@ -56,10 +55,6 @@ class IncidenceMatrix:
             raise ValueError("matrix shape does not match label counts")
         if values.size and not np.isin(values, (0, 1)).all():
             raise ValueError("incidence entries must be 0 or 1")
-        if not np.array_equal(self.diversity, values.sum(axis=1)):
-            raise ValueError("diversity disagrees with row sums")
-        if not np.array_equal(self.ubiquity, values.sum(axis=0)):
-            raise ValueError("ubiquity disagrees with column sums")
 
     @classmethod
     def from_values(cls, values, location_labels, activity_labels) -> "IncidenceMatrix":
@@ -67,13 +62,15 @@ class IncidenceMatrix:
         values = np.ascontiguousarray(source, dtype=np.int64)
         if values.size and not np.array_equal(values, source):
             raise ValueError("incidence entries must be 0 or 1")
-        return cls(
-            values=values,
-            location_labels=tuple(location_labels),
-            activity_labels=tuple(activity_labels),
-            diversity=values.sum(axis=1),
-            ubiquity=values.sum(axis=0),
-        )
+        return cls(values, tuple(location_labels), tuple(activity_labels))
+
+    @cached_property
+    def diversity(self) -> np.ndarray:
+        return self.values.sum(axis=1)
+
+    @cached_property
+    def ubiquity(self) -> np.ndarray:
+        return self.values.sum(axis=0)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -20,11 +20,15 @@ eigenvalues of the rank-deficient side are exact zeros. ECI is the
 standardized eigenvector of the second-largest eigenvalue (by value, not
 magnitude) of the intensive location-side matrix; PCI is the activity-side
 analog.
+
+A :class:`SimilarityMatrix` stores only M, its kind and its side; a solve takes
+each residual through the factor, ``D^{-1/2} A (A^T (D^{1/2} v))``, never an n x n matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Literal
@@ -38,7 +42,7 @@ from .errors import (
     Disconnected,
     ZeroVariance,
 )
-from .incidence import SYMMETRY_TOL, IncidenceMatrix, require_positive_margins
+from .incidence import IncidenceMatrix, require_positive_margins
 from .ingest import restrict
 
 #: residual bound for every reported eigenpair, scaled by max(1, |lambda|)
@@ -58,38 +62,60 @@ ScoreKind = Literal["ECI", "PCI", "extensive-first", "extensive-second"]
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Square location-location or activity-activity similarity.
+    """Square location-location or activity-activity similarity of ``m``.
+    ``factor`` (``A``) and ``weights`` (this side's diagonal of ``D``: the
+    margins, which must be positive, for the intensive kind and ones for the
+    extensive kind) are derived on first read."""
 
-    ``factor`` is the C x P matrix ``A = D_c^{-1/2} M D_p^{-1/2}`` whose thin
-    SVD the eigensolver takes, and ``weights`` is this side's diagonal of
-    ``D``: the averaging margins (diversity or ubiquity) for the intensive
-    kind, ones for the extensive kind, whose factor is ``M`` itself.
-    """
-
-    values: np.ndarray
-    labels: tuple[str, ...]
+    m: IncidenceMatrix
     kind: Kind
     side: Side
-    weights: np.ndarray
-    factor: np.ndarray
 
     def __post_init__(self):
-        n = len(self.labels)
-        if self.values.shape != (n, n):
-            raise ValueError("similarity matrix must be square over its labels")
-        if self.values.size and self.values.min() < 0:
-            raise ValueError("similarity entries must be nonnegative")
-        axis = 0 if self.side == "location" else 1
-        if self.weights.shape != (n,) or self.factor.ndim != 2 or self.factor.shape[axis] != n:
-            raise ValueError("factor must be C x P and weights one per label of this side")
-        if self.kind == "extensive":
-            if np.abs(self.values - self.values.T).max(initial=0.0) > SYMMETRY_TOL:
-                raise ValueError("extensive similarity must be symmetric")
-        elif self.kind == "intensive":
-            if np.abs(self.values.sum(axis=1) - 1.0).max(initial=0.0) > ROW_STOCHASTIC_TOL:
+        if self.side not in ("location", "activity"):
+            raise ValueError(f"unknown side {self.side!r}")
+        if self.kind == "intensive":
+            require_positive_margins(self.m)
+            row_sums = self.apply(np.ones((len(self.labels), 1)))
+            if np.abs(row_sums - 1.0).max(initial=0.0) > ROW_STOCHASTIC_TOL:
                 raise ValueError("intensive similarity rows must sum to 1")
-        else:
+        elif self.kind != "extensive":
             raise ValueError(f"unknown kind {self.kind!r}")
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return self.m.location_labels if self.side == "location" else self.m.activity_labels
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        if self.kind == "extensive":
+            return np.ones(len(self.labels))
+        return (self.m.diversity if self.side == "location" else self.m.ubiquity).astype(float)
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        values = np.asarray(self.m.values, dtype=float)
+        if self.kind == "extensive":
+            return values
+        return values / np.sqrt(self.m.diversity)[:, None] / np.sqrt(self.m.ubiquity)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense n x n matrix, formed on each read; no solve reads it."""
+        values = np.asarray(self.m.values, dtype=float)
+        if self.kind == "extensive":
+            return values @ values.T if self.side == "location" else values.T @ values
+        div, ubi = self.m.diversity.astype(float), self.m.ubiquity.astype(float)
+        if self.side == "location":
+            return (values / ubi) @ values.T / div[:, None]
+        return (values.T / div) @ values / ubi[:, None]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``values @ x`` for columns ``x``, through the factor in O(CP) a column:
+        ``D^{-1/2} A (A^T (D^{1/2} x))``, ``A`` and ``A^T`` swapped on the activity side."""
+        a = self.factor if self.side == "location" else self.factor.T
+        root = np.sqrt(self.weights)[:, None]
+        return a @ (a.T @ (root * x)) / root
 
 
 @dataclass(frozen=True)
@@ -195,33 +221,13 @@ def standardize(v: np.ndarray) -> np.ndarray:
 def similarity_extensive(m: IncidenceMatrix, side: Side = "location") -> SimilarityMatrix:
     """Shared-activity (or shared-location) counts: ``M @ M.T`` or ``M.T @ M``,
     with the factor ``M`` and unit weights."""
-    values = np.asarray(m.values, dtype=float)
-    if side == "location":
-        sim, labels = values @ values.T, m.location_labels
-    elif side == "activity":
-        sim, labels = values.T @ values, m.activity_labels
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    return SimilarityMatrix(sim, labels, "extensive", side, np.ones(len(labels)), values)
+    return SimilarityMatrix(m, "extensive", side)
 
 
 def similarity_intensive(m: IncidenceMatrix, side: Side = "location") -> SimilarityMatrix:
     """Row-stochastic averaged co-occurrence, with its C x P factor; requires
     strictly positive margins."""
-    require_positive_margins(m)
-    values = np.asarray(m.values, dtype=float)
-    div = m.diversity.astype(float)
-    ubi = m.ubiquity.astype(float)
-    if side == "location":
-        sim = (values / ubi) @ values.T / div[:, None]
-        labels, weights = m.location_labels, div
-    elif side == "activity":
-        sim = (values.T / div) @ values / ubi[:, None]
-        labels, weights = m.activity_labels, ubi
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    factor = values / np.sqrt(div)[:, None] / np.sqrt(ubi)
-    return SimilarityMatrix(sim, labels, kind="intensive", side=side, weights=weights, factor=factor)
+    return SimilarityMatrix(m, "intensive", side)
 
 
 def eigendecompose(s: SimilarityMatrix) -> EigenSolution:
@@ -231,10 +237,8 @@ def eigendecompose(s: SimilarityMatrix) -> EigenSolution:
     One thin SVD of the factor ``A = U S V^T``: the eigenvalues are ``S**2``
     and the eigenvectors ``U`` (location side) or ``V`` (activity side),
     mapped back by ``D^{-1/2}`` (D = the weights) and renormalized. Residuals
-    are checked against the original matrix.
+    are taken through the factor (:meth:`SimilarityMatrix.apply`).
     """
-    if not np.isfinite(s.values).all():
-        raise ValueError("similarity matrix must be finite")
     # LAPACK is faster on the tall orientation; A.T = V S U^T swaps the sides
     transposed = s.factor.shape[0] < s.factor.shape[1]
     left, singular, right_t = np.linalg.svd(s.factor.T if transposed else s.factor, full_matrices=False)
@@ -242,7 +246,7 @@ def eigendecompose(s: SimilarityMatrix) -> EigenSolution:
     on_left = (s.side == "location") != transposed
     vectors = (left if on_left else right_t.T) / np.sqrt(s.weights)[:, None]
     vectors = vectors / np.linalg.norm(vectors, axis=0)
-    residuals = np.abs(s.values @ vectors - vectors * eigenvalues).max(axis=0)
+    residuals = np.abs(s.apply(vectors) - vectors * eigenvalues).max(axis=0)
     bound = EIGEN_RESIDUAL_TOL * np.maximum(1.0, np.abs(eigenvalues))
     if np.any(residuals > bound):
         worst = float(residuals.max())
@@ -259,10 +263,8 @@ def eci(m: IncidenceMatrix) -> ComplexityScores:
     """
     require_positive_margins(m)
     _require_connected(m)
-    solution = eigendecompose(similarity_intensive(m, side="location"))
-    return _second_eigenvector_scores(
-        solution, m.location_labels, "ECI", "diversity", m.diversity.astype(float)
-    )
+    s = similarity_intensive(m, side="location")
+    return _second_eigenvector_scores(eigendecompose(s), s.labels, "ECI", "diversity", s.weights)
 
 
 def pci(m: IncidenceMatrix) -> ComplexityScores:
@@ -275,9 +277,7 @@ def pci(m: IncidenceMatrix) -> ComplexityScores:
     location_scores = eci(m)
     solution = eigendecompose(similarity_intensive(m, side="activity"))
     projected = (m.values.T @ location_scores.standardized) / m.ubiquity
-    return _second_eigenvector_scores(
-        solution, m.activity_labels, "PCI", "projected ECI", projected
-    )
+    return _second_eigenvector_scores(solution, m.activity_labels, "PCI", "projected ECI", projected)
 
 
 def extensive_scores(
@@ -289,11 +289,9 @@ def extensive_scores(
     Perron-Frobenius); the second is the first size-orthogonal direction.
     Signs are fixed against diversity (ubiquity on the activity side).
     """
-    solution = eigendecompose(similarity_extensive(m, side))
-    if side == "location":
-        labels, reference = m.location_labels, m.diversity.astype(float)
-    else:
-        labels, reference = m.activity_labels, m.ubiquity.astype(float)
+    s = similarity_extensive(m, side)
+    solution = eigendecompose(s)
+    labels, reference = s.labels, (m.diversity if side == "location" else m.ubiquity).astype(float)
     eigenvalues = solution.eigenvalues
     if eigenvalues.size < 2:
         raise DegenerateSpectrum("one location or one activity: the extensive eigenvectors are not identified")

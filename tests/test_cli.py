@@ -1,3 +1,4 @@
+import csv
 import gzip
 import json
 import os
@@ -415,6 +416,18 @@ def test_damaged_gzip_is_one_ingest_error_line(tmp_path, command, damage):
     assert not list(tmp_path.rglob(".out.*"))  # no staging directory left
 
 
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+def test_oversized_label_is_one_ingest_error_line(tmp_path, quote):
+    table = tmp_path / "input.csv"
+    limit = csv.field_size_limit()
+    table.write_text(f"location,activity,value\nL0,A0,1\n{quote}{'L' * (limit + 1)}{quote},A0,2\n")
+    result = invoke("ingest", "--input", table, "--out-dir", tmp_path / "out")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no uncaught traceback
+    assert result.stderr == f"error [ingest] line 3: field larger than field limit ({limit})\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "eci"])
 def test_failed_run_removes_the_out_dir_it_created(tmp_path, command):
     negative = tmp_path / "neg.csv"
@@ -563,9 +576,11 @@ SCORES_A = "label,raw,standardized,rank\nL0,1,-1.2,3\nL1,2,0.0,2\nL2,4,1.2,1\n"
         (SCORES_A.replace("L0,1,-1.2,3", "L0,1"), [], "b.csv: line 2 has 2 columns"),
         (SCORES_A.replace("0.0", "nan"), [], "b.csv: line 3: score 'nan' is not finite"),
         (SCORES_A.replace("-1.2", "-inf"), [], "b.csv: line 2: score '-inf' is not finite"),
+        (SCORES_A.replace("L1", f'"{"L" * (csv.field_size_limit() + 1)}"'), [],
+         "b.csv: line 3: field larger than field limit"),
     ],
     ids=["missing-column", "non-numeric-cell", "too-few-shared-labels", "empty-file", "short-row",
-         "nan-cell", "infinite-cell"],
+         "nan-cell", "infinite-cell", "oversized-label"],
 )
 def test_compare_failures_are_compare_errors(tmp_path, scores_b, args, message):
     file_a, file_b = tmp_path / "a.csv", tmp_path / "b.csv"

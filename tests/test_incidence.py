@@ -170,10 +170,6 @@ class TestMargins:
         m = labeled_incidence(np.array([[1, 0, 1], [1, 1, 0]]))
         assert m.diversity.tolist() == [2, 2]
         assert m.ubiquity.tolist() == [2, 1, 1]
-        with pytest.raises(ValueError, match="diversity"):
-            IncidenceMatrix(m.values, m.location_labels, m.activity_labels, np.array([2, 1]), m.ubiquity)
-        with pytest.raises(ValueError, match="ubiquity"):
-            IncidenceMatrix(m.values, m.location_labels, m.activity_labels, m.diversity, np.array([2, 1, 0]))
 
 
 def test_permutation_equivariance_of_rca_and_binarize():

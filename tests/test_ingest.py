@@ -1,3 +1,4 @@
+import csv
 import gzip
 import io
 
@@ -91,6 +92,15 @@ class TestParseLongRecords:
 
     def test_scientific_notation(self):
         assert parse_long_records("loc,act,val\nFRA,wine,1e3").values.tolist() == [1000.0]
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    def test_label_longer_than_csv_reads_is_a_malformed_line(self, quote):
+        label = "L" * (csv.field_size_limit() + 1)
+        text = f"loc,act,val\nFRA,wine,1\n{quote}{label}{quote},wine,2\n"
+        assert _parse_columns(text, ",") is None
+        with pytest.raises(MalformedLine, match="field larger than field limit") as err:
+            parse_long_records(text)
+        assert err.value.line_number == 3
 
     def test_iterable_of_lines_goes_to_the_record_parser(self):
         parsed = parse_long_records(iter(["loc,act,val\n", " FRA ,wine,1_000\n"]))
@@ -421,19 +431,6 @@ def test_drop_empty_margins():
     assert cleaned.location_labels == ("A",)
     assert cleaned.activity_labels == ("x", "z")
     assert cleaned.values.tolist() == [[1.0, 2.0]]
-
-
-def test_output_matrix_rejects_stale_margins():
-    values = np.array([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        OutputMatrix(
-            values=values,
-            location_labels=("A",),
-            activity_labels=("x", "y"),
-            row_totals=np.array([99.0]),
-            col_totals=values.sum(axis=0),
-            grand_total=3.0,
-        )
 
 
 def test_output_matrix_rejects_negative_and_nonfinite():

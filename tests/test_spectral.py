@@ -146,6 +146,27 @@ class TestEigendecompose:
                 bound = 1e-8 * np.maximum(1.0, np.abs(solution.eigenvalues))
                 assert (solution.residuals <= bound).all()
 
+    @pytest.mark.parametrize("build", [similarity_intensive, similarity_extensive])
+    @pytest.mark.parametrize("side", ["location", "activity"])
+    def test_residuals_through_the_factor_match_the_dense_matrix(self, build, side, bernoulli_ensemble_100):
+        for m in (WORKED, WIDE, TALL, *bernoulli_ensemble_100):
+            s = build(m, side)
+            solution = eigendecompose(s)
+            vectors, eigenvalues = solution.eigenvectors, solution.eigenvalues
+            dense = np.abs(s.values @ vectors - vectors * eigenvalues).max(axis=0)
+            assert (np.abs(solution.residuals - dense) <= 1e-14 * np.maximum(1.0, np.abs(eigenvalues))).all()
+
+    def test_scores_never_form_the_dense_matrix(self, bernoulli_ensemble_100, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a solve formed the n x n similarity matrix")
+
+        monkeypatch.setattr(SimilarityMatrix, "values", property(refuse))
+        for m in bernoulli_ensemble_100:
+            eci(m)
+            pci(m)
+            extensive_scores(m, "location")
+            extensive_scores(m, "activity")
+
     def test_matches_power_iteration_oracle(self):
         rng = np.random.default_rng(13)
         m = random_connected_incidence(rng, 15, 25, 0.3, 0.5)
@@ -524,49 +545,20 @@ class TestPermutationInvariance:
 
 
 class TestDataContracts:
-    def test_similarity_rejects_asymmetric_extensive(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            SimilarityMatrix(
-                np.array([[1.0, 2.0], [0.0, 1.0]]), ("a", "b"), "extensive", "location", np.ones(2), np.eye(2)
-            )
-
-    def test_similarity_rejects_non_stochastic_intensive(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            SimilarityMatrix(
-                np.array([[0.9, 0.3], [0.5, 0.5]]),
-                ("a", "b"),
-                "intensive",
-                "location",
-                weights=np.array([2.0, 1.0]),
-                factor=np.eye(2),
-            )
-
     def test_intensive_requires_weights(self):
-        with pytest.raises(TypeError):
-            SimilarityMatrix(
-                np.array([[0.5, 0.5], [0.5, 0.5]]), ("a", "b"), "intensive", "location"
-            )
+        """The intensive weights are the margins, so they must be positive."""
+        m = labeled_incidence(np.array([[1, 0], [0, 0]]))
+        for side in ("location", "activity"):
+            with pytest.raises(DegenerateMargins):
+                SimilarityMatrix(m, "intensive", side)
 
     def test_intensive_requires_factor(self):
+        """The factor is derived from the incidence matrix, never passed in."""
         with pytest.raises(TypeError):
-            SimilarityMatrix(
-                np.array([[0.5, 0.5], [0.5, 0.5]]),
-                ("a", "b"),
-                "intensive",
-                "location",
-                weights=np.array([2.0, 2.0]),
-            )
-
-    @pytest.mark.parametrize("build", [similarity_extensive, similarity_intensive])
-    def test_weights_must_be_one_per_label(self, build):
-        s = build(WIDE, "location")
-        with pytest.raises(ValueError, match="one per label"):
-            SimilarityMatrix(s.values, s.labels, s.kind, s.side, s.weights[:-1], s.factor)
-
-    def test_intensive_factor_must_match_the_side(self):
-        s = similarity_intensive(WIDE, "location")
-        with pytest.raises(ValueError):
-            SimilarityMatrix(s.values, s.labels, "intensive", "location", s.weights, s.factor.T)
+            SimilarityMatrix(WORKED, "intensive", "location", factor=np.eye(2))
+        s = SimilarityMatrix(WORKED, "intensive", "location")
+        root_half = math.sqrt(0.5)  # D_c^{-1/2} M D_p^{-1/2}, diversity (2, 1), ubiquity (1, 2)
+        assert np.allclose(s.factor, [[root_half, 0.5], [0.0, root_half]], rtol=0, atol=1e-15)
 
     def test_eigensolution_rejects_bad_residuals(self):
         with pytest.raises(ValueError):
