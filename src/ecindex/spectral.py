@@ -12,11 +12,12 @@ Two similarity kinds are built from a binary incidence matrix M:
 Both kinds are diagonally similar to ``A @ A.T`` (location side) or
 ``A.T @ A`` (activity side) for a C x P factor ``A = D_c^{-1/2} M D_p^{-1/2}``:
 the margins give ``D`` for the intensive kind (correspondence analysis), and
-``D = I``, so ``A = M``, for the extensive kind. So one thin SVD
-``A = U S V^T`` gives every spectrum, real and nonnegative: the eigenvalues
-are ``S**2`` and the eigenvectors are ``U`` (or ``V``) mapped back by
-``D^{-1/2}``. Only the leading ``min(C, P)`` pairs come out; the other
-eigenvalues of the rank-deficient side are exact zeros. ECI is the
+``D = I``, so ``A = M``, for the extensive kind. So every spectrum is real and
+nonnegative, and one ``eigh`` of the short side's n x n Gram matrix, n = min(C, P),
+gives it: the short side's vectors are its eigenvectors ``q``, the long side's
+are ``A^T q / sigma`` (or ``A q / sigma``), both mapped back by ``D^{-1/2}``; a
+thin SVD of ``A`` takes over when the residual gate fails. Only n pairs come
+out; the other eigenvalues of the long side are exact zeros. ECI is the
 standardized eigenvector of the second-largest eigenvalue (by value, not
 magnitude) of the intensive location-side matrix; PCI is the activity-side
 analog.
@@ -234,24 +235,41 @@ def eigendecompose(s: SimilarityMatrix) -> EigenSolution:
     """The leading ``min(C, P)`` eigenpairs, eigenvalues descending; the other
     eigenvalues are exact zeros.
 
-    One thin SVD of the factor ``A = U S V^T``: the eigenvalues are ``S**2``
-    and the eigenvectors ``U`` (location side) or ``V`` (activity side),
-    mapped back by ``D^{-1/2}`` (D = the weights) and renormalized. Residuals
-    are taken through the factor (:meth:`SimilarityMatrix.apply`).
+    One ``eigh`` of the short side's n x n Gram matrix ``a @ a.T``, n = min(C, P)
+    (``a`` is the factor ``A`` or ``A.T``): its eigenvalues are the spectrum, its
+    vectors ``q`` the short side's and ``a.T @ q / sqrt(lambda)`` the long side's.
+    Both are mapped back by ``D^{-1/2}`` (D = the weights) and renormalized, and
+    residuals are taken through the factor (:meth:`SimilarityMatrix.apply`). The
+    Gram matrix squares the condition number, so when a residual misses the
+    contract or is not finite (the long side of a zero or near-zero lambda), the
+    pairs come from a thin SVD of ``A`` instead.
     """
+    for solve in (_gram_pairs, _svd_pairs):
+        with np.errstate(all="ignore"):  # the long side of a zero lambda divides by zero
+            eigenvalues, vectors = solve(s)
+            vectors = vectors / np.sqrt(s.weights)[:, None]
+            vectors = vectors / np.linalg.norm(vectors, axis=0)
+            residuals = np.abs(s.apply(vectors) - vectors * eigenvalues).max(axis=0)
+        if np.all(residuals <= EIGEN_RESIDUAL_TOL * np.maximum(1.0, np.abs(eigenvalues))):  # NaN fails
+            return EigenSolution(eigenvalues, vectors, residuals)
+    raise ConvergenceFailure(f"eigen residual {float(residuals.max()):.3e} exceeds contract")
+
+
+def _gram_pairs(s: SimilarityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    short_is_location = s.factor.shape[0] <= s.factor.shape[1]
+    a = s.factor if short_is_location else s.factor.T
+    w, q = np.linalg.eigh(a @ a.T)
+    eigenvalues, q = np.where(w > 0.0, w, 0.0)[::-1], q[:, ::-1]  # rounding negatives to 0
+    on_short = (s.side == "location") == short_is_location
+    return eigenvalues, q if on_short else a.T @ q / np.sqrt(eigenvalues)
+
+
+def _svd_pairs(s: SimilarityMatrix) -> tuple[np.ndarray, np.ndarray]:
     # LAPACK is faster on the tall orientation; A.T = V S U^T swaps the sides
     transposed = s.factor.shape[0] < s.factor.shape[1]
     left, singular, right_t = np.linalg.svd(s.factor.T if transposed else s.factor, full_matrices=False)
-    eigenvalues = singular**2
     on_left = (s.side == "location") != transposed
-    vectors = (left if on_left else right_t.T) / np.sqrt(s.weights)[:, None]
-    vectors = vectors / np.linalg.norm(vectors, axis=0)
-    residuals = np.abs(s.apply(vectors) - vectors * eigenvalues).max(axis=0)
-    bound = EIGEN_RESIDUAL_TOL * np.maximum(1.0, np.abs(eigenvalues))
-    if np.any(residuals > bound):
-        worst = float(residuals.max())
-        raise ConvergenceFailure(f"eigen residual {worst:.3e} exceeds contract")
-    return EigenSolution(eigenvalues, vectors, residuals)
+    return singular**2, left if on_left else right_t.T
 
 
 def eci(m: IncidenceMatrix) -> ComplexityScores:
