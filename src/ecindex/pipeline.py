@@ -8,19 +8,15 @@ with the stage and reason that removed it. :func:`prepare` runs the steps up
 to the final incidence matrix and writes nothing. :func:`run_pipeline` writes
 through :func:`ecindex._io.staged_dir`: a failed run leaves the output
 directory as it was, and a failed rerun keeps the previous results, while a
-successful one removes the previous results it did not rewrite. The
-manifest's ``timings`` hold each stage's wall time and peak-RSS rise. Reruns
+successful one removes the previous results it did not rewrite. Reruns
 with identical config and input on the same machine with the same BLAS thread
-count produce byte-identical outputs; only the manifest's timestamp and
-timings differ.
+count produce byte-identical outputs; only the manifest timestamp differs.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import resource
-import time
 import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, fields
@@ -132,7 +128,7 @@ class RunResult:
 @dataclass(frozen=True)
 class Prepared:
     """Every intermediate from the raw matrix to the final incidence matrix,
-    plus the drop records and the timings of the steps between them."""
+    plus the drop records of the steps between them."""
 
     raw: OutputMatrix
     nonzero: OutputMatrix
@@ -140,7 +136,6 @@ class Prepared:
     pruned: IncidenceMatrix
     final: IncidenceMatrix
     dropped: list[dict]
-    timings: dict[str, dict[str, float]]
 
 
 def compare_vectors(a, b, name_a: str = "a", name_b: str = "b") -> ComparisonReport:
@@ -270,9 +265,8 @@ def prepare(cfg: PipelineConfig) -> Prepared:
     """Ingest -> left-tail cut -> empty-margin drop -> RCA -> binarize -> prune
     -> largest component, each step stage-tagged. Writes nothing."""
     dropped: list[dict] = []
-    timings: dict[str, dict[str, float]] = {}
 
-    with _stage("ingest", timings, (ComplexityError, OSError)):
+    with _stage("ingest", (ComplexityError, OSError)):
         try:
             with open_text(cfg.input_path) as fh:
                 table = parse_long_records(fh, cfg.delimiter)
@@ -284,34 +278,34 @@ def prepare(cfg: PipelineConfig) -> Prepared:
             raise UndecodableInput(f"{cfg.input_path}: damaged gzip data: {err}") from None
         raw = pivot_to_matrix(table)
 
-    with _stage("left_tail_filter", timings):
+    with _stage("left_tail_filter"):
         filtered = left_tail_filter(raw, cfg.min_location_total, cfg.min_activity_total)
         _record_drops(dropped, raw, filtered, "left_tail_filter", "total output below size threshold")
         if filtered.is_empty:
             raise EmptyInput("left-tail filter removed every location and activity")
 
-    with _stage("empty_margins", timings):
+    with _stage("empty_margins"):
         nonzero = drop_empty_margins(filtered)
         _record_drops(dropped, filtered, nonzero, "empty_margins", "zero total output")
 
-    with _stage("rca", timings):
+    with _stage("rca"):
         specialization = compute_rca(nonzero)
 
-    with _stage("binarize", timings):
+    with _stage("binarize"):
         unpruned = binarize(specialization, cfg.rca_threshold)
 
-    with _stage("prune_degenerate", timings):
+    with _stage("prune_degenerate"):
         pruned, _ = prune_degenerate(unpruned)
         _record_drops(
             dropped, unpruned, pruned, "prune_degenerate",
             "no specialization at or above threshold", "no location specialized",
         )
 
-    with _stage("largest_component", timings):
+    with _stage("largest_component"):
         final, _ = largest_component(pruned)
         _record_drops(dropped, pruned, final, "largest_component", "outside largest connected component")
 
-    return Prepared(raw, nonzero, specialization, pruned, final, dropped, timings)
+    return Prepared(raw, nonzero, specialization, pruned, final, dropped)
 
 
 def write_incidence_files(out_dir: Path, m: IncidenceMatrix, delimiter: str = ",") -> dict[str, Path]:
@@ -338,22 +332,22 @@ def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
         writer(path, *args, cfg.delimiter)
 
     stages = prepare(cfg)
-    final, timings = stages.final, stages.timings
+    final = stages.final
     want = set(cfg.emit)
     scores: dict[str, ComplexityScores] = {}
 
-    with _stage("emit", timings):
+    with _stage("emit"):
         outputs.update(write_incidence_files(out_dir, final, cfg.delimiter))
 
-    with _stage("eci", timings):
+    with _stage("eci"):
         if want & {"eci", "compare"}:
             scores["eci"] = eci(final)
 
-    with _stage("pci", timings):
+    with _stage("pci"):
         if "pci" in want:
             scores["pci"] = pci(final)
 
-    with _stage("extensive", timings):
+    with _stage("extensive"):
         if want & {"extensive", "compare"}:
             scores["extensive_first"], scores["extensive_second"], solution = extensive_scores(final)
 
@@ -363,7 +357,7 @@ def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
     if "extensive" in want:
         emit("extensive_eigenvalues", write_eigensolution, solution)
 
-    with _stage("relatedness", timings):
+    with _stage("relatedness"):
         if want & {"proximity", "density"}:
             phi = proximity(final)
         if "proximity" in want:
@@ -372,13 +366,13 @@ def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
         if "density" in want:
             emit("density", write_density, relatedness_density(final, phi))
 
-    with _stage("reflections", timings):
+    with _stage("reflections"):
         if "reflections" in want:
             traj = method_of_reflections(final, cfg.reflections_iterations)
             emit("reflections_locations", _write_trajectory, traj.location_labels, traj.kc, traj.kc_zscored)
             emit("reflections_activities", _write_trajectory, traj.activity_labels, traj.kp, traj.kp_zscored)
 
-    with _stage("compare", timings):
+    with _stage("compare"):
         if "compare" in want:
             diversity = (final.location_labels, final.diversity.astype(float))
             panels = {name: scores[name] for name in ("extensive_first", "extensive_second", "eci")}
@@ -391,7 +385,6 @@ def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
     manifest = {
         "input": str(cfg.input_path),
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "timings": timings,
         "config": {
             **{f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("input_path", "out_dir")},
             "emit": list(cfg.emit),
@@ -426,18 +419,14 @@ def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
 
 
 @contextmanager
-def _stage(name: str, timings: dict[str, dict[str, float]], tagged=ComplexityError):
-    """Tags a ``tagged`` error raised in the block with stage ``name``; when the
-    block succeeds, records its wall time and peak-RSS rise in ``timings[name]``."""
-    start, peak_kb = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+def _stage(name: str, tagged=ComplexityError):
+    """Tags a ``tagged`` error raised in the block with stage ``name``."""
     try:
         yield
     except tagged as err:
         if getattr(err, "stage", None) is None:
             err.stage = name
         raise
-    rise_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb  # KiB on Linux
-    timings[name] = {"wall_s": time.perf_counter() - start, "rss_rise_mb": rise_kb / 1024}
 
 
 def _listed_outputs(manifest_path: Path) -> set[str]:

@@ -15,9 +15,9 @@ the margins give ``D`` for the intensive kind (correspondence analysis), and
 ``D = I``, so ``A = M``, for the extensive kind. So every spectrum is real and
 nonnegative, and one ``eigh`` of the short side's n x n Gram matrix, n = min(C, P),
 gives it: the short side's vectors are its eigenvectors ``q``, the long side's
-are ``A^T q / sigma`` (or ``A q / sigma``), both mapped back by ``D^{-1/2}``; a
-thin SVD of ``A`` takes over when the residual gate fails. Only n pairs come
-out; the other eigenvalues of the long side are exact zeros. ECI is the
+are ``A^T q / sigma`` (or ``A q / sigma``), both mapped back by ``D^{-1/2}``.
+At most n pairs come out: the long side's other eigenvalues are exact zeros,
+and it omits those within the residual bound of zero too. ECI is the
 standardized eigenvector of the second-largest eigenvalue (by value, not
 magnitude) of the intensive location-side matrix; PCI is the activity-side
 analog.
@@ -123,8 +123,8 @@ class SimilarityMatrix:
 class EigenSolution:
     """Real eigenpairs, eigenvalues descending, unit-norm column eigenvectors.
 
-    Holds the leading ``min(C, P)`` pairs; the other eigenvalues of the side
-    are exact zeros, so there may be fewer columns than rows.
+    Holds at most the leading ``min(C, P)`` pairs; the other eigenvalues of the
+    side are zeros, so there may be fewer columns than rows.
     """
 
     eigenvalues: np.ndarray
@@ -232,44 +232,33 @@ def similarity_intensive(m: IncidenceMatrix, side: Side = "location") -> Similar
 
 
 def eigendecompose(s: SimilarityMatrix) -> EigenSolution:
-    """The leading ``min(C, P)`` eigenpairs, eigenvalues descending; the other
-    eigenvalues are exact zeros.
+    """The eigenpairs of the leading eigenvalues, descending; the omitted
+    eigenvalues are zeros within the residual contract.
 
-    One ``eigh`` of the short side's n x n Gram matrix ``a @ a.T``, n = min(C, P)
-    (``a`` is the factor ``A`` or ``A.T``): its eigenvalues are the spectrum, its
-    vectors ``q`` the short side's and ``a.T @ q / sqrt(lambda)`` the long side's.
-    Both are mapped back by ``D^{-1/2}`` (D = the weights) and renormalized, and
-    residuals are taken through the factor (:meth:`SimilarityMatrix.apply`). The
-    Gram matrix squares the condition number, so when a residual misses the
-    contract or is not finite (the long side of a zero or near-zero lambda), the
-    pairs come from a thin SVD of ``A`` instead.
+    One ``eigh`` of the short side's n x n Gram matrix, n = min(C, P): with
+    ``a`` the factor oriented one row per label of ``s`` (``A`` or ``A.T``),
+    ``a @ a.T`` when this side is the short one (on a tie too), else
+    ``a.T @ a``. Its eigenvalues are the spectrum and its vectors ``q`` the short
+    side's, so that side gets all n pairs. The long side's vectors are
+    ``a @ q / sqrt(lambda)`` for each lambda above ``EIGEN_RESIDUAL_TOL``: a
+    smaller lambda meets the contract as an exact zero, and its sigma, at
+    rounding level for a zero of the Gram matrix, would make the vector noise.
+    Vectors are mapped back by ``D^{-1/2}`` (D = the weights) and renormalized,
+    and residuals are taken through the factor (:meth:`SimilarityMatrix.apply`).
     """
-    for solve in (_gram_pairs, _svd_pairs):
-        with np.errstate(all="ignore"):  # the long side of a zero lambda divides by zero
-            eigenvalues, vectors = solve(s)
-            vectors = vectors / np.sqrt(s.weights)[:, None]
-            vectors = vectors / np.linalg.norm(vectors, axis=0)
-            residuals = np.abs(s.apply(vectors) - vectors * eigenvalues).max(axis=0)
-        if np.all(residuals <= EIGEN_RESIDUAL_TOL * np.maximum(1.0, np.abs(eigenvalues))):  # NaN fails
-            return EigenSolution(eigenvalues, vectors, residuals)
-    raise ConvergenceFailure(f"eigen residual {float(residuals.max()):.3e} exceeds contract")
-
-
-def _gram_pairs(s: SimilarityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    short_is_location = s.factor.shape[0] <= s.factor.shape[1]
-    a = s.factor if short_is_location else s.factor.T
-    w, q = np.linalg.eigh(a @ a.T)
-    eigenvalues, q = np.where(w > 0.0, w, 0.0)[::-1], q[:, ::-1]  # rounding negatives to 0
-    on_short = (s.side == "location") == short_is_location
-    return eigenvalues, q if on_short else a.T @ q / np.sqrt(eigenvalues)
-
-
-def _svd_pairs(s: SimilarityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    # LAPACK is faster on the tall orientation; A.T = V S U^T swaps the sides
-    transposed = s.factor.shape[0] < s.factor.shape[1]
-    left, singular, right_t = np.linalg.svd(s.factor.T if transposed else s.factor, full_matrices=False)
-    on_left = (s.side == "location") != transposed
-    return singular**2, left if on_left else right_t.T
+    a = s.factor if s.side == "location" else s.factor.T
+    on_short = a.shape[0] <= a.shape[1]
+    w, q = np.linalg.eigh(a @ a.T if on_short else a.T @ a)
+    eigenvalues, vectors = np.where(w > 0.0, w, 0.0)[::-1], q[:, ::-1]  # rounding negatives to 0
+    if not on_short:
+        eigenvalues = eigenvalues[: np.count_nonzero(eigenvalues > EIGEN_RESIDUAL_TOL)]
+        vectors = a @ vectors[:, : eigenvalues.size] / np.sqrt(eigenvalues)
+    vectors = vectors / np.sqrt(s.weights)[:, None]
+    vectors /= np.linalg.norm(vectors, axis=0)
+    residuals = np.abs(s.apply(vectors) - vectors * eigenvalues).max(axis=0)
+    if not np.all(residuals <= EIGEN_RESIDUAL_TOL * np.maximum(1.0, eigenvalues)):  # NaN fails
+        raise ConvergenceFailure(f"eigen residual {float(residuals.max()):.3e} exceeds contract")
+    return EigenSolution(eigenvalues, vectors, residuals)
 
 
 def eci(m: IncidenceMatrix) -> ComplexityScores:
@@ -312,7 +301,7 @@ def extensive_scores(
     labels, reference = s.labels, (m.diversity if side == "location" else m.ubiquity).astype(float)
     eigenvalues = solution.eigenvalues
     if eigenvalues.size < 2:
-        raise DegenerateSpectrum("one location or one activity: the extensive eigenvectors are not identified")
+        raise DegenerateSpectrum("fewer than two nonzero eigenvalues: the extensive eigenvectors are not identified")
     if eigenvalues[0] - eigenvalues[1] <= DEGENERATE_EIGENVALUE_TOL:
         raise DegenerateSpectrum("leading extensive eigenvalue is not simple")
     first = _scores_for_index(solution, 0, labels, "extensive-first", "diversity", reference)
@@ -503,7 +492,7 @@ def _second_eigenvector_scores(
 ) -> ComplexityScores:
     eigenvalues = solution.eigenvalues
     if eigenvalues.size < 2:
-        raise DegenerateSpectrum("no second eigenvalue")
+        raise DegenerateSpectrum("no second nonzero eigenvalue")
     if solution.eigenvectors.shape[0] > eigenvalues.size:
         eigenvalues = np.append(eigenvalues, 0.0)  # the omitted eigenvalues are exact zeros
     gap_above = eigenvalues[0] - eigenvalues[1]

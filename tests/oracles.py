@@ -3,10 +3,9 @@
 Everything here deliberately avoids the code paths it checks: eigenpairs come
 from hand-rolled power iteration with deflation, or from a dense
 ``numpy.linalg.eigh`` of the full symmetrized similarity matrix where the code
-takes one ``eigh`` of the short side's Gram matrix of its factor (a thin SVD
-when the residual gate fails); correlations from the textbook covariance
-formula, components from plain BFS or from scipy's graph search, and
-aggregations from dict loops.
+takes one ``eigh`` of the short side's Gram matrix of its factor;
+correlations from the textbook covariance formula, components from plain BFS
+or from scipy's graph search, and aggregations from dict loops.
 """
 
 from __future__ import annotations

@@ -189,7 +189,7 @@ def test_config_key_acts_as_its_flag(tmp_path, key):
         result = invoke("run", "--config", config, *args)
         assert result.exit_code == 0, result.output
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        del manifest["timestamp"], manifest["timings"]
+        del manifest["timestamp"]
         return manifest
 
     from_file = run(tmp_path / "file", True)
@@ -642,7 +642,7 @@ def test_import_leaves_scipy_stats_unloaded():
 def test_run_without_scipy_writes_the_same_bytes(tmp_path):
     """With every ``scipy`` import made to fail, ``run`` with every emit
     succeeds and writes the same files, byte for byte, as a normal run; only
-    the manifest's timestamp and timings differ."""
+    the manifest's timestamp differs."""
     input_path = write_sample(tmp_path / "input.csv")
     src = str(Path(ecindex.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -666,7 +666,7 @@ def test_run_without_scipy_writes_the_same_bytes(tmp_path):
             assert (out_dirs["normal"] / name).read_bytes() == (out_dirs["blocked"] / name).read_bytes(), name
     manifests = [json.loads((out_dirs[key] / "manifest.json").read_text()) for key in ("normal", "blocked")]
     for manifest in manifests:
-        del manifest["timestamp"], manifest["timings"]
+        del manifest["timestamp"]
     assert manifests[0] == manifests[1]
 
 

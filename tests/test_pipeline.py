@@ -1,6 +1,5 @@
 import gzip
 import json
-import math
 import os
 from pathlib import Path
 
@@ -291,16 +290,15 @@ class TestRunPipeline:
 
     @staticmethod
     def assert_same_run(first, second):
-        """Every output byte-identical; the manifests differ only in the
-        timestamp and the stage timings."""
+        """Every output byte-identical; the manifests differ only in the timestamp."""
         assert first.outputs.keys() == second.outputs.keys()
         for name, path in first.outputs.items():
             other = second.outputs[name]
             if name == "manifest":
                 a = json.loads(path.read_text())
                 b = json.loads(other.read_text())
-                for manifest in (a, b):
-                    del manifest["timestamp"], manifest["timings"]
+                a.pop("timestamp")
+                b.pop("timestamp")
                 assert a == b
             else:
                 assert path.read_bytes() == other.read_bytes(), name
@@ -517,21 +515,6 @@ class TestRunPipeline:
         assert manifest["sign_conventions"]["eci"]["reference"] == "diversity"
         assert manifest["sign_conventions"]["eci"]["correlation"] >= 0
         assert "extensive_first" in manifest["sign_conventions"]
-
-    @pytest.mark.parametrize("emit", [("eci",), EMIT_CHOICES], ids=["eci", "all"])
-    def test_manifest_times_every_stage(self, tmp_path, emit):
-        cfg = PipelineConfig(
-            input_path=block_input(tmp_path / "input.csv"), out_dir=tmp_path / "out",
-            min_location_total=5.0, min_activity_total=5.0, emit=emit,
-        )
-        timings = json.loads(run_pipeline(cfg).outputs["manifest"].read_text())["timings"]
-        assert sorted(timings) == sorted([
-            "ingest", "left_tail_filter", "empty_margins", "rca", "binarize", "prune_degenerate",
-            "largest_component", "emit", "eci", "pci", "extensive", "relatedness", "reflections", "compare",
-        ])
-        for stage in timings.values():
-            assert sorted(stage) == ["rss_rise_mb", "wall_s"]
-            assert all(math.isfinite(value) and value >= 0 for value in stage.values())
 
     @pytest.mark.parametrize(
         "emit",

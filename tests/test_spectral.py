@@ -214,63 +214,6 @@ class TestEigendecompose:
             lead = solution.eigenvectors[:, 0]
             assert np.abs(lead / lead.mean() - 1.0).max() <= 1e-8
 
-
-def duplicated_location(flip: bool) -> np.ndarray:
-    """A seeded 12 x 20 table whose second location holds the first one's
-    activities (rank-deficient), or those and one more (nearly so)."""
-    values = (np.random.default_rng(3).random((12, 20)) < 0.4).astype(np.int64)
-    values[1] = values[0]
-    if flip:
-        values[1, np.flatnonzero(values[1] == 0)[0]] = 1
-    return prune_values(values)
-
-
-def spy_on_svd(monkeypatch) -> list[int]:
-    """Patches ``np.linalg.svd`` to count its calls into the returned list."""
-    calls: list[int] = []
-    real = np.linalg.svd
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    return calls
-
-
-class TestGramFallback:
-    @pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
-    @pytest.mark.parametrize("flip", [False, True], ids=["exact", "near"])
-    def test_every_pair_meets_the_contract(self, monkeypatch, flip, tall):
-        """Two locations holding the same activities (transposed: two
-        activities held by the same locations) make a zero lambda, so the long
-        side's vectors from the Gram matrix fail the residual gate and the thin
-        SVD takes over, with no warning; one flipped cell does not."""
-        values = duplicated_location(flip)
-        m = labeled_incidence(values.T if tall else values)
-        long_side = "location" if tall else "activity"
-        calls = spy_on_svd(monkeypatch)
-        for build in (similarity_intensive, similarity_extensive):
-            for side in ("location", "activity"):
-                s = build(m, side)
-                before = len(calls)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    solution = eigendecompose(s)
-                vectors, eigenvalues = solution.eigenvectors, solution.eigenvalues
-                residuals = np.abs(s.values @ vectors - vectors * eigenvalues).max(axis=0)
-                assert (residuals <= 1e-8 * np.maximum(1.0, np.abs(eigenvalues))).all()
-                if not flip:
-                    assert (len(calls) > before) == (side == long_side), (build.__name__, side)
-
-    def test_bernoulli_ensemble_takes_the_gram_path(self, monkeypatch, bernoulli_ensemble_100):
-        calls = spy_on_svd(monkeypatch)
-        for m in bernoulli_ensemble_100:
-            for build in (similarity_intensive, similarity_extensive):
-                for side in ("location", "activity"):
-                    eigendecompose(build(m, side))
-        assert calls == []
-
     def test_small_gap_second_vector_within_davis_kahan(self):
         """A tall table whose intensive lambda_3 / lambda_2 >= 0.98, as at
         city-industry scale: the second eigenvector of both sides agrees with
@@ -287,6 +230,48 @@ class TestGramFallback:
             got, want = eigendecompose(s).eigenvectors[:, 1], oracle_vectors[:, 1]
             error = np.linalg.norm(got - np.sign(got @ want) * want)
             assert error <= 10 * np.finfo(float).eps * oracle_values[0] / gap
+
+
+def duplicated_location(flip: bool) -> np.ndarray:
+    """A seeded 12 x 20 table whose second location holds the first one's
+    activities (rank-deficient), or those and one more (nearly so)."""
+    values = (np.random.default_rng(3).random((12, 20)) < 0.4).astype(np.int64)
+    values[1] = values[0]
+    if flip:
+        values[1, np.flatnonzero(values[1] == 0)[0]] = 1
+    return prune_values(values)
+
+
+class TestZeroEigenvalues:
+    @pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
+    @pytest.mark.parametrize("flip", [False, True], ids=["exact", "near"])
+    def test_every_pair_meets_the_contract(self, flip, tall):
+        """Two locations holding the same activities (transposed: two
+        activities held by the same locations) make a zero lambda. The short
+        side keeps its pair; the long side omits it, whose vector from the Gram
+        matrix would divide by a sigma at rounding level. With one flipped cell
+        both sides keep every pair. The eigenvalues are the dense oracle's, and
+        no warning escapes."""
+        values = duplicated_location(flip)
+        m = labeled_incidence(values.T if tall else values)
+        long_side = "location" if tall else "activity"
+        for build in (similarity_intensive, similarity_extensive):
+            for side in ("location", "activity"):
+                s = build(m, side)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    solution = eigendecompose(s)
+                vectors, eigenvalues = solution.eigenvectors, solution.eigenvalues
+                residuals = np.abs(s.values @ vectors - vectors * eigenvalues).max(axis=0)
+                assert (residuals <= 1e-8 * np.maximum(1.0, np.abs(eigenvalues))).all()
+                omitted = not flip and side == long_side
+                assert eigenvalues.size == min(values.shape) - omitted, (build.__name__, side)
+                oracle, _ = dense_eigh(s.values, s.weights)
+                assert np.abs(eigenvalues - oracle[: eigenvalues.size]).max() <= 1e-12 * oracle[0]
+                assert np.abs(oracle[eigenvalues.size :]).max(initial=0.0) <= 1e-12 * oracle[0]
+                if flip:
+                    assert eigenvalues[-1] >= 1e-3 * eigenvalues[0]
+
 
 class TestStandardize:
     def test_hand_example(self):
