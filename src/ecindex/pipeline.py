@@ -62,7 +62,6 @@ from .spectral import (
     ComplexityScores,
     DEGENERATE_EIGENVALUE_TOL,
     EIGEN_RESIDUAL_TOL,
-    ROW_STOCHASTIC_TOL,
     SIGN_CORRELATION_TOL,
     eci,
     extensive_scores,
@@ -399,7 +398,6 @@ def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
         "tolerances": {
             "eigen_residual": EIGEN_RESIDUAL_TOL,
             "degenerate_eigenvalue": DEGENERATE_EIGENVALUE_TOL,
-            "row_stochastic": ROW_STOCHASTIC_TOL,
             "sign_correlation_zero": SIGN_CORRELATION_TOL,
         },
         "sign_conventions": {name: asdict(side.sign_convention) for name, side in scores.items()},

@@ -16,8 +16,8 @@ the margins give ``D`` for the intensive kind (correspondence analysis), and
 nonnegative, and one ``eigh`` of the short side's n x n Gram matrix, n = min(C, P),
 gives it: the short side's vectors are its eigenvectors ``q``, the long side's
 are ``A^T q / sigma`` (or ``A q / sigma``), both mapped back by ``D^{-1/2}``.
-At most n pairs come out: the long side's other eigenvalues are exact zeros,
-and it omits those within the residual bound of zero too. ECI is the
+Both sides keep the same pairs, those of lambda > ``EIGEN_RESIDUAL_TOL``; each
+other eigenvalue is a zero within the residual bound. ECI is the
 standardized eigenvector of the second-largest eigenvalue (by value, not
 magnitude) of the intensive location-side matrix; PCI is the activity-side
 analog.
@@ -53,8 +53,6 @@ DEGENERATE_EIGENVALUE_TOL = 1e-10
 #: a sign-fixing correlation below this (in magnitude) falls back to the
 #: largest-component rule
 SIGN_CORRELATION_TOL = 1e-12
-#: allowed deviation of intensive row sums from 1
-ROW_STOCHASTIC_TOL = 1e-12
 
 Kind = Literal["extensive", "intensive"]
 Side = Literal["location", "activity"]
@@ -77,9 +75,6 @@ class SimilarityMatrix:
             raise ValueError(f"unknown side {self.side!r}")
         if self.kind == "intensive":
             require_positive_margins(self.m)
-            row_sums = self.apply(np.ones((len(self.labels), 1)))
-            if np.abs(row_sums - 1.0).max(initial=0.0) > ROW_STOCHASTIC_TOL:
-                raise ValueError("intensive similarity rows must sum to 1")
         elif self.kind != "extensive":
             raise ValueError(f"unknown kind {self.kind!r}")
 
@@ -137,8 +132,8 @@ class EigenSolution:
         if np.any(np.diff(self.eigenvalues) > 0):
             raise ValueError("eigenvalues must be sorted descending")
         bound = EIGEN_RESIDUAL_TOL * np.maximum(1.0, np.abs(self.eigenvalues))
-        if np.any(self.residuals > bound):
-            raise ValueError("residuals exceed the contract")
+        if not np.all(self.residuals <= bound):  # NaN fails
+            raise ConvergenceFailure(f"eigen residual {float(self.residuals.max()):.3e} exceeds contract")
         norms = np.linalg.norm(self.eigenvectors, axis=0)
         if norms.size and np.abs(norms - 1.0).max() > 1e-12:
             raise ValueError("eigenvector columns must have unit norm")
@@ -199,10 +194,6 @@ class ReflectionsTrajectory:
     kc_zscored: np.ndarray
     kp_zscored: np.ndarray
 
-    @property
-    def iterations(self) -> int:
-        return self.kc.shape[0] - 1
-
 
 def standardize(v: np.ndarray) -> np.ndarray:
     """Z-score with the population standard deviation.
@@ -232,32 +223,30 @@ def similarity_intensive(m: IncidenceMatrix, side: Side = "location") -> Similar
 
 
 def eigendecompose(s: SimilarityMatrix) -> EigenSolution:
-    """The eigenpairs of the leading eigenvalues, descending; the omitted
-    eigenvalues are zeros within the residual contract.
+    """The eigenpairs of lambda > ``EIGEN_RESIDUAL_TOL``, descending, the same
+    pairs from either side; the omitted eigenvalues are zeros within the contract.
 
     One ``eigh`` of the short side's n x n Gram matrix, n = min(C, P): with
     ``a`` the factor oriented one row per label of ``s`` (``A`` or ``A.T``),
     ``a @ a.T`` when this side is the short one (on a tie too), else
     ``a.T @ a``. Its eigenvalues are the spectrum and its vectors ``q`` the short
-    side's, so that side gets all n pairs. The long side's vectors are
-    ``a @ q / sqrt(lambda)`` for each lambda above ``EIGEN_RESIDUAL_TOL``: a
-    smaller lambda meets the contract as an exact zero, and its sigma, at
-    rounding level for a zero of the Gram matrix, would make the vector noise.
-    Vectors are mapped back by ``D^{-1/2}`` (D = the weights) and renormalized,
-    and residuals are taken through the factor (:meth:`SimilarityMatrix.apply`).
+    side's; the long side's are ``a @ q / sqrt(lambda)``. Any other lambda meets
+    the contract as an exact zero: its ``q`` is any vector of a null space, and
+    its sigma, at rounding level, would make the long side's vector noise.
+    Vectors are mapped back by ``D^{-1/2}`` (D = the weights) and renormalized;
+    the residuals, taken through the factor (:meth:`SimilarityMatrix.apply`),
+    are checked by :class:`EigenSolution`.
     """
     a = s.factor if s.side == "location" else s.factor.T
     on_short = a.shape[0] <= a.shape[1]
     w, q = np.linalg.eigh(a @ a.T if on_short else a.T @ a)
-    eigenvalues, vectors = np.where(w > 0.0, w, 0.0)[::-1], q[:, ::-1]  # rounding negatives to 0
+    kept = np.count_nonzero(w > EIGEN_RESIDUAL_TOL)
+    eigenvalues, vectors = w[::-1][:kept], q[:, ::-1][:, :kept]
     if not on_short:
-        eigenvalues = eigenvalues[: np.count_nonzero(eigenvalues > EIGEN_RESIDUAL_TOL)]
-        vectors = a @ vectors[:, : eigenvalues.size] / np.sqrt(eigenvalues)
+        vectors = a @ vectors / np.sqrt(eigenvalues)
     vectors = vectors / np.sqrt(s.weights)[:, None]
     vectors /= np.linalg.norm(vectors, axis=0)
     residuals = np.abs(s.apply(vectors) - vectors * eigenvalues).max(axis=0)
-    if not np.all(residuals <= EIGEN_RESIDUAL_TOL * np.maximum(1.0, eigenvalues)):  # NaN fails
-        raise ConvergenceFailure(f"eigen residual {float(residuals.max()):.3e} exceeds contract")
     return EigenSolution(eigenvalues, vectors, residuals)
 
 
@@ -299,13 +288,8 @@ def extensive_scores(
     s = similarity_extensive(m, side)
     solution = eigendecompose(s)
     labels, reference = s.labels, (m.diversity if side == "location" else m.ubiquity).astype(float)
-    eigenvalues = solution.eigenvalues
-    if eigenvalues.size < 2:
-        raise DegenerateSpectrum("fewer than two nonzero eigenvalues: the extensive eigenvectors are not identified")
-    if eigenvalues[0] - eigenvalues[1] <= DEGENERATE_EIGENVALUE_TOL:
-        raise DegenerateSpectrum("leading extensive eigenvalue is not simple")
-    first = _scores_for_index(solution, 0, labels, "extensive-first", "diversity", reference)
     second = _second_eigenvector_scores(solution, labels, "extensive-second", "diversity", reference)
+    first = _scores_for_index(solution, 0, labels, "extensive-first", "diversity", reference)
     return first, second, solution
 
 

@@ -509,6 +509,18 @@ def test_extensive_on_a_rank_one_table_is_an_extensive_error(tmp_path, shape):
     assert not (tmp_path / "out").exists()
 
 
+def test_eci_on_locations_with_one_mix_is_an_eci_error(tmp_path):
+    # both locations hold x, y and z in one proportion: the incidence is all
+    # ones and the second eigenvalue is the omitted zero, as pci finds too
+    input_path = tmp_path / "input.csv"
+    input_path.write_text("location,activity,value\nA,x,1\nA,y,1\nA,z,1\nB,x,2\nB,y,2\nB,z,2\n")
+    result = invoke("eci", "--input", input_path, "--out-dir", tmp_path / "out")
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error [eci] ")
+    assert result.stderr.count("\n") == 1
+    assert not (tmp_path / "out" / "eci.csv").exists()
+
+
 def test_world_infeasible_reports_error(tmp_path):
     result = invoke(
         "world", "--kind", "random", "--locations", 2, "--activities", 12,

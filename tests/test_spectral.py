@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ecindex.errors import (
+    ConvergenceFailure,
     DegenerateMargins,
     DegenerateSpectrum,
     Disconnected,
@@ -107,12 +108,17 @@ class TestSimilarityIntensive:
         assert np.allclose(s.values, 0.25, rtol=0, atol=1e-15)
 
     def test_rows_sum_to_one(self):
+        """Row-stochastic by construction, on small tables and at the
+        200 x 2000 shape of an HS6-like table, through the dense matrix and
+        through the factor that every solve uses."""
         rng = np.random.default_rng(7)
-        for _ in range(25):
-            m = random_connected_incidence(rng, 30, 40, 0.2, 0.5)
+        tables = [random_connected_incidence(rng, 30, 40, 0.2, 0.5) for _ in range(25)]
+        tables.append(random_connected_incidence(rng, 200, 2000, 0.2, 0.5, 200, 2000))
+        for m in tables:
             for side in ("location", "activity"):
                 s = similarity_intensive(m, side)
                 assert np.abs(s.values.sum(axis=1) - 1.0).max() <= 1e-12
+                assert np.abs(s.apply(np.ones((len(s.labels), 1))) - 1.0).max() <= 1e-12
 
     def test_unpruned_rejected(self):
         m = labeled_incidence(np.array([[1, 0], [0, 0]]))
@@ -247,14 +253,12 @@ class TestZeroEigenvalues:
     @pytest.mark.parametrize("flip", [False, True], ids=["exact", "near"])
     def test_every_pair_meets_the_contract(self, flip, tall):
         """Two locations holding the same activities (transposed: two
-        activities held by the same locations) make a zero lambda. The short
-        side keeps its pair; the long side omits it, whose vector from the Gram
-        matrix would divide by a sigma at rounding level. With one flipped cell
-        both sides keep every pair. The eigenvalues are the dense oracle's, and
-        no warning escapes."""
+        activities held by the same locations) make a zero lambda. Both sides
+        omit its pair, so one spectrum gives one pair count from either side.
+        With one flipped cell both sides keep every pair. The eigenvalues are
+        the dense oracle's, and no warning escapes."""
         values = duplicated_location(flip)
         m = labeled_incidence(values.T if tall else values)
-        long_side = "location" if tall else "activity"
         for build in (similarity_intensive, similarity_extensive):
             for side in ("location", "activity"):
                 s = build(m, side)
@@ -264,7 +268,7 @@ class TestZeroEigenvalues:
                 vectors, eigenvalues = solution.eigenvectors, solution.eigenvalues
                 residuals = np.abs(s.values @ vectors - vectors * eigenvalues).max(axis=0)
                 assert (residuals <= 1e-8 * np.maximum(1.0, np.abs(eigenvalues))).all()
-                omitted = not flip and side == long_side
+                omitted = not flip
                 assert eigenvalues.size == min(values.shape) - omitted, (build.__name__, side)
                 oracle, _ = dense_eigh(s.values, s.weights)
                 assert np.abs(eigenvalues - oracle[: eigenvalues.size]).max() <= 1e-12 * oracle[0]
@@ -362,11 +366,12 @@ class TestPci:
             pci(labeled_incidence(np.ones((3, 4), dtype=np.int64)))
 
     def test_rank_deficient_side_keeps_its_refusal(self):
-        # ECI is identified (2 locations, eigenvalues 1 and 0), but the 5 x 5
-        # activity matrix has rank 1: its second eigenvalue is a fourfold 0,
-        # of which the two computed pairs hold only one
+        # both sides of the one spectrum (eigenvalues 1 and 0, the 0 fourfold
+        # on the activity side) keep only the pair of 1: the second eigenvector
+        # is not identified, from the 2 locations as from the 5 activities
         m = labeled_incidence(np.ones((2, 5), dtype=np.int64))
-        eci(m)
+        with pytest.raises(DegenerateSpectrum):
+            eci(m)
         with pytest.raises(DegenerateSpectrum):
             pci(m)
 
@@ -620,12 +625,13 @@ class TestDataContracts:
         assert np.allclose(s.factor, [[root_half, 0.5], [0.0, root_half]], rtol=0, atol=1e-15)
 
     def test_eigensolution_rejects_bad_residuals(self):
-        with pytest.raises(ValueError):
-            EigenSolution(
-                eigenvalues=np.array([1.0, 0.5]),
-                eigenvectors=np.eye(2),
-                residuals=np.array([0.0, 1.0]),
-            )
+        for residual in (1.0, np.nan):
+            with pytest.raises(ConvergenceFailure):
+                EigenSolution(
+                    eigenvalues=np.array([1.0, 0.5]),
+                    eigenvectors=np.eye(2),
+                    residuals=np.array([0.0, residual]),
+                )
 
     def test_scores_reject_nonstandardized(self):
         with pytest.raises(ValueError):
