@@ -6,15 +6,18 @@ e.g. export USD. Gzip-compressed files are accepted when the name ends in
 ``.gz``.
 
 :func:`parse_long_records` reads the whole text and hands it to numpy's C
-reader (``np.loadtxt``), the fast path for plain tables. The record parser, a
-``csv`` loop over the same text, reads it instead when the text holds ``"``
-(csv quoting), NUL or CR (a file from :func:`open_text` holds no CR: it reads
-CR and CRLF line ends as ``\\n``), when the header is not three fields, and
-when no line follows the header, and when the C reader refuses the table or
-reads it otherwise than ``csv`` would: a row count other than the number of
-non-empty lines, a non-finite or negative value, a label that is empty after
-trimming or longer than ``csv.field_size_limit()``. Text that ``float`` reads
-and numpy does not, such as ``1_000``, takes the record parser too.
+reader (``np.loadtxt``), the fast path for plain tables, whose converters
+trim each label field and return the label's code, so a row keeps two
+integers, not two strings. The record parser, a ``csv`` loop over the same
+text, reads it instead when the text holds ``"`` (csv quoting), NUL or CR (a
+file from :func:`open_text` holds no CR: it reads CR and CRLF line ends as
+``\\n``), when the header is not three fields, and when no line follows the
+header, and when the C reader refuses the table or reads it otherwise than
+``csv`` would: a row count other than the number of non-empty lines, a
+non-finite or negative value, a label that is empty after trimming or longer
+than ``csv.field_size_limit()`` (the converters refuse both). Text that
+``float`` reads and numpy does not, such as ``1_000``, takes the record
+parser too.
 Every error and its 1-based line number come from the record parser, and
 both paths build the same :class:`LongTable` from the same table.
 """
@@ -34,31 +37,44 @@ import numpy as np
 
 from .errors import EmptyInput, MalformedLine, NegativeValue, NonNumericValue
 
-#: the fields numpy's C reader parses each data row into
-_ROW = np.dtype([("l", object), ("a", object), ("v", "f8")])
+#: the fields numpy's C reader parses each data row into: two label codes and the value
+_ROW = np.dtype([("l", np.intp), ("a", np.intp), ("v", "f8")])
 
 
 @dataclass(frozen=True, eq=False)
 class LongTable:
-    """Long-format rows column by column, in file order; duplicate (location,
-    activity) pairs are kept as separate rows. ``locations`` and
-    ``activities`` are object arrays of trimmed labels, ``values`` is
-    float64."""
+    """Long-format rows, dictionary-encoded: each column's distinct trimmed
+    labels in first-appearance order, and per row, in file order, the codes
+    (label positions) of its location and activity and its float64 value.
+    Duplicate (location, activity) pairs are kept as separate rows."""
 
-    locations: np.ndarray
-    activities: np.ndarray
+    location_labels: tuple[str, ...]
+    activity_labels: tuple[str, ...]
+    location_codes: np.ndarray
+    activity_codes: np.ndarray
     values: np.ndarray
 
     def __len__(self) -> int:
         return len(self.values)
 
+    @property
+    def locations(self) -> np.ndarray:
+        """Each row's location label, as an object array."""
+        return np.array(self.location_labels, dtype=object)[self.location_codes]
+
+    @property
+    def activities(self) -> np.ndarray:
+        """Each row's activity label, as an object array."""
+        return np.array(self.activity_labels, dtype=object)[self.activity_codes]
+
     def __eq__(self, other) -> bool:
-        """Same labels, and values with the same bits (``-0.0`` is not ``0.0``)."""
+        """Same rows, and values with the same bits (``-0.0`` is not ``0.0``)."""
         if not isinstance(other, LongTable):
             return NotImplemented
         return (
-            self.locations.tolist() == other.locations.tolist()
-            and self.activities.tolist() == other.activities.tolist()
+            (self.location_labels, self.activity_labels) == (other.location_labels, other.activity_labels)
+            and np.array_equal(self.location_codes, other.location_codes)
+            and np.array_equal(self.activity_codes, other.activity_codes)
             and self.values.tobytes() == other.values.tobytes()
         )
 
@@ -152,18 +168,19 @@ def _parse_columns(text: str, delimiter: str) -> LongTable | None:
         return None
     # as bytes: a StringIO would hold the text again at 4 bytes a character
     lines = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="\n")
+    locations, activities = _Codes(), _Codes()
+    # a field seen before is coded by the dict lookup alone; numpy before 2.0
+    # hands converters latin-1 bytes unless told the encoding
+    converters = {0: locations.__getitem__, 1: activities.__getitem__}
     try:
-        data = np.loadtxt(lines, delimiter=delimiter, skiprows=1, dtype=_ROW, comments=None, ndmin=1)
+        data = np.loadtxt(lines, delimiter=delimiter, skiprows=1, dtype=_ROW, comments=None, ndmin=1,
+                          converters=converters, encoding="utf-8")
     except ValueError:
         return None
     values = data["v"]
     if len(data) != expected or not (np.isfinite(values).all() and (values >= 0).all()):
         return None
-    locations = _trimmed(data["l"])
-    activities = _trimmed(data["a"])
-    if locations is None or activities is None:
-        return None
-    return LongTable(locations, activities, values)
+    return LongTable(tuple(locations.labels), tuple(activities.labels), data["l"], data["a"], values)
 
 
 def _data_lines(text: str) -> int:
@@ -174,17 +191,22 @@ def _data_lines(text: str) -> int:
     return len(lines) - lines.count("")
 
 
-def _trimmed(labels: np.ndarray) -> np.ndarray | None:
-    """``labels`` whitespace-trimmed, or ``None`` when one is empty after
-    trimming or longer than ``csv`` reads a field. Only the distinct labels
-    are trimmed; padded variants of one label become that label."""
-    distinct = list(dict.fromkeys(labels.tolist()))
-    trimmed = [label.strip() for label in distinct]
-    if not all(trimmed) or max(map(len, distinct)) > csv.field_size_limit():
-        return None
-    if trimmed == distinct:
-        return labels
-    return np.array(trimmed, dtype=object)[_label_index(labels)[0]]
+class _Codes(dict):
+    """Label field -> code of its trimmed label. ``labels`` maps each trimmed
+    label to its code, the next free one at its first appearance, so padded
+    variants of one label share its code. A field whose label is empty after
+    trimming, or that is longer than ``csv`` reads, raises ``ValueError``."""
+
+    def __init__(self):
+        super().__init__()
+        self.labels: dict[str, int] = {}
+
+    def __missing__(self, field: str) -> int:
+        label = field.strip()
+        if not label or len(field) > csv.field_size_limit():
+            raise ValueError("empty or oversized label")
+        code = self[field] = self.labels.setdefault(label, len(self.labels))
+        return code
 
 
 def _parse_records(stream: Iterable[str], delimiter: str) -> LongTable:
@@ -197,8 +219,8 @@ def _parse_records(stream: Iterable[str], delimiter: str) -> LongTable:
         raise EmptyInput("input has no header line")
     if len(header) != 3:
         raise MalformedLine(f"header must name exactly 3 columns, got {len(header)}", reader.line_num)
-    locations: list[str] = []
-    activities: list[str] = []
+    locations, activities = _Codes(), _Codes()
+    codes: list[tuple[int, int]] = []
     values: list[float] = []
     for row in rows:
         if not row:
@@ -206,10 +228,10 @@ def _parse_records(stream: Iterable[str], delimiter: str) -> LongTable:
         line = reader.line_num
         if len(row) != 3:
             raise MalformedLine(f"expected 3 columns, got {len(row)}", line)
-        location = row[0].strip()
-        activity = row[1].strip()
-        if not location or not activity:
-            raise MalformedLine("location and activity labels must be non-empty", line)
+        try:  # csv refuses an oversized field itself: only an empty label gets here
+            code = locations[row[0]], activities[row[1]]
+        except ValueError:
+            raise MalformedLine("location and activity labels must be non-empty", line) from None
         text = row[2].strip()
         try:
             value = float(text)
@@ -219,10 +241,10 @@ def _parse_records(stream: Iterable[str], delimiter: str) -> LongTable:
             raise NonNumericValue(f"value {text!r} is not finite", line)
         if value < 0:
             raise NegativeValue(f"value {value!r} is negative", line)
-        locations.append(location)
-        activities.append(activity)
+        codes.append(code)
         values.append(value)
-    return LongTable(np.array(locations, dtype=object), np.array(activities, dtype=object), np.array(values))
+    pairs = np.array(codes, dtype=np.intp).reshape(-1, 2)
+    return LongTable(tuple(locations.labels), tuple(activities.labels), pairs[:, 0], pairs[:, 1], np.array(values))
 
 
 def _csv_rows(reader) -> Iterator[list[str]]:
@@ -234,27 +256,16 @@ def _csv_rows(reader) -> Iterator[list[str]]:
 
 
 def pivot_to_matrix(table: LongTable) -> OutputMatrix:
-    """Sum rows by (location, activity) into a dense matrix.
-
-    Label order is first-appearance order. ``np.add.at`` is unbuffered and
-    adds duplicates in row order, so each cell is the left-to-right sum of
-    its values. Raises :class:`EmptyInput` when the table has no rows.
+    """Sum rows by (location, activity) into a dense matrix over the table's
+    labels. ``np.add.at`` on the label codes is unbuffered and adds duplicates
+    in row order, so each cell is the left-to-right sum of its values. Raises
+    :class:`EmptyInput` when the table has no rows.
     """
     if not len(table):
         raise EmptyInput("no records to pivot")
-    rows, locations = _label_index(table.locations)
-    cols, activities = _label_index(table.activities)
-    values = np.zeros((len(locations), len(activities)))
-    np.add.at(values, (rows, cols), table.values)
-    return OutputMatrix.from_values(values, locations, activities)
-
-
-def _label_index(labels: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Each label's position among the distinct labels, and the distinct
-    labels in first-appearance order."""
-    labels = labels.tolist()
-    index = {label: i for i, label in enumerate(dict.fromkeys(labels))}
-    return np.fromiter(map(index.__getitem__, labels), np.intp, len(labels)), tuple(index)
+    values = np.zeros((len(table.location_labels), len(table.activity_labels)))
+    np.add.at(values, (table.location_codes, table.activity_codes), table.values)
+    return OutputMatrix.from_values(values, table.location_labels, table.activity_labels)
 
 
 def left_tail_filter(

@@ -268,14 +268,14 @@ def prepare(cfg: PipelineConfig) -> Prepared:
     with _stage("ingest", (ComplexityError, OSError)):
         try:
             with open_text(cfg.input_path) as fh:
-                table = parse_long_records(fh, cfg.delimiter)
+                # no name holds the table, so its rows go once the pivot returns
+                raw = pivot_to_matrix(parse_long_records(fh, cfg.delimiter))
         except UnicodeDecodeError as err:
             raise UndecodableInput(
                 f"{cfg.input_path}: not UTF-8 text: {err.reason} (byte 0x{err.object[err.start]:02x})"
             ) from None
         except (EOFError, zlib.error) as err:
             raise UndecodableInput(f"{cfg.input_path}: damaged gzip data: {err}") from None
-        raw = pivot_to_matrix(table)
 
     with _stage("left_tail_filter"):
         filtered = left_tail_filter(raw, cfg.min_location_total, cfg.min_activity_total)
@@ -331,7 +331,8 @@ def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
         writer(path, *args, cfg.delimiter)
 
     stages = prepare(cfg)
-    final = stages.final
+    final, dropped, raw_shape = stages.final, stages.dropped, stages.raw.shape
+    del stages  # the outputs need no other intermediate: they go before the solves
     want = set(cfg.emit)
     scores: dict[str, ComplexityScores] = {}
 
@@ -389,12 +390,12 @@ def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
             "emit": list(cfg.emit),
         },
         "counts": {
-            "raw_locations": len(stages.raw.location_labels),
-            "raw_activities": len(stages.raw.activity_labels),
+            "raw_locations": raw_shape[0],
+            "raw_activities": raw_shape[1],
             "final_locations": len(final.location_labels),
             "final_activities": len(final.activity_labels),
         },
-        "dropped": stages.dropped,
+        "dropped": dropped,
         "tolerances": {
             "eigen_residual": EIGEN_RESIDUAL_TOL,
             "degenerate_eigenvalue": DEGENERATE_EIGENVALUE_TOL,

@@ -1,6 +1,7 @@
 import csv
 import gzip
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,10 +30,17 @@ from oracles import pivot_by_dict
 
 
 def table(*rows) -> LongTable:
-    """The LongTable of (location, activity, value) rows."""
+    """The LongTable of (location, activity, value) rows: labels in
+    first-appearance order, each row coded by their positions."""
     locations, activities, values = zip(*rows) if rows else ((), (), ())
+    location_labels = tuple(dict.fromkeys(locations))
+    activity_labels = tuple(dict.fromkeys(activities))
     return LongTable(
-        np.array(locations, dtype=object), np.array(activities, dtype=object), np.array(values, dtype=float)
+        location_labels,
+        activity_labels,
+        np.array([location_labels.index(label) for label in locations], dtype=np.intp),
+        np.array([activity_labels.index(label) for label in activities], dtype=np.intp),
+        np.array(values, dtype=float),
     )
 
 
@@ -220,6 +228,22 @@ class TestFastPath:
     def test_leaves_odd_tables_to_the_record_parser(self, text):
         assert assert_paths_agree(text) is None
 
+    @pytest.mark.parametrize(
+        "text, locations, activities",
+        [
+            (H + "S\u00e3o Paulo,x,1\nZ\u00fcrich,\u6771\u4eac,2\n\u6771\u4eac,x,3\nZ\u00fcrich,x,4\n",
+             ("S\u00e3o Paulo", "Z\u00fcrich", "\u6771\u4eac"), ("x", "\u6771\u4eac")),
+            (H + " A ,x,1\nA,y,2\nB, x ,3\nA,x,4\n", ("A", "B"), ("x", "y")),
+            (H + "B,y,1\n  A,x ,2\nA,y,3\nB ,x,4\n", ("B", "A"), ("y", "x")),
+        ],
+        ids=["non-ascii", "padded-variants-merge", "padded-first-appearance"],
+    )
+    def test_labels_are_trimmed_strings_in_first_appearance_order(self, text, locations, activities):
+        fast = assert_paths_agree(text)
+        assert fast is not None
+        assert (fast.location_labels, fast.activity_labels) == (locations, activities)
+        assert all(type(label) is str for label in (*fast.location_labels, *fast.activity_labels))
+
     @pytest.mark.parametrize("delimiter", [";", "\t", " ", "#", "."])
     def test_other_delimiters(self, delimiter):
         text = H.replace(",", delimiter) + "A{d}x{d}1\nB{d}y{d}2\n".format(d=delimiter)
@@ -246,6 +270,24 @@ class TestFastPath:
             assert _parse_columns(fh.read(), ",") is not None
         with open_text(path) as fh:
             assert parse_long_records(fh) == table(("A", "x", 1.0), ("B", "y", 2.5), ("A", "x", 3.0))
+
+
+def test_ingest_holds_no_string_per_row():
+    # the text and its UTF-8 copy, then two label codes and a value per row
+    rng = np.random.default_rng(1)
+    rows = 20_000
+    locations = rng.integers(0, 100, rows).tolist()
+    activities = rng.integers(0, 200, rows).tolist()
+    values = rng.lognormal(10.0, 2.0, rows).tolist()
+    text = H + "".join(f"L{loc},A{act},{value!r}\n" for loc, act, value in zip(locations, activities, values))
+    tracemalloc.start()
+    try:
+        m = pivot_to_matrix(parse_long_records(text))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.grand_total > 0
+    assert peak < 2 * len(text) + 48 * rows
 
 
 CLEAN_LINES = st.one_of(
