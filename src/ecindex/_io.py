@@ -10,10 +10,11 @@ cell is written as ``str(x)``, which for a ``float`` is the shortest decimal
 text that round-trips to the same IEEE double and for an ``int`` is its
 integer text. Rounding is the consumer's job.
 
-The matrix writers format numbers with :func:`number_texts`, which calls
-``str`` once per distinct value of a block of rows: proximity is a ratio of
-small integers, so its matrix of millions of cells holds a few hundred
-distinct numbers.
+Every writer formats its numbers once, with :func:`number_texts`, and hands
+:func:`write_rows` blocks of ``str`` cells, whose rows it joins per block. The
+matrix and edge writers format about :data:`BLOCK_CELLS` cells at a time (a
+proximity matrix of millions of cells holds a few hundred distinct numbers),
+the other writers one column at a time.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ import shutil
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-#: about this many cells are formatted, joined and checked at a time; the
-#: writers' extra memory is bounded by one such block, not by the file
+#: the matrix and edge writers format, join and check about this many cells
+#: at a time, so their extra memory is bounded by one block, not by the file
 BLOCK_CELLS = 1 << 14
 
 
@@ -37,8 +38,8 @@ def number_texts(block: np.ndarray) -> np.ndarray:
     """``str(x)`` for each ``x`` of ``block.tolist()``, as an object array of
     its shape, with one ``str`` call per distinct value. Floats are told apart
     by their bit patterns, so ``-0.0`` and ``0.0`` keep their own texts. Its
-    memory grows with ``block``: callers hand it about :data:`BLOCK_CELLS`
-    cells at a time."""
+    memory grows with ``block``: the matrix and edge writers hand it about
+    :data:`BLOCK_CELLS` cells at a time, the other writers one column."""
     if block.dtype.kind in "iu" and block.size:
         low = int(block.min())
         span = int(block.max()) - low
@@ -77,58 +78,49 @@ def staged_dir(out_dir: Path) -> Iterator[Path]:
         shutil.rmtree(stage, ignore_errors=True)
 
 
-class Columns(tuple):
-    """A block of rows given column by column: one equal-length list of
-    ``str`` cells per field. The matrix writers hand :func:`write_rows` these,
-    so it joins a block at a time without keeping a tuple per row."""
+class Columns:
+    """A block of rows given column by column, one equal-length sequence of
+    ``str`` cells per field. Each pass zips the columns afresh, so the block
+    can be iterated again without keeping a tuple per row."""
 
-    def rows(self) -> Iterator[tuple]:
-        return zip(*self)
+    def __init__(self, *columns: Sequence[str]):
+        self.columns = columns
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        return zip(*self.columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
 
 
-def write_rows(path: Path, header: Sequence[str], rows: Iterable, delimiter: str = ",") -> None:
-    """Header then rows, byte for byte as ``csv.writer`` writes them (see the
-    module docstring).
-
-    ``rows`` yields either rows, whose cells must be Python ``str``/``int``/
-    ``float`` (use ``.tolist()`` on numpy data) and which ``csv.writer``
-    writes, or :class:`Columns` blocks. A block's rows are joined with one
-    call per row; when its text is what ``csv`` would write, that text goes
-    out as is, else the block goes through ``csv.writer``, so quoting is
-    always that of the running Python's ``csv``.
+def write_rows(path: Path, header: Sequence[str], blocks: Iterable[Collection], delimiter: str = ",") -> None:
+    """Header then the rows of each block, byte for byte as ``csv.writer``
+    writes them (see the module docstring). A block is a sized collection of
+    rows of ``str`` cells that can be iterated twice, such as a list of rows
+    or a :class:`Columns`. Its rows are joined into one text, which goes out
+    as is unless a cell holds the delimiter (the text has more than its cells
+    need), ``"``, CR or a line break, or a row is one empty cell: then
+    ``csv.writer`` writes the block, so quoting is always the running Python's.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(header)
-        rows = iter(rows)
-        for block in rows:
-            if not isinstance(block, Columns):  # plain rows, all of them
-                writer.writerow(block)
-                writer.writerows(rows)
-            elif (text := _unquoted_text(block, delimiter)) is None:
-                writer.writerows(block.rows())
-            else:
+        for block in blocks:
+            lines = list(map(delimiter.join, block))
+            text = "\n".join(lines)
+            # a Columns' cells are columns x rows, without a pass over its rows
+            cells = len(block.columns) * len(block) if isinstance(block, Columns) else sum(map(len, block))
+            if (
+                text.count(delimiter) == cells - len(lines)
+                and text.count("\n") == len(lines) - 1
+                and '"' not in text
+                and "\r" not in text
+                and "" not in lines
+            ):
                 fh.write(text)
                 fh.write("\n")
-
-
-def _unquoted_text(block: Columns, delimiter: str) -> str | None:
-    """The rows of ``block`` joined by ``delimiter`` and line breaks, or
-    ``None`` when ``csv`` would quote a cell: one holds the delimiter (the
-    text has more of them than the cells need), ``"``, CR or a line break,
-    or a row is one empty cell."""
-    n_rows = len(block[0])
-    lines = list(map(delimiter.join, block.rows()))
-    text = "\n".join(lines)
-    if (
-        text.count(delimiter) == n_rows * (len(block) - 1)
-        and text.count("\n") == n_rows - 1
-        and '"' not in text
-        and "\r" not in text
-        and "" not in lines
-    ):
-        return text
-    return None
+            else:
+                writer.writerows(block)
 
 
 def write_matrix(
@@ -142,8 +134,8 @@ def write_matrix(
     """Header row of column labels, one row per row label."""
     step = max(1, BLOCK_CELLS // max(1, values.shape[1]))
     blocks = (
-        Columns((list(row_labels[start:start + step]), *number_texts(values[start:start + step]).T.tolist()))
-        for start in range(0, values.shape[0], step)
+        [[label, *texts] for label, texts in zip(row_labels[i:i + step], number_texts(values[i:i + step]).tolist())]
+        for i in range(0, values.shape[0], step)
     )
     write_rows(path, [corner, *col_labels], blocks, delimiter)
 

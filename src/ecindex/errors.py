@@ -41,6 +41,10 @@ class UndecodableInput(ComplexityError):
     corrupt."""
 
 
+class OutOfRange(ComplexityError):
+    """A sum or ratio of the input leaves the range of a double."""
+
+
 class EmptyInput(ComplexityError):
     """No usable data remained at this point of the pipeline."""
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ._io import read_matrix, write_matrix
-from .errors import DegenerateMargins, EmptyAfterPrune, ZeroMargin
+from .errors import DegenerateMargins, EmptyAfterPrune, OutOfRange, ZeroMargin
 from .ingest import OutputMatrix, restrict
 
 #: allowed asymmetry of a proximity matrix
@@ -84,17 +84,23 @@ class PruneRecord:
     pass_number: int
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # a ratio out of range is refused below
 def compute_rca(m: OutputMatrix) -> SpecializationMatrix:
     """Specialization ratios: observed output over the share expected from margins.
 
     Entry (c, p) is ``X_cp * X / (X_c * X_p)``. Requires every row and column
     total to be positive; run :func:`ecindex.ingest.drop_empty_margins` first.
+    The ratio is scale-free, so ``X`` is first scaled exactly by a power of
+    two; raises :class:`OutOfRange` when a ratio still leaves the double range.
     """
     if m.is_empty:
         raise ZeroMargin("output matrix is empty")
     if m.row_totals.min() <= 0 or m.col_totals.min() <= 0:
         raise ZeroMargin("zero row or column total; filter empty margins first")
-    values = m.values * m.grand_total / np.outer(m.row_totals, m.col_totals)
+    x = np.ldexp(m.values, -np.frexp(m.values.max())[1])
+    values = x * x.sum() / np.outer(x.sum(axis=1), x.sum(axis=0))
+    if not np.isfinite(values).all():
+        raise OutOfRange("specialization ratios leave the range of a double")
     return SpecializationMatrix(values, m.location_labels, m.activity_labels)
 
 

@@ -35,7 +35,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import EmptyInput, MalformedLine, NegativeValue, NonNumericValue
+from .errors import EmptyInput, MalformedLine, NegativeValue, NonNumericValue, OutOfRange
 
 #: the fields numpy's C reader parses each data row into: two label codes and the value
 _ROW = np.dtype([("l", np.intp), ("a", np.intp), ("v", "f8")])
@@ -255,16 +255,20 @@ def _csv_rows(reader) -> Iterator[list[str]]:
         raise MalformedLine(str(err), reader.line_num) from None
 
 
+@np.errstate(over="ignore")  # an infinite sum is refused below
 def pivot_to_matrix(table: LongTable) -> OutputMatrix:
     """Sum rows by (location, activity) into a dense matrix over the table's
     labels. ``np.add.at`` on the label codes is unbuffered and adds duplicates
     in row order, so each cell is the left-to-right sum of its values. Raises
-    :class:`EmptyInput` when the table has no rows.
+    :class:`EmptyInput` for no rows and :class:`OutOfRange` for an infinite sum.
     """
     if not len(table):
         raise EmptyInput("no records to pivot")
     values = np.zeros((len(table.location_labels), len(table.activity_labels)))
     np.add.at(values, (table.location_codes, table.activity_codes), table.values)
+    if not np.isfinite(values).all():
+        c, p = np.argwhere(np.isinf(values))[0]
+        raise OutOfRange(f"cell ({table.location_labels[c]}, {table.activity_labels[p]}) sums past the largest double")
     return OutputMatrix.from_values(values, table.location_labels, table.activity_labels)
 
 

@@ -21,13 +21,12 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, fields
 from datetime import datetime, timezone
-from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from ._io import read_columns, staged_dir, write_rows
+from ._io import Columns, number_texts, read_columns, staged_dir, write_rows
 from .errors import (
     ComplexityError,
     EmptyInput,
@@ -180,12 +179,10 @@ def emit_figure_data(
             raise ValueError(f"panel {stem!r} labels do not match diversity labels")
     paths = {}
     for stem, scores in panels.items():
-        rows = sorted(
-            zip(scores.labels, diversity_values.tolist(), scores.raw.tolist()), key=itemgetter(0)
-        )
+        rows = zip(scores.labels, number_texts(diversity_values).tolist(), number_texts(scores.raw).tolist())
         name = f"figure_diversity_vs_{stem}"
         paths[name] = Path(out_dir) / f"{name}.csv"
-        write_rows(paths[name], ("location", "diversity", "score"), rows, delimiter)
+        write_rows(paths[name], ("location", "diversity", "score"), [sorted(rows, key=itemgetter(0))], delimiter)
     return paths
 
 
@@ -317,7 +314,7 @@ def write_incidence_files(out_dir: Path, m: IncidenceMatrix, delimiter: str = ",
         ("ubiquity", m.activity_labels, m.ubiquity),
     ):
         paths[name] = Path(out_dir) / f"{name}.csv"
-        write_rows(paths[name], ("label", "value"), zip(labels, values.tolist()), delimiter)
+        write_rows(paths[name], ("label", "value"), [Columns(labels, number_texts(values).tolist())], delimiter)
     return paths
 
 
@@ -376,10 +373,9 @@ def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
         if "compare" in want:
             diversity = (final.location_labels, final.diversity.astype(float))
             panels = {name: scores[name] for name in ("extensive_first", "extensive_second", "eci")}
-            reports = [
-                astuple(compare_vectors(diversity, panel, "diversity", name)) for name, panel in panels.items()
-            ]
-            emit("comparisons", write_rows, ("a", "b", "n", "pearson_r", "r_squared", "spearman_rho"), reports)
+            reports = [astuple(compare_vectors(diversity, panel, "diversity", name)) for name, panel in panels.items()]
+            header = ("a", "b", "n", "pearson_r", "r_squared", "spearman_rho")
+            emit("comparisons", write_rows, header, [[tuple(map(str, report)) for report in reports]])
             outputs.update(emit_figure_data(out_dir, *diversity, panels, cfg.delimiter))
 
     manifest = {
@@ -461,11 +457,11 @@ def _record_drops(
 
 
 def _write_trajectory(path, labels, raw, zscored, delimiter):
-    rows = chain.from_iterable(
-        zip(repeat(iteration), labels, raw[iteration].tolist(), zscored[iteration].tolist())
-        for iteration in range(raw.shape[0])
+    blocks = (
+        Columns([str(i)] * len(labels), labels, *(number_texts(x[i]).tolist() for x in (raw, zscored)))
+        for i in range(raw.shape[0])
     )
-    write_rows(path, ("iteration", "label", "value", "zscore"), rows, delimiter)
+    write_rows(path, ("iteration", "label", "value", "zscore"), blocks, delimiter)
 
 
 def _as_labeled(x) -> tuple[tuple[str, ...] | None, np.ndarray]:

@@ -112,8 +112,7 @@ def write_proximity_edges(
         for start in range(0, len(labels), step):
             block = phi.values[start:start + step]
             rows, cols = np.nonzero(np.triu(block >= min_phi, start + 1))
-            texts = number_texts(block[rows, cols])
-            yield Columns((labels[rows + start].tolist(), labels[cols].tolist(), texts.tolist()))
+            yield Columns(labels[rows + start].tolist(), labels[cols].tolist(), number_texts(block[rows, cols]).tolist())
 
     write_rows(path, ("activityA", "activityB", "phi"), blocks(), delimiter)
 

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Literal
 
 import numpy as np
 
-from ._io import write_rows
+from ._io import Columns, number_texts, write_rows
 from .errors import (
     ConvergenceFailure,
     DegenerateSpectrum,
@@ -399,16 +398,16 @@ def write_scores(path: Path, scores: ComplexityScores, delimiter: str = ",") -> 
     d = -scores.standardized[order]
     ranks = np.empty(len(order), dtype=np.int64)
     ranks[order] = np.searchsorted(d, d, side="left") + 1
-    rows = zip(scores.labels, scores.raw.tolist(), scores.standardized.tolist(), ranks.tolist())
-    write_rows(path, ("label", "raw", "standardized", "rank"), rows, delimiter)
+    block = Columns(scores.labels, *(number_texts(x).tolist() for x in (scores.raw, scores.standardized, ranks)))
+    write_rows(path, ("label", "raw", "standardized", "rank"), [block], delimiter)
 
 
 def write_eigensolution(path: Path, solution: EigenSolution, delimiter: str = ",") -> None:
     """Columns eigenvalue, residual: one row per eigenvalue of the side, the
     rows past the computed pairs being the exact zeros ``0.0,0.0``."""
-    computed = zip(solution.eigenvalues.tolist(), solution.residuals.tolist())
-    zeros = repeat((0.0, 0.0), solution.eigenvectors.shape[0] - solution.eigenvalues.size)
-    write_rows(path, ("eigenvalue", "residual"), chain(computed, zeros), delimiter)
+    zeros = ["0.0"] * (solution.eigenvectors.shape[0] - solution.eigenvalues.size)
+    block = Columns(*(number_texts(x).tolist() + zeros for x in (solution.eigenvalues, solution.residuals)))
+    write_rows(path, ("eigenvalue", "residual"), [block], delimiter)
 
 
 def _require_connected(m: IncidenceMatrix) -> None:

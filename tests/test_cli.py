@@ -428,6 +428,24 @@ def test_oversized_label_is_one_ingest_error_line(tmp_path, quote):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("A,x,1e308\nA,x,1e308\n", "error [ingest] cell (A, x) sums past the largest double\n"),
+        ("A,x,1e308\nB,y,1\n", "error [rca] specialization ratios leave the range of a double\n"),
+    ],
+    ids=["cell-sum", "ratio"],
+)
+def test_values_past_the_double_range_are_one_error_line(tmp_path, rows, message):
+    table = tmp_path / "input.csv"
+    table.write_text("location,activity,value\n" + rows)
+    result = invoke("run", "--input", table, "--out-dir", tmp_path / "out")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no uncaught traceback
+    assert result.stderr == message
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "eci"])
 def test_failed_run_removes_the_out_dir_it_created(tmp_path, command):
     negative = tmp_path / "neg.csv"

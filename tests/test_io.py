@@ -3,25 +3,43 @@ the ``csv`` module as the oracle of every writer."""
 
 import csv
 import io
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecindex import _io
 from ecindex._io import BLOCK_CELLS, Columns, number_texts, write_matrix, write_rows
+from ecindex.incidence import IncidenceMatrix
+from ecindex.pipeline import (
+    PipelineConfig,
+    _write_trajectory,
+    compare_vectors,
+    emit_figure_data,
+    prepare,
+    run_pipeline,
+    write_incidence_files,
+)
 from ecindex.relatedness import ProximityMatrix, write_proximity_edges
+from ecindex.spectral import (
+    ComplexityScores,
+    EigenSolution,
+    SignConvention,
+    eci,
+    extensive_scores,
+    write_eigensolution,
+    write_scores,
+)
 
 
 def test_write_rows_quotes_labels_and_writes_shortest_round_trip_numbers(tmp_path):
     path = tmp_path / "rows.csv"
-    rows = [
-        ["a,b", 1, 0.1],
-        ['say "hi"', 1e16, 1e-05],
-        ["plain", -0.0, float("nan")],
-    ]
-    write_rows(path, ("label", "x", "y"), rows)
+    labels = ["a,b", 'say "hi"', "plain"]
+    x = number_texts(np.array([1])).tolist() + number_texts(np.array([1e16, -0.0])).tolist()
+    y = number_texts(np.array([0.1, 1e-05, float("nan")])).tolist()
+    write_rows(path, ("label", "x", "y"), [Columns(labels, x, y)])
     assert path.read_text() == (
         "label,x,y\n"
         '"a,b",1,0.1\n'
@@ -32,7 +50,8 @@ def test_write_rows_quotes_labels_and_writes_shortest_round_trip_numbers(tmp_pat
 
 def test_float_cells_are_quoted_when_the_delimiter_is_a_dot(tmp_path):
     path = tmp_path / "rows.csv"
-    write_rows(path, ("label", "n", "x"), [["a.b", 3, 0.5], ["c", 4, 2.0]], delimiter=".")
+    block = Columns(["a.b", "c"], number_texts(np.array([3, 4])).tolist(), number_texts(np.array([0.5, 2.0])).tolist())
+    write_rows(path, ("label", "n", "x"), [block], delimiter=".")
     assert path.read_text() == 'label.n.x\n"a.b".3."0.5"\nc.4."2.0"\n'
 
 
@@ -163,14 +182,20 @@ cells = st.one_of(
 )
 
 
+def cell_text(cell):
+    """A cell as the writers hand it: numbers formatted by number_texts."""
+    return cell if isinstance(cell, str) else number_texts(np.array([cell]))[0]
+
+
 @given(
     st.lists(st.one_of(st.lists(cells, min_size=1, max_size=5), st.just([""])), max_size=12),
     st.sampled_from(DELIMITERS),
 )
+@example(rows=[["x,y"]], delimiter=",")  # fewer cells than the header: the row's own cells need no delimiter
 @settings(deadline=None, max_examples=300)
 def test_write_rows_writes_rows_as_csv_writes_them(tmp_path_factory, rows, delimiter):
     path = tmp_path_factory.mktemp("oracle") / "rows.csv"
-    write_rows(path, ("a,b", "c"), rows, delimiter)
+    write_rows(path, ("a,b", "c"), [[[cell_text(cell) for cell in row] for row in rows]], delimiter)
     assert written(path) == csv_text(("a,b", "c"), rows, delimiter)
 
 
@@ -186,13 +211,19 @@ def test_write_rows_writes_rows_as_csv_writes_them(tmp_path_factory, rows, delim
 @settings(deadline=None, max_examples=300)
 def test_write_rows_writes_columns_blocks_as_csv_writes_their_rows(tmp_path_factory, blocks, delimiter):
     path = tmp_path_factory.mktemp("oracle") / "rows.csv"
-    write_rows(path, ("x",), [Columns(map(list, zip(*rows))) for rows in blocks], delimiter)
+    write_rows(path, ("x",), [Columns(*map(list, zip(*rows))) for rows in blocks], delimiter)
     assert written(path) == csv_text(("x",), [row for rows in blocks for row in rows], delimiter)
 
 
 def test_columns_blocks_of_single_empty_cells_are_quoted(tmp_path):
-    write_rows(tmp_path / "rows.csv", ("x",), [Columns([["a", ""]]), Columns([["b"]])])
+    write_rows(tmp_path / "rows.csv", ("x",), [Columns(["a", ""]), Columns(["b"])])
     assert written(tmp_path / "rows.csv") == 'x\na\n""\nb\n'
+
+
+def test_a_columns_block_that_needs_quoting_is_written_whole(tmp_path):
+    blocks = [Columns(["a", "b,c", "d"], ["1", "2", "3"]), Columns(["e"], ["4"])]
+    write_rows(tmp_path / "rows.csv", ("x", "y"), blocks)
+    assert written(tmp_path / "rows.csv") == 'x,y\na,1\n"b,c",2\nd,3\ne,4\n'
 
 
 # --- the proximity writers against the row-at-a-time csv path -------------
@@ -236,3 +267,96 @@ def test_proximity_edges_are_formatted_one_bounded_block_at_a_time(tmp_path, mon
     write_proximity_edges(tmp_path / "e.csv", ProximityMatrix(values, tuple(f"A{i}" for i in range(n))))
     assert sum(sizes) == n * (n - 1) // 2
     assert max(sizes) <= BLOCK_CELLS
+
+
+def test_write_matrix_wider_than_one_block_with_labels_that_need_quoting(tmp_path):
+    values = np.random.default_rng(4).integers(0, 5, (3, BLOCK_CELLS + 7)) / 4.0
+    row_labels = ("a,b", "plain", 'say "hi"')
+    col_labels = tuple(LABELS[j % len(LABELS)] + str(j) for j in range(values.shape[1]))
+    for delimiter in (",", ";"):
+        write_matrix(tmp_path / "m.csv", values, row_labels, col_labels, delimiter)
+        rows = [[label, *row.tolist()] for label, row in zip(row_labels, values)]
+        assert written(tmp_path / "m.csv") == csv_text(["location", *col_labels], rows, delimiter)
+
+
+# --- the row writers against csv.writer of native Python cells ------------
+
+WRITER_DELIMITERS = [",", ";", ".", "e", "\t"]
+ROW_LABELS = ("a,b", 'say "hi"', "line\nbreak", "cr\rhere", "plain")
+SPECIAL_VALUES = np.array([float("nan"), -0.0, float("inf"), 1e16, 1e-05])
+
+
+def scores_with_special_raw_values():
+    standardized = np.array([2.0, -1.0, 0.5, -0.5, -1.0])
+    standardized = (standardized - standardized.mean()) / standardized.std()
+    return ComplexityScores(ROW_LABELS, SPECIAL_VALUES, standardized, SignConvention("diversity", 0.5), "ECI")
+
+
+@pytest.mark.parametrize("delimiter", WRITER_DELIMITERS)
+def test_write_scores_writes_what_csv_writes(tmp_path, delimiter):
+    scores = scores_with_special_raw_values()
+    write_scores(tmp_path / "s.csv", scores, delimiter)
+    std = scores.standardized.tolist()
+    ranks = [1 + sum(other > x for other in std) for x in std]  # ties share the lower rank
+    rows = zip(ROW_LABELS, SPECIAL_VALUES.tolist(), std, ranks)
+    assert written(tmp_path / "s.csv") == csv_text(("label", "raw", "standardized", "rank"), rows, delimiter)
+
+
+@pytest.mark.parametrize("delimiter", WRITER_DELIMITERS)
+def test_write_eigensolution_writes_what_csv_writes(tmp_path, delimiter):
+    eigenvalues = np.array([float("inf"), 1e16, 1e-05, -0.0])
+    residuals = np.array([1.0, 1e-05, 1e-09, -0.0])
+    write_eigensolution(tmp_path / "e.csv", EigenSolution(eigenvalues, np.eye(6)[:, :4], residuals), delimiter)
+    rows = [*zip(eigenvalues.tolist(), residuals.tolist()), (0.0, 0.0), (0.0, 0.0)]
+    assert written(tmp_path / "e.csv") == csv_text(("eigenvalue", "residual"), rows, delimiter)
+
+
+@pytest.mark.parametrize("delimiter", WRITER_DELIMITERS)
+def test_trajectory_writes_what_csv_writes(tmp_path, delimiter):
+    raw = np.array([SPECIAL_VALUES, SPECIAL_VALUES[::-1], np.full(5, 2.5)])
+    zscored = np.array([SPECIAL_VALUES[::-1], SPECIAL_VALUES, np.full(5, float("nan"))])
+    _write_trajectory(tmp_path / "t.csv", ROW_LABELS, raw, zscored, delimiter)
+    rows = [
+        (iteration, label, raw[iteration, j].item(), zscored[iteration, j].item())
+        for iteration in range(3) for j, label in enumerate(ROW_LABELS)
+    ]
+    assert written(tmp_path / "t.csv") == csv_text(("iteration", "label", "value", "zscore"), rows, delimiter)
+
+
+@pytest.mark.parametrize("delimiter", WRITER_DELIMITERS)
+def test_incidence_margins_write_what_csv_writes(tmp_path, delimiter):
+    values = np.random.default_rng(5).integers(0, 2, (5, 4))
+    m = IncidenceMatrix.from_values(values, ROW_LABELS, ROW_LABELS[:4])
+    paths = write_incidence_files(tmp_path, m, delimiter)
+    for name, labels, axis in (("diversity", ROW_LABELS, 1), ("ubiquity", ROW_LABELS[:4], 0)):
+        rows = zip(labels, values.sum(axis=axis).tolist())
+        assert written(paths[name]) == csv_text(("label", "value"), rows, delimiter)
+
+
+@pytest.mark.parametrize("delimiter", WRITER_DELIMITERS)
+def test_figure_data_writes_what_csv_writes(tmp_path, delimiter):
+    scores = scores_with_special_raw_values()
+    diversity = SPECIAL_VALUES[::-1].copy()
+    paths = emit_figure_data(tmp_path, ROW_LABELS, diversity, {"eci": scores}, delimiter)
+    rows = sorted(zip(ROW_LABELS, diversity.tolist(), SPECIAL_VALUES.tolist()))
+    assert written(paths["figure_diversity_vs_eci"]) == csv_text(("location", "diversity", "score"), rows, delimiter)
+
+
+@pytest.mark.parametrize("delimiter", WRITER_DELIMITERS)
+def test_comparisons_write_what_csv_writes(tmp_path, delimiter):
+    values = np.random.default_rng(6).integers(0, 40, (12, 15)) * (np.random.default_rng(7).random((12, 15)) < 0.6)
+    with open(tmp_path / "in.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(("location", "activity", "value"))
+        writer.writerows((f"L{c}", f"A{p}", int(values[c, p])) for c, p in zip(*np.nonzero(values)))
+    cfg = PipelineConfig(input_path=tmp_path / "in.csv", out_dir=tmp_path / "out", delimiter=delimiter, emit=("compare",))
+    result = run_pipeline(cfg)
+    final = prepare(cfg).final
+    first, second, _ = extensive_scores(final)
+    diversity = (final.location_labels, final.diversity.astype(float))
+    rows = [
+        astuple(compare_vectors(diversity, panel, "diversity", name))
+        for name, panel in (("extensive_first", first), ("extensive_second", second), ("eci", eci(final)))
+    ]
+    header = ("a", "b", "n", "pearson_r", "r_squared", "spearman_rho")
+    assert written(result.outputs["comparisons"]) == csv_text(header, rows, delimiter)

@@ -314,6 +314,22 @@ class TestRunPipeline:
             results.append(run_pipeline(cfg))
         self.assert_same_run(*results)
 
+    def test_power_of_two_scaled_copies_give_the_same_run(self, tmp_path):
+        # RCA is scale-free and a power-of-two scale is exact, so tables near
+        # either end of the double range give the plain table's bytes
+        rng = np.random.default_rng(9)
+        values = rng.lognormal(0.0, 2.0, (12, 15)) * (rng.random((12, 15)) < 0.6)
+        results = []
+        for i, scale in enumerate((1.0, 2.0**900, 2.0**-700)):
+            lines = [f"L{c},A{p},{values[c, p].item() * scale!r}" for c, p in zip(*np.nonzero(values))]
+            (tmp_path / f"in{i}.csv").write_text("location,activity,value\n" + "\n".join(lines) + "\n")
+            results.append(run_pipeline(PipelineConfig(input_path=tmp_path / f"in{i}.csv", out_dir=tmp_path / f"out{i}")))
+        for result in results[1:]:
+            assert result.outputs.keys() == results[0].outputs.keys()
+            for name, path in results[0].outputs.items():
+                if name != "manifest":
+                    assert path.read_bytes() == result.outputs[name].read_bytes(), name
+
     def test_record_parser_and_fast_path_give_the_same_run(self, tmp_path):
         # quoting every label sends the table to the record parser; the plain
         # table takes numpy's reader. One input path, so the manifests match
