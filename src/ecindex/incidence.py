@@ -17,23 +17,14 @@ from ._io import read_matrix, write_matrix
 from .errors import DegenerateMargins, EmptyAfterPrune, OutOfRange, ZeroMargin
 from .ingest import OutputMatrix, restrict
 
-#: allowed asymmetry of a proximity matrix
-SYMMETRY_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class SpecializationMatrix:
-    """Ratio of observed to expected output share, same shape as its source."""
+    """Ratio of observed to expected output share, same shape as its source;
+    finite and nonnegative, as :func:`compute_rca` makes it."""
 
     values: np.ndarray
     location_labels: tuple[str, ...]
     activity_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.values.shape != (len(self.location_labels), len(self.activity_labels)):
-            raise ValueError("matrix shape does not match label counts")
-        if self.values.size and (not np.isfinite(self.values).all() or self.values.min() < 0):
-            raise ValueError("specialization entries must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -113,10 +113,6 @@ class OutputMatrix:
     def col_totals(self) -> np.ndarray:
         return self.values.sum(axis=0)
 
-    @cached_property
-    def grand_total(self) -> float:
-        return float(self.values.sum())
-
     @property
     def is_empty(self) -> bool:
         return self.values.size == 0

@@ -21,51 +21,35 @@ import numpy as np
 
 from ._io import BLOCK_CELLS, Columns, number_texts, write_matrix, write_rows
 from .errors import IsolatedActivity
-from .incidence import SYMMETRY_TOL, IncidenceMatrix, require_positive_margins
+from .incidence import IncidenceMatrix, require_positive_margins
 
 
 @dataclass(frozen=True)
 class ProximityMatrix:
-    """Symmetric activity-activity relatedness, entries in [0, 1], unit diagonal."""
+    """Activity-activity relatedness as :func:`proximity` makes it, exactly: the
+    co-occurrence counts are integers in float64, so it is bitwise symmetric, each
+    entry (a count over the larger ubiquity) lies in [0, 1], and the diagonal is 1."""
 
     values: np.ndarray
     activity_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        n = len(self.activity_labels)
-        if self.values.shape != (n, n):
-            raise ValueError("proximity matrix must be square over its labels")
-        if n == 0:
-            return
-        if np.abs(self.values - self.values.T).max() > SYMMETRY_TOL:
-            raise ValueError("proximity must be symmetric")
-        if self.values.min() < 0 or self.values.max() > 1:
-            raise ValueError("proximity entries must lie in [0, 1]")
-        if not np.array_equal(np.diag(self.values), np.ones(n)):
-            raise ValueError("proximity diagonal must be 1")
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Location-activity relatedness density, entries in [0, 1]."""
+    """Location-activity relatedness density in [0, 1]: each numerator sums, in
+    order, a subset of its denominator's nonnegative rows (:func:`relatedness_density`)."""
 
     values: np.ndarray
     location_labels: tuple[str, ...]
     activity_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.values.shape != (len(self.location_labels), len(self.activity_labels)):
-            raise ValueError("matrix shape does not match label counts")
-        if self.values.size and (self.values.min() < 0 or self.values.max() > 1):
-            raise ValueError("density entries must lie in [0, 1]")
 
 
 def proximity(m: IncidenceMatrix) -> ProximityMatrix:
     """Pairwise activity relatedness from conditional co-occurrence."""
     require_positive_margins(m)
     values = np.asarray(m.values, dtype=float)
-    cooccurrence = values.T @ values
-    phi = cooccurrence / np.maximum.outer(m.ubiquity, m.ubiquity)
+    phi = values.T @ values
+    phi /= np.maximum.outer(m.ubiquity, m.ubiquity)
     np.fill_diagonal(phi, 1.0)
     return ProximityMatrix(phi, m.activity_labels)
 

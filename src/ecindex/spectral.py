@@ -89,10 +89,11 @@ class SimilarityMatrix:
 
     @cached_property
     def factor(self) -> np.ndarray:
-        values = np.asarray(self.m.values, dtype=float)
         if self.kind == "extensive":
-            return values
-        return values / np.sqrt(self.m.diversity)[:, None] / np.sqrt(self.m.ubiquity)
+            return np.asarray(self.m.values, dtype=float)
+        factor = self.m.values / np.sqrt(self.m.diversity)[:, None]
+        factor /= np.sqrt(self.m.ubiquity)
+        return factor
 
     @property
     def values(self) -> np.ndarray:
@@ -115,7 +116,8 @@ class SimilarityMatrix:
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """Real eigenpairs, eigenvalues descending, unit-norm column eigenvectors.
+    """Real eigenpairs as :func:`eigendecompose` makes them: eigenvalues
+    descending, one unit-norm column eigenvector each. Only the residuals are checked.
 
     Holds at most the leading ``min(C, P)`` pairs; the other eigenvalues of the
     side are zeros, so there may be fewer columns than rows.
@@ -126,16 +128,9 @@ class EigenSolution:
     residuals: np.ndarray
 
     def __post_init__(self):
-        if self.eigenvectors.shape[1] != self.eigenvalues.size:
-            raise ValueError("one eigenvector column per eigenvalue")
-        if np.any(np.diff(self.eigenvalues) > 0):
-            raise ValueError("eigenvalues must be sorted descending")
         bound = EIGEN_RESIDUAL_TOL * np.maximum(1.0, np.abs(self.eigenvalues))
         if not np.all(self.residuals <= bound):  # NaN fails
             raise ConvergenceFailure(f"eigen residual {float(self.residuals.max()):.3e} exceeds contract")
-        norms = np.linalg.norm(self.eigenvectors, axis=0)
-        if norms.size and np.abs(norms - 1.0).max() > 1e-12:
-            raise ValueError("eigenvector columns must have unit norm")
 
 
 @dataclass(frozen=True)
@@ -154,21 +149,14 @@ class SignConvention:
 
 @dataclass(frozen=True)
 class ComplexityScores:
+    """Raw eigenvector entries per label and their :func:`standardize` z-scores,
+    signed so the reference correlation is nonnegative."""
+
     labels: tuple[str, ...]
     raw: np.ndarray
     standardized: np.ndarray
     sign_convention: SignConvention
     kind: ScoreKind
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.raw) or len(self.labels) != len(self.standardized):
-            raise ValueError("labels and score vectors must align")
-        if abs(float(self.standardized.mean())) > 1e-10:
-            raise ValueError("standardized scores must have mean 0")
-        if abs(float(self.standardized.std()) - 1.0) > 1e-10:
-            raise ValueError("standardized scores must have unit population std")
-        if self.sign_convention.correlation < 0:
-            raise ValueError("sign convention correlation must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -233,8 +221,9 @@ def eigendecompose(s: SimilarityMatrix) -> EigenSolution:
     the contract as an exact zero: its ``q`` is any vector of a null space, and
     its sigma, at rounding level, would make the long side's vector noise.
     Vectors are mapped back by ``D^{-1/2}`` (D = the weights) and renormalized;
-    the residuals, taken through the factor (:meth:`SimilarityMatrix.apply`),
-    are checked by :class:`EigenSolution`.
+    ``eigh``'s ascending order, reversed, makes the eigenvalues descending. The
+    residuals, taken through the factor (:meth:`SimilarityMatrix.apply`), are
+    checked by :class:`EigenSolution`.
     """
     a = s.factor if s.side == "location" else s.factor.T
     on_short = a.shape[0] <= a.shape[1]

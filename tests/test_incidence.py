@@ -69,7 +69,7 @@ class TestComputeRca:
         x = np.array(rows, dtype=float)
         m = output_matrix(x)
         r = compute_rca(m)
-        weighted = (m.row_totals / m.grand_total) @ r.values
+        weighted = (m.row_totals / m.values.sum()) @ r.values
         assert np.allclose(weighted, 1.0, rtol=1e-9, atol=0)
 
     def test_zero_cell_stays_zero(self):

@@ -4,7 +4,6 @@ import pytest
 from ecindex.errors import DegenerateMargins, IsolatedActivity
 from ecindex.incidence import IncidenceMatrix
 from ecindex.relatedness import (
-    ProximityMatrix,
     proximity,
     relatedness_density,
     write_proximity,
@@ -15,6 +14,12 @@ from conftest import labeled_incidence, random_connected_incidence
 from oracles import density_by_masked_products
 
 WORKED = labeled_incidence(np.array([[1, 1], [0, 1]]))
+
+
+@pytest.fixture(scope="module")
+def wide_table():
+    """HS6-like width (200 x 2000), where BLAS takes its blocked, threaded path."""
+    return random_connected_incidence(np.random.default_rng(57), 200, 2000, 0.2, 0.5, 200, 2000)
 
 
 class TestProximity:
@@ -34,12 +39,14 @@ class TestProximity:
         phi = proximity(m)
         assert phi.values[0, 1] == 0.0
 
-    def test_symmetric_and_bounded(self):
+    def test_symmetric_and_bounded(self, wide_table):
+        # ProximityMatrix checks none of these; proximity makes each exact
         rng = np.random.default_rng(51)
-        for _ in range(10):
-            m = random_connected_incidence(rng, 25, 35, 0.2, 0.5)
+        for m in [*(random_connected_incidence(rng, 25, 35, 0.2, 0.5) for _ in range(10)), wide_table]:
             phi = proximity(m)
-            assert np.abs(phi.values - phi.values.T).max() <= 1e-12
+            assert phi.values.shape == (len(m.activity_labels),) * 2
+            assert phi.activity_labels == m.activity_labels
+            assert np.array_equal(phi.values, phi.values.T)
             assert phi.values.min() >= 0.0
             assert phi.values.max() <= 1.0
             assert np.array_equal(np.diag(phi.values), np.ones(len(phi.activity_labels)))
@@ -86,11 +93,13 @@ class TestRelatednessDensity:
         # location 2 holds only activity 2; activity 1's one neighbor is held
         assert density.values[1, 0] == 1.0
 
-    def test_bounds(self):
+    def test_bounds(self, wide_table):
+        # DensityMatrix checks none of these; relatedness_density makes each exact
         rng = np.random.default_rng(59)
-        for _ in range(10):
-            m = random_connected_incidence(rng, 25, 35, 0.2, 0.5)
+        for m in [*(random_connected_incidence(rng, 25, 35, 0.2, 0.5) for _ in range(10)), wide_table]:
             density = relatedness_density(m, proximity(m))
+            assert density.values.shape == m.values.shape
+            assert (density.location_labels, density.activity_labels) == (m.location_labels, m.activity_labels)
             assert density.values.min() >= 0.0
             assert density.values.max() <= 1.0
 
@@ -216,11 +225,3 @@ def test_proximity_edges_threshold(tmp_path):
     )
     assert len(lines) - 1 == expected
 
-
-def test_proximity_matrix_type_validations():
-    with pytest.raises(ValueError):
-        ProximityMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]), ("a", "b"))
-    with pytest.raises(ValueError):
-        ProximityMatrix(np.array([[1.0, 1.5], [1.5, 1.0]]), ("a", "b"))
-    with pytest.raises(ValueError):
-        ProximityMatrix(np.array([[0.9, 0.2], [0.2, 0.9]]), ("a", "b"))

@@ -633,15 +633,39 @@ class TestDataContracts:
                     residuals=np.array([0.0, residual]),
                 )
 
-    def test_scores_reject_nonstandardized(self):
-        with pytest.raises(ValueError):
-            ComplexityScores(
-                labels=("a", "b"),
-                raw=np.array([1.0, -1.0]),
-                standardized=np.array([2.0, -1.0]),
-                sign_convention=SignConvention("diversity", 1.0),
-                kind="ECI",
-            )
+    @pytest.mark.parametrize("build", [similarity_intensive, similarity_extensive])
+    @pytest.mark.parametrize("side", ["location", "activity"])
+    def test_eigensolutions_are_descending_unit_columns(self, build, side, bernoulli_ensemble_100):
+        """EigenSolution checks only residuals; eigendecompose makes the rest:
+        one column per eigenvalue, eigenvalues descending, unit-norm columns."""
+        for m in (WORKED, WIDE, TALL, *bernoulli_ensemble_100):
+            solution = eigendecompose(build(m, side))
+            assert solution.eigenvectors.shape[1] == solution.eigenvalues.size
+            assert (np.diff(solution.eigenvalues) <= 0).all()
+            assert np.abs(np.linalg.norm(solution.eigenvectors, axis=0) - 1.0).max() <= 1e-12
+
+    def test_scores_are_aligned_standardized_and_signed(self, bernoulli_ensemble_100):
+        """ComplexityScores checks nothing; standardize and the sign rule make
+        every score vector align with its labels, have mean 0 and unit
+        population std, and correlate nonnegatively with its reference."""
+        for m in bernoulli_ensemble_100:
+            location = eci(m)
+            projected = (m.values.T @ location.standardized) / m.ubiquity
+            panels = [(location, m.location_labels, m.diversity), (pci(m), m.activity_labels, projected)]
+            sides = (("location", m.location_labels, m.diversity), ("activity", m.activity_labels, m.ubiquity))
+            for side, labels, margin in sides:
+                first, second, _ = extensive_scores(m, side)
+                panels += [(first, labels, margin), (second, labels, margin)]
+            for scores, labels, reference in panels:
+                assert scores.labels == labels
+                assert len(scores.raw) == len(scores.standardized) == len(labels)
+                assert abs(float(scores.standardized.mean())) <= 1e-10
+                assert abs(float(scores.standardized.std()) - 1.0) <= 1e-10
+                assert scores.sign_convention.correlation >= 0
+                if scores.sign_convention.fallback_used:
+                    assert scores.raw[np.argmax(np.abs(scores.raw))] > 0
+                else:
+                    assert pearson_by_formula(scores.standardized, reference) >= 0
 
 
 def test_write_scores_rank_ties_share_lower_number(tmp_path):
