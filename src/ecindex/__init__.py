@@ -4,7 +4,8 @@ Quickstart::
 
     from ecindex import ingest, incidence, spectral
 
-    table = ingest.parse_long_records(open("exports.csv"))
+    with open("exports.csv") as fh:
+        table = ingest.parse_long_records(fh)
     matrix = ingest.drop_empty_margins(ingest.pivot_to_matrix(table))
     pruned, _ = incidence.prune_degenerate(
         incidence.binarize(incidence.compute_rca(matrix))

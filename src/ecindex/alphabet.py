@@ -66,6 +66,19 @@ def letter_symbols(n: int) -> tuple[str, ...]:
     return tuple(symbols)
 
 
+def _world(letters, endowments, requirements, seed: int) -> AlphabetWorld:
+    """The world of these endowments and requirements, locations labeled
+    ``L000``, ``L001``, ... and activities ``A000``, ``A001``, ... in order."""
+    return AlphabetWorld(
+        letters=letters,
+        location_labels=tuple(f"L{i:03d}" for i in range(len(endowments))),
+        endowments=endowments,
+        activity_labels=tuple(f"A{j:03d}" for j in range(len(requirements))),
+        requirements=requirements,
+        seed=seed,
+    )
+
+
 def generate_nested_world(num_locations: int, num_activities: int, seed: int) -> AlphabetWorld:
     """World whose endowments form a strict chain E1 < E2 < ... < EC.
 
@@ -95,14 +108,7 @@ def generate_nested_world(num_locations: int, num_activities: int, seed: int) ->
             mask = rng.random(level - 1) < 0.5
             required.update(letter for letter, take in zip(letters[: level - 1], mask) if take)
         requirements.append(frozenset(required))
-    return AlphabetWorld(
-        letters=letters,
-        location_labels=tuple(f"L{i:03d}" for i in range(num_locations)),
-        endowments=endowments,
-        activity_labels=tuple(f"A{j:03d}" for j in range(num_activities)),
-        requirements=tuple(requirements),
-        seed=seed,
-    )
+    return _world(letters, endowments, tuple(requirements), seed)
 
 
 def generate_random_world(
@@ -141,14 +147,7 @@ def generate_random_world(
             for requirement in requirements
         )
         if feasible:
-            return AlphabetWorld(
-                letters=letters,
-                location_labels=tuple(f"L{i:03d}" for i in range(num_locations)),
-                endowments=endowments,
-                activity_labels=tuple(f"A{j:03d}" for j in range(num_activities)),
-                requirements=requirements,
-                seed=seed,
-            )
+            return _world(letters, endowments, requirements, seed)
     raise InfeasibleWorld(
         f"no feasible world in {RETRY_BUDGET} draws; "
         "loosen letters_per_word or add locations"
@@ -191,39 +190,3 @@ def write_world(path: Path, w: AlphabetWorld) -> None:
             fh.write(f"location {label}: {' '.join(sorted(endowment))}\n")
         for label, requirement in zip(w.activity_labels, w.requirements):
             fh.write(f"activity {label}: {' '.join(sorted(requirement))}\n")
-
-
-def read_world(path: Path) -> AlphabetWorld:
-    """Inverse of :func:`write_world`."""
-    seed = 0
-    letters: tuple[str, ...] = ()
-    location_labels, endowments = [], []
-    activity_labels, requirements = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, rest = line.partition(":")
-            key = key.strip()
-            rest = rest.strip()
-            if key == "seed":
-                seed = int(rest)
-            elif key == "letters":
-                letters = tuple(rest.split())
-            elif key.startswith("location "):
-                location_labels.append(key[len("location "):])
-                endowments.append(frozenset(rest.split()))
-            elif key.startswith("activity "):
-                activity_labels.append(key[len("activity "):])
-                requirements.append(frozenset(rest.split()))
-            else:
-                raise ValueError(f"unrecognized world line: {line!r}")
-    return AlphabetWorld(
-        letters=letters,
-        location_labels=tuple(location_labels),
-        endowments=tuple(endowments),
-        activity_labels=tuple(activity_labels),
-        requirements=tuple(requirements),
-        seed=seed,
-    )

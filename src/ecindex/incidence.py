@@ -72,7 +72,6 @@ class IncidenceMatrix:
 class PruneRecord:
     label: str
     axis: str  # "location" or "activity"
-    pass_number: int
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # a ratio out of range is refused below
@@ -114,15 +113,14 @@ def prune_degenerate(m: IncidenceMatrix) -> tuple[IncidenceMatrix, list[PruneRec
 
     One pass reaches the fixed point: an all-zero row adds nothing to any
     column sum (and vice versa), so dropping it cannot empty a kept column.
-    Every :class:`PruneRecord` therefore has ``pass_number`` 1. Returns the
-    surviving submatrix and the removal report. Raises
+    Returns the surviving submatrix and the removal report. Raises
     :class:`EmptyAfterPrune` when nothing survives.
     """
     keep_rows = m.diversity > 0
     keep_cols = m.ubiquity > 0
     report = [
-        *(PruneRecord(lab, "location", 1) for lab, k in zip(m.location_labels, keep_rows) if not k),
-        *(PruneRecord(lab, "activity", 1) for lab, k in zip(m.activity_labels, keep_cols) if not k),
+        *(PruneRecord(lab, "location") for lab, k in zip(m.location_labels, keep_rows) if not k),
+        *(PruneRecord(lab, "activity") for lab, k in zip(m.activity_labels, keep_cols) if not k),
     ]
     pruned = restrict(m, keep_rows, keep_cols)
     if pruned.values.size == 0:

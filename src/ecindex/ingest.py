@@ -5,19 +5,19 @@ order (location, activity, value). Values are nonnegative decimal reals,
 e.g. export USD. Gzip-compressed files are accepted when the name ends in
 ``.gz``.
 
-:func:`parse_long_records` reads the whole text and hands it to numpy's C
-reader (``np.loadtxt``), the fast path for plain tables, whose converters
-trim each label field and return the label's code, so a row keeps two
-integers, not two strings. The record parser, a ``csv`` loop over the same
-text, reads it instead when the text holds ``"`` (csv quoting), NUL or CR (a
-file from :func:`open_text` holds no CR: it reads CR and CRLF line ends as
-``\\n``), when the header is not three fields, and when no line follows the
-header, and when the C reader refuses the table or reads it otherwise than
-``csv`` would: a row count other than the number of non-empty lines, a
-non-finite or negative value, a label that is empty after trimming or longer
-than ``csv.field_size_limit()`` (the converters refuse both). Text that
-``float`` reads and numpy does not, such as ``1_000``, takes the record
-parser too.
+:func:`parse_long_records` takes the text or a text file object, which it
+reads whole, and hands the text to numpy's C reader (``np.loadtxt``), the
+fast path for plain tables, whose converters trim each label field and
+return the label's code, so a row keeps two integers, not two strings. The
+record parser, a ``csv`` loop over the same text, reads it instead when the
+text holds ``"`` (csv quoting), NUL or CR (a file from :func:`open_text`
+holds no CR: it reads CR and CRLF line ends as ``\\n``), when the header is
+not three fields, and when no line follows the header, and when the C reader
+refuses the table or reads it otherwise than ``csv`` would: a row count
+other than the number of non-empty lines, a non-finite or negative value, a
+label that is empty after trimming or longer than ``csv.field_size_limit()``
+(the converters refuse both). Text that ``float`` reads and numpy does not,
+such as ``1_000``, takes the record parser too.
 Every error and its 1-based line number come from the record parser, and
 both paths build the same :class:`LongTable` from the same table.
 """
@@ -56,16 +56,6 @@ class LongTable:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @property
-    def locations(self) -> np.ndarray:
-        """Each row's location label, as an object array."""
-        return np.array(self.location_labels, dtype=object)[self.location_codes]
-
-    @property
-    def activities(self) -> np.ndarray:
-        """Each row's activity label, as an object array."""
-        return np.array(self.activity_labels, dtype=object)[self.activity_codes]
 
     def __eq__(self, other) -> bool:
         """Same rows, and values with the same bits (``-0.0`` is not ``0.0``)."""
@@ -130,11 +120,11 @@ def open_text(path: str | Path) -> IO[str]:
     return open(path, "r", encoding="utf-8")
 
 
-def parse_long_records(stream: Iterable[str] | str, delimiter: str = ",") -> LongTable:
+def parse_long_records(source: str | IO[str], delimiter: str = ",") -> LongTable:
     """Parse header-prefixed long-format text into a :class:`LongTable`.
 
-    ``stream`` is the text itself, a file object (read whole), or any other
-    iterable of lines (read by the record parser). Duplicate (location,
+    ``source`` is the text itself or a text file object, read whole; the
+    module docstring says which parser reads it. Duplicate (location,
     activity) pairs are kept as separate rows; merging happens in
     :func:`pivot_to_matrix`. Labels are whitespace-trimmed and matched
     case-sensitively; blank lines are skipped. Raises :class:`MalformedLine`,
@@ -143,13 +133,9 @@ def parse_long_records(stream: Iterable[str] | str, delimiter: str = ",") -> Lon
     """
     if len(delimiter) != 1:
         raise ValueError("delimiter must be a single character")
-    if isinstance(stream, str) or hasattr(stream, "read"):
-        text = stream if isinstance(stream, str) else stream.read()
-        table = _parse_columns(text, delimiter)
-        if table is not None:
-            return table
-        stream = io.StringIO(text)
-    return _parse_records(stream, delimiter)
+    text = source if isinstance(source, str) else source.read()
+    table = _parse_columns(text, delimiter)
+    return table if table is not None else _parse_records(io.StringIO(text), delimiter)
 
 
 def _parse_columns(text: str, delimiter: str) -> LongTable | None:

@@ -139,20 +139,17 @@ class Prepared:
 def compare_vectors(a, b, name_a: str = "a", name_b: str = "b") -> ComparisonReport:
     """Pearson, R-squared and Spearman over the label intersection.
 
-    Accepts :class:`ComplexityScores` (compared on the standardized column),
-    ``(labels, values)`` pairs, or bare vectors (compared positionally).
-    Spearman uses the exact rank-difference formula when there are no ties,
-    so a perfect monotone match is exactly 1.
+    Each input is labeled: :class:`ComplexityScores` (compared on the
+    standardized column) or a ``(labels, values)`` pair. Spearman uses the
+    exact rank-difference formula when there are no ties, so a perfect
+    monotone match is exactly 1.
     """
     labels_a, values_a = _as_labeled(a)
     labels_b, values_b = _as_labeled(b)
-    if labels_a is not None and labels_b is not None:
-        index_b = {label: i for i, label in enumerate(labels_b)}
-        shared = [(i, index_b[label]) for i, label in enumerate(labels_a) if label in index_b]
-        values_a = np.array([values_a[i] for i, _ in shared])
-        values_b = np.array([values_b[j] for _, j in shared])
-    elif len(values_a) != len(values_b):
-        raise ValueError("unlabeled vectors must have equal length")
+    index_b = {label: i for i, label in enumerate(labels_b)}
+    shared = [(i, index_b[label]) for i, label in enumerate(labels_a) if label in index_b]
+    values_a = np.array([values_a[i] for i, _ in shared])
+    values_b = np.array([values_b[j] for _, j in shared])
     n = len(values_a)
     if n < 3:
         raise InsufficientOverlap(f"only {n} shared labels, need at least 3")
@@ -283,6 +280,8 @@ def prepare(cfg: PipelineConfig) -> Prepared:
     with _stage("empty_margins"):
         nonzero = drop_empty_margins(filtered)
         _record_drops(dropped, filtered, nonzero, "empty_margins", "zero total output")
+        if nonzero.is_empty:
+            raise EmptyInput("no location or activity has positive total output")
 
     with _stage("rca"):
         specialization = compute_rca(nonzero)
@@ -464,12 +463,10 @@ def _write_trajectory(path, labels, raw, zscored, delimiter):
     write_rows(path, ("iteration", "label", "value", "zscore"), blocks, delimiter)
 
 
-def _as_labeled(x) -> tuple[tuple[str, ...] | None, np.ndarray]:
+def _as_labeled(x) -> tuple[tuple[str, ...], np.ndarray]:
     if isinstance(x, ComplexityScores):
-        return x.labels, np.asarray(x.standardized, dtype=float)
-    if isinstance(x, tuple) and len(x) == 2:
-        return tuple(x[0]), np.asarray(x[1], dtype=float)
-    return None, np.asarray(x, dtype=float)
+        x = x.labels, x.standardized
+    return tuple(x[0]), np.asarray(x[1], dtype=float)
 
 
 def _spearman(a: np.ndarray, b: np.ndarray) -> float:

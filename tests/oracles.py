@@ -24,9 +24,8 @@ def pivot_by_dict(table):
     totals: dict[str, dict[str, float]] = defaultdict(dict)
     locations: list[str] = []
     activities: list[str] = []
-    for location, activity, value in zip(
-        table.locations.tolist(), table.activities.tolist(), table.values.tolist()
-    ):
+    for c, a, value in zip(table.location_codes.tolist(), table.activity_codes.tolist(), table.values.tolist()):
+        location, activity = table.location_labels[c], table.activity_labels[a]
         if location not in totals or activity not in totals[location]:
             totals[location][activity] = 0.0
         if location not in locations:

@@ -120,9 +120,7 @@ class TestPruneDegenerate:
         m = labeled_incidence(np.array([[1, 1, 0], [0, 1, 0]]))
         pruned, report = prune_degenerate(m)
         assert pruned.values.tolist() == [[1, 1], [0, 1]]
-        assert [(rec.label, rec.axis, rec.pass_number) for rec in report] == [
-            ("A002", "activity", 1)
-        ]
+        assert [(rec.label, rec.axis) for rec in report] == [("A002", "activity")]
 
     def test_already_positive_margins_unchanged(self):
         m = labeled_incidence(np.array([[1, 0], [0, 1]]))

@@ -79,7 +79,7 @@ class TestParseLongRecords:
 
     def test_labels_trimmed_case_sensitive(self):
         parsed = parse_long_records("loc,act,val\n FRA ,wine,1\nfra,wine,2")
-        assert parsed.locations.tolist() == ["FRA", "fra"]
+        assert [parsed.location_labels[code] for code in parsed.location_codes] == ["FRA", "fra"]
 
     def test_header_must_have_three_columns(self):
         with pytest.raises(MalformedLine):
@@ -110,9 +110,10 @@ class TestParseLongRecords:
             parse_long_records(text)
         assert err.value.line_number == 3
 
-    def test_iterable_of_lines_goes_to_the_record_parser(self):
-        parsed = parse_long_records(iter(["loc,act,val\n", " FRA ,wine,1_000\n"]))
-        assert parsed == table(("FRA", "wine", 1000.0))
+    def test_text_numpy_refuses_goes_to_the_record_parser(self):
+        text = "loc,act,val\n FRA ,wine,1_000\n"
+        assert _parse_columns(text, ",") is None
+        assert parse_long_records(text) == table(("FRA", "wine", 1000.0))
 
 
 def test_open_text_gzip_roundtrip(tmp_path):

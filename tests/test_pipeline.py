@@ -75,10 +75,15 @@ EMIT_FILES = {
 }
 
 
+def labeled(values: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """``values`` as a ``(labels, values)`` pair, one label per position."""
+    return tuple(f"k{i}" for i in range(len(values))), values
+
+
 class TestCompareVectors:
     def test_self_correlation(self):
         v = np.array([1.0, 4.0, 2.0, 8.0])
-        report = compare_vectors(v, v)
+        report = compare_vectors(labeled(v), labeled(v))
         assert report.pearson_r == pytest.approx(1.0, abs=1e-12)
         assert report.r_squared == pytest.approx(1.0, abs=1e-12)
         assert report.spearman_rho == 1.0
@@ -86,7 +91,7 @@ class TestCompareVectors:
 
     def test_negation(self):
         v = np.array([1.0, 4.0, 2.0, 8.0])
-        report = compare_vectors(v, -v)
+        report = compare_vectors(labeled(v), labeled(-v))
         assert report.pearson_r == pytest.approx(-1.0, abs=1e-12)
         assert report.r_squared == pytest.approx(1.0, abs=1e-12)
         assert report.spearman_rho == -1.0
@@ -94,7 +99,7 @@ class TestCompareVectors:
     def test_hand_example_against_covariance_oracle(self):
         a = np.array([1.0, 2.0, 3.0])
         b = np.array([2.0, 4.0, 7.0])
-        report = compare_vectors(a, b)
+        report = compare_vectors(labeled(a), labeled(b))
         assert report.pearson_r == pytest.approx(pearson_by_formula(a, b), abs=1e-15)
         assert report.pearson_r == pytest.approx(0.9933992677987828, abs=1e-12)
         assert report.r_squared == report.pearson_r**2
@@ -103,8 +108,8 @@ class TestCompareVectors:
     def test_symmetry(self):
         a = np.array([3.0, 1.0, 4.0, 1.5, 9.0])
         b = np.array([2.0, 7.0, 1.0, 8.0, 2.0])
-        ab = compare_vectors(a, b)
-        ba = compare_vectors(b, a)
+        ab = compare_vectors(labeled(a), labeled(b))
+        ba = compare_vectors(labeled(b), labeled(a))
         assert ab.pearson_r == ba.pearson_r
         assert ab.r_squared == ba.r_squared
         assert ab.spearman_rho == ba.spearman_rho
@@ -118,20 +123,16 @@ class TestCompareVectors:
 
     def test_insufficient_overlap(self):
         with pytest.raises(InsufficientOverlap):
-            compare_vectors(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
+            compare_vectors(labeled(np.array([1.0, 2.0])), labeled(np.array([2.0, 1.0])))
 
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):
-            compare_vectors(np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0]))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            compare_vectors(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0]))
+            compare_vectors(labeled(np.array([1.0, 1.0, 1.0])), labeled(np.array([1.0, 2.0, 3.0])))
 
     def test_spearman_with_ties_matches_definition(self):
         a = np.array([1.0, 1.0, 2.0, 3.0])
         b = np.array([4.0, 2.0, 2.0, 1.0])
-        report = compare_vectors(a, b)
+        report = compare_vectors(labeled(a), labeled(b))
         assert report.spearman_rho == pytest.approx(spearman_by_definition(a, b), abs=1e-15)
 
 
@@ -182,7 +183,10 @@ class TestEmitFigureData:
         )
         with open(paths["figure_diversity_vs_extensive_first"]) as fh:
             table = parse_long_records(fh)
-        by_label = dict(zip(table.locations, zip(table.activities, table.values)))
+        by_label = {
+            table.location_labels[c]: (table.activity_labels[a], value)
+            for c, a, value in zip(table.location_codes, table.activity_codes, table.values)
+        }
         for i, label in enumerate(m.location_labels):
             assert by_label[label] == (repr(float(m.diversity[i])), first.raw[i])
 
@@ -356,6 +360,15 @@ class TestRunPipeline:
         with pytest.raises(EmptyInput) as err:
             run_pipeline(cfg)
         assert err.value.stage == "ingest"
+
+    def test_all_zero_table_refused_at_empty_margins(self, tmp_path):
+        input_path = tmp_path / "zero.csv"
+        input_path.write_text("location,activity,value\nA,x,0\nB,y,0\n")
+        cfg = PipelineConfig(input_path=input_path, out_dir=tmp_path / "out")
+        with pytest.raises(EmptyInput, match="no location or activity has positive total output") as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "empty_margins"
+        assert not cfg.out_dir.exists()
 
     @pytest.mark.parametrize("damage", ["truncated", "flipped"])
     def test_damaged_gzip_tagged_with_ingest_stage(self, tmp_path, damage):
