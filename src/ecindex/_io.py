@@ -12,9 +12,33 @@ integer text. Rounding is the consumer's job.
 
 Every writer formats its numbers once, with :func:`number_texts`, and hands
 :func:`write_rows` blocks of ``str`` cells, whose rows it joins per block. The
-matrix and edge writers format about :data:`BLOCK_CELLS` cells at a time (a
-proximity matrix of millions of cells holds a few hundred distinct numbers),
-the other writers one column at a time.
+matrix, edge and trajectory writers hand it :class:`Blocks`, which cut their
+rows into blocks of about :data:`BLOCK_CELLS` cells and format a block only
+when it is read (a proximity matrix of millions of cells holds a few hundred
+distinct numbers); the other writers hand it one block.
+
+A file of several :class:`Blocks` is written in parallel: :func:`write_rows`
+splits its blocks into contiguous ranges, one per usable CPU
+(``os.sched_getaffinity``) and at most one per block, forks a worker for each
+range after the first and formats the first range itself. A worker writes its
+range into a hidden part file ``.<name>.part<j>`` beside the file, and the
+parent appends the parts in order before it returns. So ``density.csv``,
+``proximity_matrix.csv``, ``proximity_edges.csv``, ``incidence.csv``, the
+ingest and RCA matrices and the reflections trajectories are formatted on
+every usable CPU. Every byte comes from the same code on the same blocks, so
+the files do not depend on the number of CPUs. A file of one block, a process
+allowed one CPU (``taskset -c 0``, say) and a platform without ``os.fork``
+write in-process.
+
+A worker writes nothing but its part file, calls no BLAS, imports nothing and
+ends with ``os._exit``, so it flushes no inherited stdio buffer. On Python
+3.12 and later ``os.fork`` may emit a ``DeprecationWarning`` when the process
+has other threads, such as OpenBLAS's. The fork is safe all the same:
+OpenBLAS stops its threads before a fork, and a worker calls no BLAS. When a
+worker exits nonzero the parent formats that range itself, so a real error
+(``ENOSPC``, say) surfaces with its own type; when the parent raises,
+``KeyboardInterrupt`` included, it kills and reaps every worker and deletes
+every part file before the error propagates.
 """
 
 from __future__ import annotations
@@ -22,15 +46,17 @@ from __future__ import annotations
 import csv
 import os
 import shutil
+import signal
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-#: the matrix and edge writers format, join and check about this many cells
-#: at a time, so their extra memory is bounded by one block, not by the file
+#: the matrix, edge and trajectory writers format, join and check about this
+#: many cells at a time, so their extra memory is bounded by one block, not by
+#: the file
 BLOCK_CELLS = 1 << 14
 
 
@@ -93,34 +119,127 @@ class Columns:
         return len(self.columns[0])
 
 
-def write_rows(path: Path, header: Sequence[str], blocks: Iterable[Collection], delimiter: str = ",") -> None:
-    """Header then the rows of each block, byte for byte as ``csv.writer``
-    writes them (see the module docstring). A block is a sized collection of
-    rows of ``str`` cells that can be iterated twice, such as a list of rows
-    or a :class:`Columns`. Its rows are joined into one text, which goes out
-    as is unless a cell holds the delimiter (the text has more than its cells
-    need), ``"``, CR or a line break, or a row is one empty cell: then
-    ``csv.writer`` writes the block, so quoting is always the running Python's.
+class Blocks:
+    """Rows ``0 .. len(row_cells)`` cut into consecutive blocks of at most
+    :data:`BLOCK_CELLS` cells (one row when a row alone holds more), where row
+    ``i`` holds ``row_cells[i]`` cells. Block ``k`` is ``make(start, stop)`` of
+    its rows, called each time the block is read: a writer holds one block at a
+    time, and a worker of :func:`write_rows` forms only the blocks of its range.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(header)
-        for block in blocks:
-            lines = list(map(delimiter.join, block))
-            text = "\n".join(lines)
-            # a Columns' cells are columns x rows, without a pass over its rows
-            cells = len(block.columns) * len(block) if isinstance(block, Columns) else sum(map(len, block))
-            if (
-                text.count(delimiter) == cells - len(lines)
-                and text.count("\n") == len(lines) - 1
-                and '"' not in text
-                and "\r" not in text
-                and "" not in lines
-            ):
-                fh.write(text)
-                fh.write("\n")
-            else:
-                writer.writerows(block)
+
+    def __init__(self, row_cells: np.ndarray, make: Callable[[int, int], Collection]):
+        ends = np.cumsum(row_cells)
+        bounds = [0]
+        while bounds[-1] < len(ends):
+            start = bounds[-1]
+            limit = (ends[start - 1] if start else 0) + BLOCK_CELLS
+            bounds.append(max(start + 1, int(np.searchsorted(ends, limit, side="right"))))
+        self.bounds = bounds
+        self.make = make
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, k: int) -> Collection:
+        return self.make(self.bounds[k], self.bounds[k + 1])
+
+
+def write_rows(path: Path, header: Sequence[str], blocks: Sequence[Collection], delimiter: str = ",") -> None:
+    """Header then the rows of each block, byte for byte as ``csv.writer``
+    writes them (see the module docstring). ``blocks`` is a sized sequence,
+    such as a list or :class:`Blocks`; a block is a sized collection of rows
+    of ``str`` cells that can be iterated twice, such as a list of rows or a
+    :class:`Columns`. The blocks of a :class:`Blocks` are split among forked
+    workers as the module docstring says; the file is whole when this returns,
+    and no worker or part file outlives the call.
+    """
+    path = Path(path)
+    workers = _workers(blocks)
+    bounds = [len(blocks) * j // workers for j in range(workers + 1)]
+    parts = {j: path.with_name(f".{path.name}.part{j}") for j in range(1, workers)}
+    pids: dict[int, int] = {}  # range -> worker, until the worker is reaped
+    parent = os.getpid()
+    try:
+        for j in range(1, workers):
+            try:
+                pid = os.fork()
+            except OSError:
+                break  # the parent formats the ranges no worker took
+            if pid == 0:
+                _worker(parts[j], blocks, bounds[j], bounds[j + 1], delimiter)
+            pids[j] = pid
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerow(header)
+            _write_blocks(fh, blocks, bounds[0], bounds[1], delimiter)
+            for j in range(1, workers):
+                done = j in pids and os.waitpid(pids[j], 0)[1] == 0
+                pids.pop(j, None)
+                if done:
+                    fh.flush()
+                    with open(parts[j], "rb") as part:
+                        shutil.copyfileobj(part, fh.buffer)
+                else:
+                    _write_blocks(fh, blocks, bounds[j], bounds[j + 1], delimiter)
+    except BaseException:
+        if os.getpid() != parent:  # a worker interrupted before it reached _worker
+            os._exit(1)
+        for pid in pids.values():
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+        raise
+    finally:
+        for part in parts.values():
+            part.unlink(missing_ok=True)
+
+
+def _workers(blocks: Sequence[Collection]) -> int:
+    """Processes that write ``blocks``: one per usable CPU and at most one per
+    block for :class:`Blocks` where ``os.fork`` exists, else one. Blocks
+    formatted in advance leave a worker nothing but the joining."""
+    if not isinstance(blocks, Blocks) or not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, len(blocks)))
+
+
+def _worker(part: Path, blocks: Sequence[Collection], start: int, stop: int, delimiter: str) -> NoReturn:
+    """A forked worker's whole life: ``blocks[start:stop]`` into ``part``, then
+    ``os._exit``, with status 0 only when the part is complete."""
+    status = 1
+    try:
+        with open(part, "w", encoding="utf-8", newline="") as fh:
+            _write_blocks(fh, blocks, start, stop, delimiter)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _write_blocks(fh, blocks: Sequence[Collection], start: int, stop: int, delimiter: str) -> None:
+    """The rows of ``blocks[start:stop]``. Each block's rows are joined into
+    one text, which goes out as is unless a cell holds the delimiter (the text
+    has more than its cells need), ``"``, CR or a line break, or a row is one
+    empty cell: then ``csv.writer`` writes the block, so quoting is always the
+    running Python's."""
+    writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+    for k in range(start, stop):
+        block = blocks[k]
+        lines = list(map(delimiter.join, block))
+        text = "\n".join(lines)
+        # a Columns' cells are columns x rows, without a pass over its rows
+        cells = len(block.columns) * len(block) if isinstance(block, Columns) else sum(map(len, block))
+        if (
+            text.count(delimiter) == cells - len(lines)
+            and text.count("\n") == len(lines) - 1
+            and '"' not in text
+            and "\r" not in text
+            and "" not in lines
+        ):
+            fh.write(text)
+            fh.write("\n")
+        else:
+            writer.writerows(block)
 
 
 def write_matrix(
@@ -132,12 +251,12 @@ def write_matrix(
     corner: str = "location",
 ) -> None:
     """Header row of column labels, one row per row label."""
-    step = max(1, BLOCK_CELLS // max(1, values.shape[1]))
-    blocks = (
-        [[label, *texts] for label, texts in zip(row_labels[i:i + step], number_texts(values[i:i + step]).tolist())]
-        for i in range(0, values.shape[0], step)
-    )
-    write_rows(path, [corner, *col_labels], blocks, delimiter)
+
+    def block(start: int, stop: int) -> list[list[str]]:
+        texts = number_texts(values[start:stop]).tolist()
+        return [[label, *row] for label, row in zip(row_labels[start:stop], texts)]
+
+    write_rows(path, [corner, *col_labels], Blocks(np.full(values.shape[0], values.shape[1]), block), delimiter)
 
 
 def read_matrix(path: Path, delimiter: str = ",") -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:

@@ -198,7 +198,7 @@ _emit_command("density", "Write the relatedness density matrix.")
 @click.option("--activities", default=20, show_default=True)
 @click.option("--letters-per-location", default=8, show_default=True)
 @click.option("--letters-per-word", default=3, show_default=True)
-@click.option("--num-letters", default=26, show_default=True)
+@click.option("--num-letters", default=12, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--delimiter", default=",", show_default=True, type=_Delimiter())
 @click.option("--out-dir", required=True, type=click.Path(path_type=Path))

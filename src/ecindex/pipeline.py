@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import Columns, number_texts, read_columns, staged_dir, write_rows
+from ._io import Blocks, Columns, number_texts, read_columns, staged_dir, write_rows
 from .errors import (
     ComplexityError,
     EmptyInput,
@@ -456,17 +456,26 @@ def _record_drops(
 
 
 def _write_trajectory(path, labels, raw, zscored, delimiter):
-    blocks = (
-        Columns([str(i)] * len(labels), labels, *(number_texts(x[i]).tolist() for x in (raw, zscored)))
-        for i in range(raw.shape[0])
-    )
+    def block(start, stop):  # iterations start:stop, each one row per label
+        iterations = [text for i in range(start, stop) for text in [str(i)] * len(labels)]
+        values = (number_texts(x[start:stop]).ravel().tolist() for x in (raw, zscored))
+        return Columns(iterations, labels * (stop - start), *values)
+
+    blocks = Blocks(np.full(raw.shape[0], 2 * raw.shape[1]), block)
     write_rows(path, ("iteration", "label", "value", "zscore"), blocks, delimiter)
 
 
 def _as_labeled(x) -> tuple[tuple[str, ...], np.ndarray]:
     if isinstance(x, ComplexityScores):
-        x = x.labels, x.standardized
-    return tuple(x[0]), np.asarray(x[1], dtype=float)
+        return x.labels, x.standardized
+    try:
+        labels, values = x
+        labels = tuple(labels)
+    except (TypeError, ValueError):
+        raise TypeError(
+            f"compare_vectors takes ComplexityScores or a (labels, values) pair, not {type(x).__name__}"
+        ) from None
+    return labels, np.asarray(values, dtype=float)
 
 
 def _spearman(a: np.ndarray, b: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import BLOCK_CELLS, Columns, number_texts, write_matrix, write_rows
+from ._io import Blocks, Columns, number_texts, write_matrix, write_rows
 from .errors import IsolatedActivity
 from .incidence import IncidenceMatrix, require_positive_margins
 
@@ -88,17 +88,18 @@ def write_proximity(path: Path, phi: ProximityMatrix, delimiter: str = ",") -> N
 def write_proximity_edges(
     path: Path, phi: ProximityMatrix, min_phi: float = 0.0, delimiter: str = ","
 ) -> None:
-    """Upper-triangle edge list (activityA, activityB, phi), thresholded."""
+    """Upper-triangle edge list (activityA, activityB, phi), thresholded.
+    Row ``i`` holds ``n - 1 - i`` cells of the upper triangle, and the blocks
+    are cut by those counts, so they weigh alike."""
     labels = np.array(phi.activity_labels, dtype=object)
-    step = max(1, BLOCK_CELLS // max(1, len(labels)))
 
-    def blocks():  # the kept cells of a block of rows, in row-major order
-        for start in range(0, len(labels), step):
-            block = phi.values[start:start + step]
-            rows, cols = np.nonzero(np.triu(block >= min_phi, start + 1))
-            yield Columns(labels[rows + start].tolist(), labels[cols].tolist(), number_texts(block[rows, cols]).tolist())
+    def block(start: int, stop: int) -> Columns:  # the kept cells of the rows, in row-major order
+        values = phi.values[start:stop]
+        rows, cols = np.nonzero(np.triu(values >= min_phi, start + 1))
+        return Columns(labels[rows + start].tolist(), labels[cols].tolist(), number_texts(values[rows, cols]).tolist())
 
-    write_rows(path, ("activityA", "activityB", "phi"), blocks(), delimiter)
+    blocks = Blocks(np.arange(len(labels) - 1, -1, -1), block)
+    write_rows(path, ("activityA", "activityB", "phi"), blocks, delimiter)
 
 
 def write_density(path: Path, density: DensityMatrix, delimiter: str = ",") -> None:

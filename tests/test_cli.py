@@ -504,6 +504,14 @@ def test_world_nested_and_random(tmp_path):
     assert result.exit_code == 0, result.output
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_world_random_succeeds_at_its_defaults(tmp_path, seed):
+    args = ["--seed", seed] if seed else []  # seed 0 is the default
+    result = invoke("world", "--kind", "random", *args, "--out-dir", tmp_path / "w")
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "w" / "world_incidence.csv").exists()
+
+
 def test_world_reports_both_files(tmp_path):
     out_dir = tmp_path / "w"
     result = invoke("world", "--out-dir", out_dir)

@@ -2,7 +2,10 @@
 the ``csv`` module as the oracle of every writer."""
 
 import csv
+import errno
 import io
+import os
+import time
 from dataclasses import astuple
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecindex import _io
-from ecindex._io import BLOCK_CELLS, Columns, number_texts, write_matrix, write_rows
+from ecindex._io import BLOCK_CELLS, Blocks, Columns, number_texts, write_matrix, write_rows
 from ecindex.incidence import IncidenceMatrix
 from ecindex.pipeline import (
     PipelineConfig,
@@ -101,6 +104,11 @@ def csv_text(header, rows, delimiter=","):
     return out.getvalue()
 
 
+def usable_cpus(monkeypatch, n):
+    """Let write_rows see ``n`` usable CPUs, so it writes with ``n`` processes at most."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def written(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return fh.read()
@@ -157,6 +165,7 @@ def test_write_matrix_across_block_boundaries(tmp_path, monkeypatch, block_cells
 
 
 def test_write_matrix_formats_one_bounded_block_at_a_time(tmp_path, monkeypatch):
+    usable_cpus(monkeypatch, 1)  # the spy sees only what this process formats
     sizes = []
 
     def spy(block):
@@ -254,6 +263,7 @@ def test_proximity_writers_write_what_csv_writes(tmp_path, delimiter):
 
 
 def test_proximity_edges_are_formatted_one_bounded_block_at_a_time(tmp_path, monkeypatch):
+    usable_cpus(monkeypatch, 1)  # the spy sees only what this process formats
     sizes = []
 
     def spy(block):
@@ -360,3 +370,168 @@ def test_comparisons_write_what_csv_writes(tmp_path, delimiter):
     ]
     header = ("a", "b", "n", "pearson_r", "r_squared", "spearman_rho")
     assert written(result.outputs["comparisons"]) == csv_text(header, rows, delimiter)
+
+
+# --- parallel writing: forked workers, the same bytes ---------------------
+
+
+def counted_forks(monkeypatch):
+    """The list that gets one entry per os.fork this process makes."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_worker_or_part_left(directory):
+    assert [path.name for path in directory.iterdir() if ".part" in path.name] == []
+    with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def matrix_case(n_rows):
+    values = np.random.default_rng(n_rows).integers(0, 5, (n_rows, 3)) / 4.0
+    values[0, 0] = -0.0
+    row_labels = tuple(LABELS[i % len(LABELS)] + str(i) for i in range(n_rows))
+    col_labels = LABELS[:3]
+
+    def write(path, delimiter):
+        write_matrix(path, values, row_labels, col_labels, delimiter)
+
+    rows = [[label, *row.tolist()] for label, row in zip(row_labels, values)]
+    return write, ["location", *col_labels], rows
+
+
+def edges_case():
+    n = len(LABELS)
+    counts = np.random.default_rng(8).integers(0, 5, (n, n))
+    phi = ProximityMatrix(np.minimum(counts, counts.T) / 4.0, LABELS)
+
+    def write(path, delimiter):
+        write_proximity_edges(path, phi, 0.25, delimiter)
+
+    edges = [(LABELS[i], LABELS[j], phi.values[i, j].item())
+             for i in range(n) for j in range(i + 1, n) if phi.values[i, j] >= 0.25]
+    return write, ("activityA", "activityB", "phi"), edges
+
+
+def trajectory_case():
+    raw = np.array([SPECIAL_VALUES, SPECIAL_VALUES[::-1], np.full(5, 2.5)])
+    zscored = raw[::-1] * 3.0
+
+    def write(path, delimiter):
+        _write_trajectory(path, ROW_LABELS, raw, zscored, delimiter)
+
+    rows = [(i, label, raw[i, j].item(), zscored[i, j].item()) for i in range(3) for j, label in enumerate(ROW_LABELS)]
+    return write, ("iteration", "label", "value", "zscore"), rows
+
+
+# with 7 cells a block: 11 matrix rows of 3 cells are 6 blocks of 2 rows, the
+# last of one; the triangle rows of 8 activities (7, 6, 5, 4, 3, 2, 1, 0 cells)
+# are blocks [0], [1], [2], [3, 4], [5, 6, 7]; a trajectory iteration of 5
+# labels (10 cells) is a block of its own
+PARALLEL_CASES = {
+    "matrix-last-block-shorter": (lambda: matrix_case(11), 6),
+    "matrix-two-blocks": (lambda: matrix_case(4), 2),
+    "matrix-one-block": (lambda: matrix_case(1), 1),
+    "proximity-edges": (edges_case, 5),
+    "trajectory": (trajectory_case, 3),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", PARALLEL_CASES.values(), ids=PARALLEL_CASES.keys())
+def test_parallel_writers_write_what_csv_writes(tmp_path, monkeypatch, case, workers):
+    make_case, blocks = case
+    monkeypatch.setattr(_io, "BLOCK_CELLS", 7)
+    usable_cpus(monkeypatch, workers)
+    forks = counted_forks(monkeypatch)
+    write, header, rows = make_case()
+    for delimiter in (",", ";"):
+        write(tmp_path / "out.csv", delimiter)
+        assert written(tmp_path / "out.csv") == csv_text(header, rows, delimiter)
+    assert len(forks) == 2 * (min(workers, blocks) - 1)
+    assert_no_worker_or_part_left(tmp_path)
+
+
+def four_blocks_of_one_row(fail):
+    """Rows "0" .. "3", one a block (with BLOCK_CELLS 1); ``fail(k)`` runs as
+    block ``k`` is formatted."""
+
+    def make(start, stop):
+        fail(start)
+        return [[str(start)]]
+
+    return Blocks(np.ones(4, dtype=np.int64), make)
+
+
+def test_a_range_whose_worker_failed_is_written_by_the_parent(tmp_path, monkeypatch):
+    # three ranges, blocks [0], [1] and [2, 3]: the second worker fails after
+    # the first worker's part, so the parent writes, appends, then writes again
+    monkeypatch.setattr(_io, "BLOCK_CELLS", 1)
+    usable_cpus(monkeypatch, 3)
+    parent = os.getpid()
+    formatted_here = []
+
+    def fail_in_the_last_worker(k):
+        if os.getpid() != parent and k >= 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        if os.getpid() == parent:
+            formatted_here.append(k)
+
+    write_rows(tmp_path / "rows.csv", ("x",), four_blocks_of_one_row(fail_in_the_last_worker))
+    assert written(tmp_path / "rows.csv") == "x\n0\n1\n2\n3\n"
+    assert formatted_here == [0, 2, 3]
+    assert_no_worker_or_part_left(tmp_path)
+
+
+def test_an_error_in_a_worker_range_surfaces_with_its_own_type(tmp_path, monkeypatch):
+    monkeypatch.setattr(_io, "BLOCK_CELLS", 1)
+    usable_cpus(monkeypatch, 2)
+
+    def fail_on_the_last_block(k):
+        if k == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with pytest.raises(OSError) as raised:
+        write_rows(tmp_path / "rows.csv", ("x",), four_blocks_of_one_row(fail_on_the_last_block))
+    assert raised.value.errno == errno.ENOSPC
+    assert_no_worker_or_part_left(tmp_path)
+
+
+def test_an_interrupted_parent_kills_and_reaps_its_workers(tmp_path, monkeypatch):
+    monkeypatch.setattr(_io, "BLOCK_CELLS", 1)
+    usable_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def interrupt(k):
+        if os.getpid() != parent:
+            time.sleep(60)  # still running when the parent gives up, unless killed
+        elif k == 1:
+            raise KeyboardInterrupt
+
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        write_rows(tmp_path / "rows.csv", ("x",), four_blocks_of_one_row(interrupt))
+    assert time.perf_counter() - started < 30
+    assert_no_worker_or_part_left(tmp_path)
+
+
+def test_a_parallel_run_leaves_exactly_the_manifest_outputs(tmp_path, monkeypatch):
+    monkeypatch.setattr(_io, "BLOCK_CELLS", 16)
+    usable_cpus(monkeypatch, 2)
+    forks = counted_forks(monkeypatch)
+    values = np.random.default_rng(9).integers(0, 40, (30, 20)) * (np.random.default_rng(10).random((30, 20)) < 0.6)
+    (tmp_path / "in.csv").write_text("location,activity,value\n" + "".join(
+        f"L{c},A{p},{int(values[c, p])}\n" for c, p in zip(*np.nonzero(values))))
+    result = run_pipeline(PipelineConfig(input_path=tmp_path / "in.csv", out_dir=tmp_path / "out"))
+    assert forks
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == sorted(
+        [*result.manifest["outputs"], "manifest.json"])
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["in.csv", "out"]
+    assert_no_worker_or_part_left(tmp_path / "out")

@@ -129,6 +129,11 @@ class TestCompareVectors:
         with pytest.raises(ZeroVariance):
             compare_vectors(labeled(np.array([1.0, 1.0, 1.0])), labeled(np.array([1.0, 2.0, 3.0])))
 
+    @pytest.mark.parametrize("bare", [np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0]), 7.0], ids=["3", "2", "scalar"])
+    def test_bare_values_are_a_type_error_naming_the_labeled_forms(self, bare):
+        with pytest.raises(TypeError, match=r"ComplexityScores or a \(labels, values\) pair"):
+            compare_vectors(bare, labeled(np.array([1.0, 2.0, 3.0])))
+
     def test_spearman_with_ties_matches_definition(self):
         a = np.array([1.0, 1.0, 2.0, 3.0])
         b = np.array([4.0, 2.0, 2.0, 1.0])
