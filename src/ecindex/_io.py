@@ -17,12 +17,13 @@ rows into blocks of about :data:`BLOCK_CELLS` cells and format a block only
 when it is read (a proximity matrix of millions of cells holds a few hundred
 distinct numbers); the other writers hand it one block.
 
-A file of several :class:`Blocks` is written in parallel: :func:`write_rows`
-splits its blocks into contiguous ranges, one per usable CPU
-(``os.sched_getaffinity``) and at most one per block, forks a worker for each
-range after the first and formats the first range itself. A worker writes its
-range into a hidden part file ``.<name>.part<j>`` beside the file, and the
-parent appends the parts in order before it returns. So ``density.csv``,
+One rule decides who writes: where ``os.fork`` exists, :func:`write_rows`
+splits the blocks into contiguous ranges, one per usable CPU
+(``os.sched_getaffinity``, else ``os.cpu_count()``) and at most one per block,
+forks a worker for each range after the first and formats the first range
+itself. A worker writes its range into a hidden part file ``.<name>.part<j>``
+beside the file, and the parent appends the parts in order before it
+returns. So ``density.csv``,
 ``proximity_matrix.csv``, ``proximity_edges.csv``, ``incidence.csv``, the
 ingest and RCA matrices and the reflections trajectories are formatted on
 every usable CPU. Every byte comes from the same code on the same blocks, so
@@ -149,9 +150,9 @@ def write_rows(path: Path, header: Sequence[str], blocks: Sequence[Collection], 
     writes them (see the module docstring). ``blocks`` is a sized sequence,
     such as a list or :class:`Blocks`; a block is a sized collection of rows
     of ``str`` cells that can be iterated twice, such as a list of rows or a
-    :class:`Columns`. The blocks of a :class:`Blocks` are split among forked
-    workers as the module docstring says; the file is whole when this returns,
-    and no worker or part file outlives the call.
+    :class:`Columns`. The blocks are split among forked workers as the module
+    docstring says; the file is whole when this returns, and no worker or part
+    file outlives the call.
     """
     path = Path(path)
     workers = _workers(blocks)
@@ -196,9 +197,8 @@ def write_rows(path: Path, header: Sequence[str], blocks: Sequence[Collection], 
 
 def _workers(blocks: Sequence[Collection]) -> int:
     """Processes that write ``blocks``: one per usable CPU and at most one per
-    block for :class:`Blocks` where ``os.fork`` exists, else one. Blocks
-    formatted in advance leave a worker nothing but the joining."""
-    if not isinstance(blocks, Blocks) or not hasattr(os, "fork"):
+    block where ``os.fork`` exists, else one."""
+    if not hasattr(os, "fork"):
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(cpus, len(blocks)))
@@ -257,15 +257,6 @@ def write_matrix(
         return [[label, *row] for label, row in zip(row_labels[start:stop], texts)]
 
     write_rows(path, [corner, *col_labels], Blocks(np.full(values.shape[0], values.shape[1]), block), delimiter)
-
-
-def read_matrix(path: Path, delimiter: str = ",") -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
-    """Inverse of :func:`write_matrix`."""
-    header, rows = read_columns(path, delimiter)
-    col_labels = tuple(header[1:])
-    data = [[float(cell) for cell in row[1:]] for _, row in rows]
-    values = np.asarray(data, dtype=float) if data else np.zeros((0, len(col_labels)))
-    return values, tuple(row[0] for _, row in rows), col_labels
 
 
 def read_columns(path: Path, delimiter: str = ",") -> tuple[list[str], list[tuple[int, list[str]]]]:

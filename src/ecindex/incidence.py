@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import read_matrix, write_matrix
+from ._io import write_matrix
 from .errors import DegenerateMargins, EmptyAfterPrune, OutOfRange, ZeroMargin
 from .ingest import OutputMatrix, restrict
 
@@ -62,10 +62,6 @@ class IncidenceMatrix:
     @cached_property
     def ubiquity(self) -> np.ndarray:
         return self.values.sum(axis=0)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclass(frozen=True)
@@ -137,8 +133,3 @@ def require_positive_margins(m: IncidenceMatrix) -> None:
 
 def write_incidence(path: Path, m: IncidenceMatrix, delimiter: str = ",") -> None:
     write_matrix(path, m.values, m.location_labels, m.activity_labels, delimiter)
-
-
-def read_incidence(path: Path, delimiter: str = ",") -> IncidenceMatrix:
-    values, loc_labels, act_labels = read_matrix(path, delimiter)
-    return IncidenceMatrix.from_values(values, loc_labels, act_labels)

@@ -107,10 +107,6 @@ class OutputMatrix:
     def is_empty(self) -> bool:
         return self.values.size == 0
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
 
 def open_text(path: str | Path) -> IO[str]:
     """Open a data file for reading, transparently decompressing ``.gz``."""

@@ -327,7 +327,7 @@ def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
         writer(path, *args, cfg.delimiter)
 
     stages = prepare(cfg)
-    final, dropped, raw_shape = stages.final, stages.dropped, stages.raw.shape
+    final, dropped, raw_shape = stages.final, stages.dropped, stages.raw.values.shape
     del stages  # the outputs need no other intermediate: they go before the solves
     want = set(cfg.emit)
     scores: dict[str, ComplexityScores] = {}

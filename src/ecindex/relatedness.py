@@ -45,12 +45,12 @@ class DensityMatrix:
 
 
 def proximity(m: IncidenceMatrix) -> ProximityMatrix:
-    """Pairwise activity relatedness from conditional co-occurrence."""
+    """Pairwise activity relatedness from conditional co-occurrence. The
+    diagonal is 1 with no fill: cell (j, j) is ubiquity j over itself."""
     require_positive_margins(m)
     values = np.asarray(m.values, dtype=float)
     phi = values.T @ values
     phi /= np.maximum.outer(m.ubiquity, m.ubiquity)
-    np.fill_diagonal(phi, 1.0)
     return ProximityMatrix(phi, m.activity_labels)
 
 

@@ -245,9 +245,8 @@ def eci(m: IncidenceMatrix) -> ComplexityScores:
     :func:`largest_component` first). The eigenvector sign is fixed so the
     correlation with diversity is nonnegative.
     """
-    require_positive_margins(m)
+    s = similarity_intensive(m, side="location")  # refuses zero margins first
     _require_connected(m)
-    s = similarity_intensive(m, side="location")
     return _second_eigenvector_scores(eigendecompose(s), s.labels, "ECI", "diversity", s.weights)
 
 
@@ -307,20 +306,17 @@ def method_of_reflections(m: IncidenceMatrix, iterations: int) -> ReflectionsTra
     kc_z = np.empty_like(kc)
     kp_z = np.empty_like(kp)
     kc[0], kp[0] = div, ubi
-    kc_z[0], kp_z[0] = _zscore_or_nan(div), _zscore_or_nan(ubi)
     # stable states: any affine representative of the true iterate with
     # positive scale; re-standardized whenever variance allows
-    xc = kc_z[0] if np.isfinite(kc_z[0]).all() else kc[0]
-    xp = kp_z[0] if np.isfinite(kp_z[0]).all() else kp[0]
-    for n in range(1, iterations + 1):
-        kc[n] = values @ kp[n - 1] / div
-        kp[n] = values.T @ kc[n - 1] / ubi
-        xc_next = values @ xp / div
-        xp_next = values.T @ xc / ubi
-        kc_z[n] = _zscore_or_nan(xc_next)
-        kp_z[n] = _zscore_or_nan(xp_next)
-        xc = kc_z[n] if np.isfinite(kc_z[n]).all() else xc_next
-        xp = kp_z[n] if np.isfinite(kp_z[n]).all() else xp_next
+    xc, xp = div, ubi
+    for n in range(iterations + 1):
+        if n:
+            kc[n] = values @ kp[n - 1] / div
+            kp[n] = values.T @ kc[n - 1] / ubi
+            xc, xp = values @ xp / div, values.T @ xc / ubi
+        kc_z[n], kp_z[n] = _zscore_or_nan(xc), _zscore_or_nan(xp)
+        xc = kc_z[n] if np.isfinite(kc_z[n]).all() else xc
+        xp = kp_z[n] if np.isfinite(kp_z[n]).all() else xp
     return ReflectionsTrajectory(
         m.location_labels, m.activity_labels, kc, kp, kc_z, kp_z
     )

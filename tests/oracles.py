@@ -5,11 +5,13 @@ from hand-rolled power iteration with deflation, or from a dense
 ``numpy.linalg.eigh`` of the full symmetrized similarity matrix where the code
 takes one ``eigh`` of the short side's Gram matrix of its factor;
 correlations from the textbook covariance formula, components from plain BFS
-or from scipy's graph search, and aggregations from dict loops.
+or from scipy's graph search, aggregations from dict loops, and written
+matrices are parsed back with ``csv`` and ``float``.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import defaultdict
 
@@ -38,6 +40,16 @@ def pivot_by_dict(table):
         for j, act in enumerate(activities):
             values[i, j] = totals[loc].get(act, 0.0)
     return values, locations, activities
+
+
+def read_matrix_text(path, delimiter=","):
+    """Values, row labels and column labels of a written matrix file: the
+    header holds a corner cell and the column labels, each row its label and
+    one number per column."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh, delimiter=delimiter)
+    values = np.array([[float(cell) for cell in row[1:]] for row in rows]).reshape(len(rows), len(header) - 1)
+    return values, tuple(row[0] for row in rows), tuple(header[1:])
 
 
 def density_by_masked_products(held: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -205,3 +217,37 @@ def dense_eigh(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.
     vectors = vectors / scale[:, None]
     vectors = vectors / np.linalg.norm(vectors, axis=0)
     return eigenvalues[::-1], vectors[:, ::-1]
+
+
+def reflections_two_blocks(values: np.ndarray, iterations: int):
+    """The method of reflections as first written: iteration 0 z-scored in a
+    block of its own, then a loop that writes each z-score and its fallback to
+    the unstandardized state again. Returns ``kc``, ``kp``, ``kc_zscored`` and
+    ``kp_zscored``."""
+
+    def zscore_or_nan(v):
+        std = v.std()
+        if std == 0.0 or not np.isfinite(std):
+            return np.full_like(v, np.nan, dtype=float)
+        return (v - v.mean()) / std
+
+    values = np.asarray(values, dtype=float)
+    div, ubi = values.sum(axis=1), values.sum(axis=0)
+    kc = np.empty((iterations + 1, len(div)))
+    kp = np.empty((iterations + 1, len(ubi)))
+    kc_z = np.empty_like(kc)
+    kp_z = np.empty_like(kp)
+    kc[0], kp[0] = div, ubi
+    kc_z[0], kp_z[0] = zscore_or_nan(div), zscore_or_nan(ubi)
+    xc = kc_z[0] if np.isfinite(kc_z[0]).all() else kc[0]
+    xp = kp_z[0] if np.isfinite(kp_z[0]).all() else kp[0]
+    for n in range(1, iterations + 1):
+        kc[n] = values @ kp[n - 1] / div
+        kp[n] = values.T @ kc[n - 1] / ubi
+        xc_next = values @ xp / div
+        xp_next = values.T @ xc / ubi
+        kc_z[n] = zscore_or_nan(xc_next)
+        kp_z[n] = zscore_or_nan(xp_next)
+        xc = kc_z[n] if np.isfinite(kc_z[n]).all() else xc_next
+        xp = kp_z[n] if np.isfinite(kp_z[n]).all() else xp_next
+    return kc, kp, kc_z, kp_z

@@ -45,5 +45,5 @@ def test_readme_library_block_and_quickstart_run(exports):
     for namespace in (readme, quickstart):
         assert namespace["scores"].labels == namespace["final"].location_labels
     assert readme["scores"].standardized.tobytes() == quickstart["scores"].standardized.tobytes()
-    assert readme["omega"].values.shape == readme["final"].shape
+    assert readme["omega"].values.shape == readme["final"].values.shape
     assert readme["report"].excluded_locations == ()

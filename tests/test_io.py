@@ -459,6 +459,28 @@ def test_parallel_writers_write_what_csv_writes(tmp_path, monkeypatch, case, wor
     assert_no_worker_or_part_left(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "platform, forks_per_file",
+    [("without-fork", 0), ("cpu-count-3", 2), ("cpu-count-none", 0)],
+)
+def test_platform_paths_write_what_csv_writes(tmp_path, monkeypatch, platform, forks_per_file):
+    # without os.fork any fork would be an AttributeError; without
+    # os.sched_getaffinity the CPU count is os.cpu_count(), None meaning one
+    monkeypatch.setattr(_io, "BLOCK_CELLS", 7)
+    forks = counted_forks(monkeypatch)
+    if platform == "without-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3 if platform == "cpu-count-3" else None)
+    write, header, rows = matrix_case(11)  # 6 blocks
+    for delimiter in (",", ";"):
+        write(tmp_path / "out.csv", delimiter)
+        assert written(tmp_path / "out.csv") == csv_text(header, rows, delimiter)
+    assert len(forks) == 2 * forks_per_file
+    assert_no_worker_or_part_left(tmp_path)
+
+
 def four_blocks_of_one_row(fail):
     """Rows "0" .. "3", one a block (with BLOCK_CELLS 1); ``fail(k)`` runs as
     block ``k`` is formatted."""

@@ -10,7 +10,6 @@ from scipy import stats
 from ecindex import spectral
 from ecindex._io import write_rows
 from ecindex.errors import ComplexityError, EmptyInput, InsufficientOverlap, UndecodableInput, ZeroVariance
-from ecindex.incidence import read_incidence
 from ecindex.ingest import _parse_columns, parse_long_records
 from ecindex.pipeline import (
     EMIT_CHOICES,
@@ -25,7 +24,7 @@ from ecindex.pipeline import (
 )
 from ecindex.spectral import eci, extensive_scores
 
-from oracles import pearson_by_formula, spearman_by_definition
+from oracles import pearson_by_formula, read_matrix_text, spearman_by_definition
 
 
 def block_input(path):
@@ -291,8 +290,7 @@ class TestRunPipeline:
             min_location_total=5.0, min_activity_total=5.0,
         )
         result = run_pipeline(cfg)
-        final = read_incidence(result.outputs["incidence"])
-        expected = eci(final)
+        expected = eci(prepare(cfg).final)
         labels, values = read_scores_file(result.outputs["eci"])
         assert labels == expected.labels
         assert np.array_equal(values, expected.standardized)
@@ -507,8 +505,8 @@ class TestRunPipeline:
         ))
         cfg = PipelineConfig(input_path=input_path, out_dir=tmp_path / "out", emit=("extensive",))
         result = run_pipeline(cfg)
-        final = read_incidence(result.outputs["incidence"])
-        assert final.values.shape == (8, 3)
+        values, _, _ = read_matrix_text(result.outputs["incidence"])
+        assert values.shape == (8, 3)
         lines = result.outputs["extensive_eigenvalues"].read_text().splitlines()
         assert lines[0] == "eigenvalue,residual"
         assert len(lines) == 1 + 8
@@ -604,9 +602,9 @@ class TestRunPipeline:
         assert set(stages.final.location_labels) < set(stages.pruned.location_labels)
         result = run_pipeline(cfg)
         assert result.manifest["dropped"] == stages.dropped
-        written = read_incidence(result.outputs["incidence"])
-        assert written.location_labels == stages.final.location_labels
-        assert np.array_equal(written.values, stages.final.values)
+        values, location_labels, activity_labels = read_matrix_text(result.outputs["incidence"])
+        assert (location_labels, activity_labels) == (stages.final.location_labels, stages.final.activity_labels)
+        assert np.array_equal(values, stages.final.values)
 
 
 class TestConfig:

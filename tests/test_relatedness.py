@@ -11,7 +11,7 @@ from ecindex.relatedness import (
 )
 
 from conftest import labeled_incidence, random_connected_incidence
-from oracles import density_by_masked_products
+from oracles import density_by_masked_products, read_matrix_text
 
 WORKED = labeled_incidence(np.array([[1, 1], [0, 1]]))
 
@@ -20,6 +20,12 @@ WORKED = labeled_incidence(np.array([[1, 1], [0, 1]]))
 def wide_table():
     """HS6-like width (200 x 2000), where BLAS takes its blocked, threaded path."""
     return random_connected_incidence(np.random.default_rng(57), 200, 2000, 0.2, 0.5, 200, 2000)
+
+
+@pytest.fixture(scope="module")
+def sparse_wide_table():
+    """200 x 2000 at a real HS6 incidence's density of a few percent."""
+    return random_connected_incidence(np.random.default_rng(59), 200, 2000, 0.03, 0.08, 200, 2000)
 
 
 class TestProximity:
@@ -39,17 +45,19 @@ class TestProximity:
         phi = proximity(m)
         assert phi.values[0, 1] == 0.0
 
-    def test_symmetric_and_bounded(self, wide_table):
-        # ProximityMatrix checks none of these; proximity makes each exact
+    def test_symmetric_and_bounded(self, wide_table, sparse_wide_table):
+        # ProximityMatrix checks none of these, and proximity fills no
+        # diagonal: exact integer counts make each hold bitwise
         rng = np.random.default_rng(51)
-        for m in [*(random_connected_incidence(rng, 25, 35, 0.2, 0.5) for _ in range(10)), wide_table]:
+        tables = [*(random_connected_incidence(rng, 25, 35, 0.2, 0.5) for _ in range(10)), wide_table, sparse_wide_table]
+        for m in tables:
             phi = proximity(m)
             assert phi.values.shape == (len(m.activity_labels),) * 2
             assert phi.activity_labels == m.activity_labels
-            assert np.array_equal(phi.values, phi.values.T)
+            assert phi.values.tobytes() == np.ascontiguousarray(phi.values.T).tobytes()
             assert phi.values.min() >= 0.0
             assert phi.values.max() <= 1.0
-            assert np.array_equal(np.diag(phi.values), np.ones(len(phi.activity_labels)))
+            assert np.diag(phi.values).tobytes() == np.ones(len(phi.activity_labels)).tobytes()
 
     def test_unpruned_rejected(self):
         with pytest.raises(DegenerateMargins):
@@ -197,9 +205,7 @@ def test_proximity_matrix_file_roundtrip(tmp_path):
     phi = proximity(m)
     path = tmp_path / "proximity.csv"
     write_proximity(path, phi)
-    from ecindex._io import read_matrix
-
-    values, rows, cols = read_matrix(path)
+    values, rows, cols = read_matrix_text(path)
     assert np.array_equal(values, phi.values)
     assert rows == phi.activity_labels
     assert cols == phi.activity_labels

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ecindex.alphabet import generate_nested_world, world_to_incidence
 from ecindex.errors import (
     ConvergenceFailure,
     DegenerateMargins,
@@ -37,6 +38,7 @@ from oracles import (
     dense_eigh,
     pearson_by_formula,
     power_iteration_eigenpairs,
+    reflections_two_blocks,
     scipy_bipartite_components,
     symmetrized_intensive,
 )
@@ -454,6 +456,16 @@ class TestMethodOfReflections:
         with pytest.raises(ValueError):
             method_of_reflections(WORKED, 0)
 
+    def test_one_loop_matches_the_two_block_reference_bitwise(self, bernoulli_ensemble_100):
+        nested = [world_to_incidence(generate_nested_world(n, n + 10, seed=1000 + n)) for n in range(5, 31)]
+        all_ones = labeled_incidence(np.ones((4, 6), dtype=np.int64))
+        for m in [*bernoulli_ensemble_100, *nested, all_ones]:
+            trajectory = method_of_reflections(m, 300)
+            got = (trajectory.kc, trajectory.kp, trajectory.kc_zscored, trajectory.kp_zscored)
+            for array, expected in zip(got, reflections_two_blocks(m.values, 300)):
+                assert array.tobytes() == expected.tobytes()
+        assert np.isnan(trajectory.kc_zscored).all() and np.isnan(trajectory.kp_zscored).all()
+
 
 class TestLargestComponent:
     def test_block_diagonal_keeps_lexicographically_first(self):
@@ -507,7 +519,7 @@ class TestLargestComponent:
                     tuple(sorted(-i for i in comp[0])),
                 ),
             )
-            assert kept.shape == (len(best[0]), len(best[1]))
+            assert kept.values.shape == (len(best[0]), len(best[1]))
 
 
 def path_table(n: int) -> np.ndarray:
