@@ -257,19 +257,3 @@ def write_matrix(
         return [[label, *row] for label, row in zip(row_labels[start:stop], texts)]
 
     write_rows(path, [corner, *col_labels], Blocks(np.full(values.shape[0], values.shape[1]), block), delimiter)
-
-
-def read_columns(path: Path, delimiter: str = ",") -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Header names and the non-blank raw string rows of a delimited file, each
-    row with its 1-based line number. Raises ``ValueError`` when the file has
-    no header line or ``csv`` refuses a line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader, None)
-            rows = [(reader.line_num, row) for row in reader if row]
-        except csv.Error as err:
-            raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
-    if header is None:
-        raise ValueError(f"{path}: no header line")
-    return header, rows

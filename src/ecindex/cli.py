@@ -5,18 +5,21 @@ Subcommands cover the full pipeline (``run``), each pipeline stage
 comparison (``compare``). Stage commands are thin shells over the pipeline:
 ``eci`` .. ``density`` are ``run --emit <name>`` that keep the files an
 earlier run left in the output directory (``run`` removes the ones the old
-manifest listed and it did not write), and ``ingest``, ``rca`` and
-``incidence`` write an intermediate of :func:`ecindex.pipeline.prepare`. Their
-flags, ``run``'s and the ``run --config`` keys come from one table, ``_FLAGS``,
-with :class:`ecindex.pipeline.PipelineConfig`'s defaults. Exit code is 0 on
+manifest listed and it did not write). ``ingest``, ``rca`` and ``incidence``
+each write one intermediate that :func:`ecindex.pipeline.prepare` yields and
+stop there, so no later step runs: ``ingest`` runs parse through the
+empty-margin drop, ``rca`` adds RCA, and ``incidence`` adds binarize and
+prune but no component cut. Their flags, ``run``'s and the ``run --config``
+keys come from one table, ``_FLAGS``, with
+:class:`ecindex.pipeline.PipelineConfig`'s defaults. Exit code is 0 on
 success; on failure a stage-tagged error line goes to stderr, nonzero exit.
 """
 
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 from dataclasses import MISSING, fields
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
@@ -109,31 +112,22 @@ def _config_error(message) -> NoReturn:
     sys.exit(2)
 
 
-@contextmanager
-def _output_errors():
-    """An ``OSError`` in the block exits 1 as an output error, unless a
-    pipeline stage (reading the input) has tagged it."""
-    try:
-        yield
-    except OSError as err:
-        _fail(err, "output")
-
-
 def _pipeline(step, options: dict):
-    """The config of ``options`` and ``step(config)``; a bad config exits 2, a
-    pipeline or output error 1."""
+    """``step(config)`` on the config of ``options``. A bad config exits 2; a
+    pipeline error exits 1, and so does an ``OSError`` as an output error,
+    unless a pipeline stage (reading the input) has tagged it."""
     if not options["input_path"].is_file():
         _config_error(f"input file not found: {options['input_path']}")
     try:
         cfg = PipelineConfig(**options)
     except ValueError as err:
         _config_error(err)
-    with _output_errors():
-        try:
-            result = step(cfg)
-        except ComplexityError as err:
-            _fail(err)
-    return cfg, result
+    try:
+        return step(cfg)
+    except ComplexityError as err:
+        _fail(err)
+    except OSError as err:
+        _fail(err, "output")
 
 
 def _report(outputs: dict[str, Path]) -> None:
@@ -146,31 +140,33 @@ def main():
     """Eigenvector-based complexity indices from location-activity data."""
 
 
-def _matrix_command(name, doc, stem, intermediate):
-    """A stage command that writes one matrix of :func:`ecindex.pipeline.prepare`."""
+def _matrix_command(name, doc, intermediate, write):
+    """A stage command that runs :func:`ecindex.pipeline.prepare` up to its
+    ``intermediate`` matrix, and no further, and writes it with ``write``."""
+
+    def step(cfg):
+        matrix = next(m for key, m in prepare(cfg, []) if key == intermediate)
+        with staged_dir(cfg.out_dir) as stage:
+            outputs = write(stage, matrix, cfg.delimiter)
+        return {key: cfg.out_dir / path.name for key, path in outputs.items()}
 
     def command(**options):
-        cfg, stages = _pipeline(prepare, options)
-        matrix = getattr(stages, intermediate)
-        with _output_errors(), staged_dir(cfg.out_dir) as stage:
-            write_matrix(stage / f"{stem}.csv", matrix.values, matrix.location_labels, matrix.activity_labels, cfg.delimiter)
-        _report({stem: cfg.out_dir / f"{stem}.csv"})
+        _report(_pipeline(step, options))
 
     main.command(name=name, help=doc)(_flags(*_STAGE_FLAGS)(command))
 
 
-_matrix_command("ingest", "Parse, aggregate and size-filter the input into an output matrix.", "output_matrix", "nonzero")
-_matrix_command("rca", "Write the specialization (RCA) matrix.", "rca", "specialization")
+def _write_labeled(stem, out_dir, m, delimiter):
+    """``m`` with its labels as ``<stem>.csv`` in ``out_dir``."""
+    write_matrix(out_dir / f"{stem}.csv", m.values, m.location_labels, m.activity_labels, delimiter)
+    return {stem: out_dir / f"{stem}.csv"}
 
 
-@main.command()
-@_flags(*_STAGE_FLAGS)
-def incidence(**options):
-    """Write the pruned binary incidence matrix (before the component cut) with diversity and ubiquity."""
-    cfg, stages = _pipeline(prepare, options)
-    with _output_errors(), staged_dir(cfg.out_dir) as stage:
-        outputs = write_incidence_files(stage, stages.pruned, cfg.delimiter)
-    _report({name: cfg.out_dir / path.name for name, path in outputs.items()})
+_matrix_command("ingest", "Parse, aggregate and size-filter the input into an output matrix.", "nonzero",
+                partial(_write_labeled, "output_matrix"))
+_matrix_command("rca", "Write the specialization (RCA) matrix.", "specialization", partial(_write_labeled, "rca"))
+_matrix_command("incidence", "Write the pruned binary incidence matrix (before the component cut) with diversity "
+                "and ubiquity.", "pruned", write_incidence_files)
 
 
 def _emit_command(name, doc, *extra_flags):
@@ -178,8 +174,7 @@ def _emit_command(name, doc, *extra_flags):
     flags, adding its files to those already in the output directory."""
 
     def command(**options):
-        step = lambda cfg: run_pipeline(cfg, replace=False)  # noqa: E731
-        _report(_pipeline(step, {**options, "emit": (name,)})[1].outputs)
+        _report(_pipeline(partial(run_pipeline, replace=False), {**options, "emit": (name,)}).outputs)
 
     main.command(name=name, help=doc)(_flags(*_STAGE_FLAGS, *extra_flags)(command))
 
@@ -259,7 +254,7 @@ def run(config_path, **flags):
     missing = [f"--{flag.name}" for flag in _FLAGS if flag.field not in options and flag.field not in _DEFAULTS]
     if missing:
         _config_error(f"missing required options: {missing}")
-    _report(_pipeline(run_pipeline, options)[1].outputs)
+    _report(_pipeline(run_pipeline, options).outputs)
 
 
 if __name__ == "__main__":

@@ -1,20 +1,24 @@
 """End-to-end pipeline: ingest through scores, with a machine-readable manifest.
 
-The runner executes ingest -> left-tail cut -> empty-margin drop -> RCA ->
-binarize -> prune -> largest component, then emits score and relatedness
-files per the configured emit flags. Every label from the raw input either
-reaches an output file or appears in exactly one drop record of the manifest,
-with the stage and reason that removed it. :func:`prepare` runs the steps up
-to the final incidence matrix and writes nothing. :func:`run_pipeline` writes
-through :func:`ecindex._io.staged_dir`: a failed run leaves the output
-directory as it was, and a failed rerun keeps the previous results, while a
-successful one removes the previous results it did not rewrite. Reruns
-with identical config and input on the same machine with the same BLAS thread
-count produce byte-identical outputs; only the manifest timestamp differs.
+:func:`prepare` runs ingest -> left-tail cut -> empty-margin drop -> RCA ->
+binarize -> prune -> largest component and yields each intermediate as its
+step finishes, so a caller that stops early runs no later step; it writes
+nothing. The ``ingest`` command stops after the empty-margin drop, ``rca``
+after RCA and ``incidence`` after prune. The runner consumes all of it, then
+emits score and relatedness files per the configured emit flags. Every label
+from the raw input either reaches an output file or appears in exactly one
+drop record of the manifest, with the stage and reason that removed it.
+:func:`run_pipeline` writes through :func:`ecindex._io.staged_dir`: a failed
+run leaves the output directory as it was, and a failed rerun keeps the
+previous results, while a successful one removes the previous results it did
+not rewrite. Reruns with identical config and input on the same machine with
+the same BLAS thread count produce byte-identical outputs; only the manifest
+timestamp differs.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 import zlib
@@ -23,10 +27,11 @@ from dataclasses import asdict, astuple, dataclass, fields
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from ._io import Blocks, Columns, number_texts, read_columns, staged_dir, write_rows
+from ._io import Blocks, Columns, number_texts, staged_dir, write_rows
 from .errors import (
     ComplexityError,
     EmptyInput,
@@ -123,19 +128,6 @@ class RunResult:
     outputs: dict[str, Path]
 
 
-@dataclass(frozen=True)
-class Prepared:
-    """Every intermediate from the raw matrix to the final incidence matrix,
-    plus the drop records of the steps between them."""
-
-    raw: OutputMatrix
-    nonzero: OutputMatrix
-    specialization: SpecializationMatrix
-    pruned: IncidenceMatrix
-    final: IncidenceMatrix
-    dropped: list[dict]
-
-
 def compare_vectors(a, b, name_a: str = "a", name_b: str = "b") -> ComparisonReport:
     """Pearson, R-squared and Spearman over the label intersection.
 
@@ -205,10 +197,19 @@ def read_scores_file(
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Labels and one numeric column of a score file (or any label,value file).
 
-    Raises ``ValueError`` naming the file and line for a short row, a cell
-    that is not a finite number, and a label that an earlier line holds.
+    Blank lines are skipped. Raises ``ValueError`` naming the file and line
+    for a line ``csv`` refuses, a missing header, a short row, a cell that is
+    not a finite number, and a label that an earlier line holds.
     """
-    header, rows = read_columns(path, delimiter)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            header = next(reader, None)
+            rows = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as err:
+            raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
+    if header is None:
+        raise ValueError(f"{path}: no header line")
     if column in header:
         index = header.index(column)
     elif len(header) == 2:
@@ -254,11 +255,15 @@ def run_pipeline(cfg: PipelineConfig, replace: bool = True) -> RunResult:
     return RunResult(manifest, {name: cfg.out_dir / path.name for name, path in outputs.items()})
 
 
-def prepare(cfg: PipelineConfig) -> Prepared:
+def prepare(
+    cfg: PipelineConfig, dropped: list[dict]
+) -> Iterator[tuple[str, OutputMatrix | SpecializationMatrix | IncidenceMatrix]]:
     """Ingest -> left-tail cut -> empty-margin drop -> RCA -> binarize -> prune
-    -> largest component, each step stage-tagged. Writes nothing."""
-    dropped: list[dict] = []
-
+    -> largest component, each step stage-tagged. Yields ``(name, matrix)``
+    for ``raw``, ``nonzero``, ``specialization``, ``pruned`` and ``final`` as
+    each is made, and appends the drop records of each step to ``dropped``
+    before it yields. A step runs only when the next item is asked for.
+    Writes nothing."""
     with _stage("ingest", (ComplexityError, OSError)):
         try:
             with open_text(cfg.input_path) as fh:
@@ -270,6 +275,7 @@ def prepare(cfg: PipelineConfig) -> Prepared:
             ) from None
         except (EOFError, zlib.error) as err:
             raise UndecodableInput(f"{cfg.input_path}: damaged gzip data: {err}") from None
+    yield "raw", raw
 
     with _stage("left_tail_filter"):
         filtered = left_tail_filter(raw, cfg.min_location_total, cfg.min_activity_total)
@@ -282,9 +288,11 @@ def prepare(cfg: PipelineConfig) -> Prepared:
         _record_drops(dropped, filtered, nonzero, "empty_margins", "zero total output")
         if nonzero.is_empty:
             raise EmptyInput("no location or activity has positive total output")
+    yield "nonzero", nonzero
 
     with _stage("rca"):
         specialization = compute_rca(nonzero)
+    yield "specialization", specialization
 
     with _stage("binarize"):
         unpruned = binarize(specialization, cfg.rca_threshold)
@@ -295,12 +303,12 @@ def prepare(cfg: PipelineConfig) -> Prepared:
             dropped, unpruned, pruned, "prune_degenerate",
             "no specialization at or above threshold", "no location specialized",
         )
+    yield "pruned", pruned
 
     with _stage("largest_component"):
         final, _ = largest_component(pruned)
         _record_drops(dropped, pruned, final, "largest_component", "outside largest connected component")
-
-    return Prepared(raw, nonzero, specialization, pruned, final, dropped)
+    yield "final", final
 
 
 def write_incidence_files(out_dir: Path, m: IncidenceMatrix, delimiter: str = ",") -> dict[str, Path]:
@@ -326,8 +334,9 @@ def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
         path = outputs[name] = out_dir / f"{name}.csv"
         writer(path, *args, cfg.delimiter)
 
-    stages = prepare(cfg)
-    final, dropped, raw_shape = stages.final, stages.dropped, stages.raw.values.shape
+    dropped: list[dict] = []
+    stages = dict(prepare(cfg, dropped))
+    final, raw_shape = stages["final"], stages["raw"].values.shape
     del stages  # the outputs need no other intermediate: they go before the solves
     want = set(cfg.emit)
     scores: dict[str, ComplexityScores] = {}

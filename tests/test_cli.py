@@ -15,6 +15,7 @@ from ecindex import pipeline
 from ecindex.cli import main
 from ecindex.pipeline import read_scores_file
 
+from oracles import read_matrix_text
 from test_pipeline import block_input, damaged_gzip
 
 
@@ -315,6 +316,28 @@ def test_stage_subcommand_failures_are_stage_tagged(tmp_path):
     assert result.exit_code != 0
     assert "error [relatedness]" in result.output
     assert not (out_dir / "incidence.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, filename",
+    [("ingest", "output_matrix.csv"), ("rca", "rca.csv"), ("incidence", None), ("run", None)],
+)
+def test_stage_commands_run_only_the_steps_they_write(tmp_path, command, filename):
+    # every RCA of the flat table is 1, so at threshold 2 pruning empties it:
+    # ingest and rca stop before that step, incidence and run reach it
+    flat = tmp_path / "flat.csv"
+    flat.write_text("location,activity,value\nA,x,1\nA,y,1\nB,x,1\nB,y,1\n")
+    out_dir = tmp_path / "out"
+    result = invoke(command, "--input", flat, "--out-dir", out_dir, "--rca-threshold", 2)
+    if filename is None:
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error [prune_degenerate] ") and result.stderr.count("\n") == 1
+        assert not out_dir.exists()
+    else:
+        assert result.exit_code == 0, result.output
+        values, location_labels, activity_labels = read_matrix_text(out_dir / filename)
+        assert (location_labels, activity_labels) == (("A", "B"), ("x", "y"))
+        assert values.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
 
 @pytest.mark.parametrize("command", ["run", "ingest", "incidence", "eci", "world"])

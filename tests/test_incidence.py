@@ -192,6 +192,8 @@ def test_incidence_rejects_non_binary():
         IncidenceMatrix.from_values(np.array([[2, 0]]), ("L0",), ("A0", "A1"))
     with pytest.raises(ValueError):
         IncidenceMatrix.from_values(np.array([[0.5, 0.0]]), ("L0",), ("A0", "A1"))
+    with pytest.raises(ValueError, match="shape does not match"):
+        IncidenceMatrix.from_values(np.array([[1, 0]]), ("L0",), ("A0",))
 
 
 def test_incidence_roundtrip(tmp_path):

@@ -484,5 +484,9 @@ def test_output_matrix_rejects_negative_and_nonfinite():
 
 
 def test_output_matrix_rejects_duplicate_labels():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate location"):
         OutputMatrix.from_values(np.ones((2, 1)), ("A", "A"), ("x",))
+    with pytest.raises(ValueError, match="duplicate activity"):
+        OutputMatrix.from_values(np.ones((1, 2)), ("A",), ("x", "x"))
+    with pytest.raises(ValueError, match="shape does not match"):
+        OutputMatrix.from_values(np.ones((2, 1)), ("A",), ("x",))

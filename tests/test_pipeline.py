@@ -290,7 +290,7 @@ class TestRunPipeline:
             min_location_total=5.0, min_activity_total=5.0,
         )
         result = run_pipeline(cfg)
-        expected = eci(prepare(cfg).final)
+        expected = eci(dict(prepare(cfg, []))["final"])
         labels, values = read_scores_file(result.outputs["eci"])
         assert labels == expected.labels
         assert np.array_equal(values, expected.standardized)
@@ -597,14 +597,17 @@ class TestRunPipeline:
             input_path=block_input(tmp_path / "input.csv"), out_dir=tmp_path / "out",
             min_location_total=5.0, min_activity_total=5.0, emit=("eci",),
         )
-        stages = prepare(cfg)
+        dropped = []
+        stages = dict(prepare(cfg, dropped))
+        assert list(stages) == ["raw", "nonzero", "specialization", "pruned", "final"]
         assert not cfg.out_dir.exists()
-        assert set(stages.final.location_labels) < set(stages.pruned.location_labels)
+        final = stages["final"]
+        assert set(final.location_labels) < set(stages["pruned"].location_labels)
         result = run_pipeline(cfg)
-        assert result.manifest["dropped"] == stages.dropped
+        assert result.manifest["dropped"] == dropped
         values, location_labels, activity_labels = read_matrix_text(result.outputs["incidence"])
-        assert (location_labels, activity_labels) == (stages.final.location_labels, stages.final.activity_labels)
-        assert np.array_equal(values, stages.final.values)
+        assert (location_labels, activity_labels) == (final.location_labels, final.activity_labels)
+        assert np.array_equal(values, final.values)
 
 
 class TestConfig:
@@ -641,3 +644,7 @@ class TestConfig:
             PipelineConfig(input_path="x", out_dir="y", min_location_total=-1.0)
         with pytest.raises(ValueError):
             PipelineConfig(input_path="x", out_dir="y", emit=("nonsense",))
+        with pytest.raises(ValueError, match="single character"):
+            PipelineConfig(input_path="x", out_dir="y", delimiter=",;")
+        with pytest.raises(ValueError, match="reflections_iterations"):
+            PipelineConfig(input_path="x", out_dir="y", reflections_iterations=0)

@@ -343,6 +343,15 @@ class TestEci:
         with pytest.raises(DegenerateMargins):
             eci(labeled_incidence(np.array([[1, 0], [0, 0]])))
 
+    def test_constant_diversity_falls_back_to_the_largest_entry(self):
+        # a path: location i holds activities i and i + 1, so every diversity
+        # is 2, pearson gives 0.0, and the largest |entry| decides the sign
+        path = np.zeros((4, 5), dtype=np.int64)
+        path[np.arange(4), np.arange(4)] = path[np.arange(4), np.arange(1, 5)] = 1
+        scores = eci(labeled_incidence(path))
+        assert scores.sign_convention == SignConvention("diversity", 0.0, fallback_used=True)
+        assert scores.raw[np.argmax(np.abs(scores.raw))] > 0
+
 
 class TestPci:
     def test_worked_example(self):
@@ -366,6 +375,11 @@ class TestPci:
     def test_degenerate_spectrum_on_connected_input(self):
         with pytest.raises(DegenerateSpectrum):
             pci(labeled_incidence(np.ones((3, 4), dtype=np.int64)))
+        # each location holds 2 of the 3 activities: eigenvalues 1, 1/4, 1/4
+        cyclic = labeled_incidence(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+        for scores in (eci, pci):
+            with pytest.raises(DegenerateSpectrum, match="multiplicity > 1"):
+                scores(cyclic)
 
     def test_rank_deficient_side_keeps_its_refusal(self):
         # both sides of the one spectrum (eigenvalues 1 and 0, the 0 fourfold
