@@ -14,6 +14,12 @@ Quickstart::
     scores = spectral.eci(final)
 """
 
+import os
+
+# OpenBLAS reads this once, when numpy loads it: idle workers spin ~2^20
+# cycles, not the stock 2^28 (~0.1 s), then sleep. A value already set wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from . import errors
 from .alphabet import (
     AlphabetWorld,

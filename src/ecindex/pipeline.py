@@ -492,10 +492,16 @@ def _spearman(a: np.ndarray, b: np.ndarray) -> float:
     ranks_a = _average_ranks(a)
     ranks_b = _average_ranks(b)
     n = len(ranks_a)
-    if np.unique(a).size == n and np.unique(b).size == n:
+    if _distinct(a) and _distinct(b):
         d = ranks_a - ranks_b
         return 1.0 - 6.0 * float(d @ d) / (n * (n * n - 1))
     return pearson(ranks_a, ranks_b)
+
+
+def _distinct(x: np.ndarray) -> bool:
+    # neighbours in sorted order; np.unique would import numpy.ma on first use
+    s = np.sort(x)
+    return not (s[1:] == s[:-1]).any()
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

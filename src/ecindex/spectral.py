@@ -50,7 +50,7 @@ EIGEN_RESIDUAL_TOL = 1e-8
 #: two eigenvalues closer than this are treated as one multiple eigenvalue
 DEGENERATE_EIGENVALUE_TOL = 1e-10
 #: a sign-fixing correlation below this (in magnitude) falls back to the
-#: largest-component rule
+#: largest-entry rule
 SIGN_CORRELATION_TOL = 1e-12
 
 Kind = Literal["extensive", "intensive"]
@@ -138,7 +138,8 @@ class SignConvention:
     """Which correlation fixed the eigenvector sign, and its value after fixing.
 
     When the reference correlation is indistinguishable from zero the sign is
-    fixed by making the largest-magnitude raw component positive instead;
+    fixed by making positive the first raw component, in label order, whose
+    magnitude ties the largest within a relative ``DEGENERATE_EIGENVALUE_TOL``;
     ``correlation`` is then reported as 0.0.
     """
 
@@ -426,7 +427,9 @@ def _fix_sign(
 ) -> tuple[np.ndarray, np.ndarray, SignConvention]:
     correlation = pearson(standardized, reference)
     if abs(correlation) <= SIGN_CORRELATION_TOL:
-        pivot = int(np.argmax(np.abs(raw)))
+        # a tie up to rounding goes to the first label, not the solver's last bit
+        magnitude = np.abs(raw)
+        pivot = int(np.argmax(magnitude >= (1.0 - DEGENERATE_EIGENVALUE_TOL) * magnitude.max()))
         if raw[pivot] < 0:
             raw, standardized = -raw, -standardized
         return raw, standardized, SignConvention(reference_name, 0.0, fallback_used=True)

@@ -689,15 +689,66 @@ def test_stage_command_missing_input_is_config_error(tmp_path, command):
     assert not out_dir.exists()
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    """No scipy module at all: numpy and click are the only dependencies."""
+def fresh_env(**preset) -> dict:
+    """The environment of a fresh interpreter that imports this checkout's
+    ecindex. ``OPENBLAS_THREAD_TIMEOUT`` is only what ``preset`` gives, since
+    importing ecindex here has set it in this process."""
     src = str(Path(ecindex.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    return {**env, **preset}
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """No scipy module at all: numpy and click are the only dependencies."""
     done = subprocess.run(
         [sys.executable, "-c", "import sys, ecindex.cli; print([m for m in sys.modules if m.startswith('scipy')])"],
-        env=env, check=True, capture_output=True, text=True,
+        env=fresh_env(), check=True, capture_output=True, text=True,
     )
     assert done.stdout == "[]\n"
+
+
+# prints OPENBLAS_THREAD_TIMEOUT as it stands when numpy is first imported,
+# before OpenBLAS loads and reads it
+NUMPY_IMPORT_SPY = """
+import os, sys
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+            sys.meta_path.remove(self)
+
+sys.meta_path.insert(0, Spy())
+import {}
+"""
+
+
+@pytest.mark.parametrize("module", ["ecindex", "ecindex.cli"])
+@pytest.mark.parametrize("preset, seen", [({}, "20"), ({"OPENBLAS_THREAD_TIMEOUT": "28"}, "28")], ids=["unset", "28"])
+def test_openblas_idle_timeout_is_set_before_numpy_loads(module, preset, seen):
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_IMPORT_SPY.format(module)],
+        env=fresh_env(**preset), check=True, capture_output=True, text=True,
+    )
+    assert done.stdout == f"{seen}\n"
+
+
+def test_run_with_compare_leaves_numpy_ma_unloaded(tmp_path):
+    """Spearman's tie test imports nothing: a run that emits ``compare``
+    loads no numpy module after start-up that ``np.unique`` would pull in."""
+    input_path = write_sample(tmp_path / "input.csv")
+    script = (
+        "import sys; from ecindex.pipeline import PipelineConfig, run_pipeline; "
+        "run_pipeline(PipelineConfig(sys.argv[1], sys.argv[2], min_location_total=5, "
+        "min_activity_total=5, emit=('eci', 'pci', 'compare'))); print('numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(input_path), str(tmp_path / "out")],
+        env=fresh_env(), check=True, capture_output=True, text=True,
+    )
+    assert (tmp_path / "out" / "comparisons.csv").is_file()
+    assert done.stdout == "False\n"
 
 
 def test_run_without_scipy_writes_the_same_bytes(tmp_path):
@@ -705,8 +756,6 @@ def test_run_without_scipy_writes_the_same_bytes(tmp_path):
     succeeds and writes the same files, byte for byte, as a normal run; only
     the manifest's timestamp differs."""
     input_path = write_sample(tmp_path / "input.csv")
-    src = str(Path(ecindex.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = "import sys{}; from ecindex.cli import main; main(sys.argv[1:])"
     out_dirs = {}
     for name, block in (("normal", ""), ("blocked", "; sys.modules['scipy'] = None")):
@@ -717,7 +766,7 @@ def test_run_without_scipy_writes_the_same_bytes(tmp_path):
                 "--out-dir", str(out_dirs[name]), "--min-location-total", "5",
                 "--min-activity-total", "5", "--emit", ",".join(pipeline.EMIT_CHOICES),
             ],
-            env=env, check=True, capture_output=True,
+            env=fresh_env(), check=True, capture_output=True,
         )
     names = sorted(path.name for path in out_dirs["normal"].iterdir())
     assert names == sorted(path.name for path in out_dirs["blocked"].iterdir())
@@ -735,17 +784,10 @@ def test_reruns_agree_across_blas_thread_counts(tmp_path):
     """Outputs that do not depend on BLAS rounding are byte-identical across
     thread counts; ECI/PCI agree to rounding (near-tied ranks may swap)."""
     input_path = write_sample(tmp_path / "input.csv")
-    src = str(Path(ecindex.__file__).parents[1])
     out_dirs = {}
     for threads in ("1", "2"):
         out_dirs[threads] = tmp_path / f"out{threads}"
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-            "OPENBLAS_NUM_THREADS": threads,
-            "OMP_NUM_THREADS": threads,
-            "MKL_NUM_THREADS": threads,
-        }
+        env = fresh_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         subprocess.run(
             [sys.executable, "-m", "ecindex.cli", "run", "--input", str(input_path),
              "--min-location-total", "5", "--min-activity-total", "5",

@@ -24,7 +24,7 @@ from ecindex.pipeline import (
 )
 from ecindex.spectral import eci, extensive_scores
 
-from oracles import pearson_by_formula, read_matrix_text, spearman_by_definition
+from oracles import pearson_by_formula, ranks_with_ties, read_matrix_text, spearman_by_definition
 
 
 def block_input(path):
@@ -138,6 +138,28 @@ class TestCompareVectors:
         b = np.array([4.0, 2.0, 2.0, 1.0])
         report = compare_vectors(labeled(a), labeled(b))
         assert report.spearman_rho == pytest.approx(spearman_by_definition(a, b), abs=1e-15)
+
+    def test_spearman_takes_the_exact_formula_exactly_when_untied(self):
+        """Bit for bit: the rank-difference formula on untied inputs, Pearson
+        on the average ranks on tied ones (-0.0 ties 0.0), both within 1e-15
+        of the definition."""
+        rng = np.random.default_rng(11)
+        for n in range(3, 40):
+            tied = rng.integers(-3, 4, n).astype(float)
+            tied[rng.random(n) < 0.2] = -0.0
+            if tied.std() == 0:
+                continue
+            untied = rng.permutation(n) - n // 2.0
+            for a, b in ((untied, rng.normal(size=n)), (tied, untied), (untied, tied)):
+                ranks_a, ranks_b = np.array(ranks_with_ties(a)), np.array(ranks_with_ties(b))
+                if len(set(a.tolist())) == len(set(b.tolist())) == n:
+                    d = ranks_a - ranks_b
+                    expected = 1.0 - 6.0 * float(d @ d) / (n * (n * n - 1))
+                else:
+                    expected = spectral.pearson(ranks_a, ranks_b)
+                rho = compare_vectors(labeled(a), labeled(b)).spearman_rho
+                assert rho == expected, (a, b)
+                assert rho == pytest.approx(spearman_by_definition(a, b), abs=1e-15)
 
 
 def test_average_ranks_match_scipy_rankdata():

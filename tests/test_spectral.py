@@ -19,6 +19,7 @@ from ecindex.spectral import (
     EigenSolution,
     SignConvention,
     SimilarityMatrix,
+    _fix_sign,
     bipartite_components,
     eci,
     eigendecompose,
@@ -344,13 +345,26 @@ class TestEci:
             eci(labeled_incidence(np.array([[1, 0], [0, 0]])))
 
     def test_constant_diversity_falls_back_to_the_largest_entry(self):
-        # a path: location i holds activities i and i + 1, so every diversity
-        # is 2, pearson gives 0.0, and the largest |entry| decides the sign
-        path = np.zeros((4, 5), dtype=np.int64)
-        path[np.arange(4), np.arange(4)] = path[np.arange(4), np.arange(1, 5)] = 1
-        scores = eci(labeled_incidence(path))
+        # every diversity of the path is 2, so pearson gives 0.0; its two ends
+        # tie in magnitude up to rounding, and the first label's is made positive
+        scores = eci(labeled_incidence(path_table(4).T))  # location i: activities i, i + 1
         assert scores.sign_convention == SignConvention("diversity", 0.0, fallback_used=True)
-        assert scores.raw[np.argmax(np.abs(scores.raw))] > 0
+        assert scores.raw[0] > 0 > scores.raw[-1]
+        assert abs(abs(scores.raw[0]) - abs(scores.raw[-1])) <= 1e-15
+
+    def test_fallback_orientation_ignores_the_last_bit(self):
+        """Either end of the path's eigenvector moved one ulp either way, in
+        either sign the solver may return, still orients the first label up."""
+        m = labeled_incidence(path_table(4).T)
+        raw = eci(m).raw
+        for end in (0, -1):
+            for toward in (-np.inf, np.inf):
+                for sign in (1.0, -1.0):
+                    moved = sign * raw
+                    moved[end] = np.nextafter(moved[end], toward)
+                    fixed, _, convention = _fix_sign(moved, standardize(moved), "diversity", m.diversity)
+                    assert convention.fallback_used
+                    assert fixed[0] > 0 > fixed[-1], (end, toward, sign)
 
 
 class TestPci:
@@ -689,7 +703,8 @@ class TestDataContracts:
                 assert abs(float(scores.standardized.std()) - 1.0) <= 1e-10
                 assert scores.sign_convention.correlation >= 0
                 if scores.sign_convention.fallback_used:
-                    assert scores.raw[np.argmax(np.abs(scores.raw))] > 0
+                    magnitude = np.abs(scores.raw)
+                    assert scores.raw[np.argmax(magnitude >= (1 - 1e-10) * magnitude.max())] > 0
                 else:
                     assert pearson_by_formula(scores.standardized, reference) >= 0
 
