@@ -15,7 +15,9 @@ pins the generated world across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count, islice, product
 from pathlib import Path
+from string import ascii_lowercase
 
 import numpy as np
 
@@ -53,17 +55,8 @@ class AlphabetWorld:
 
 def letter_symbols(n: int) -> tuple[str, ...]:
     """a..z, then aa, ab, ... for alphabets beyond 26 letters."""
-    symbols = []
-    for i in range(n):
-        s = ""
-        k = i
-        while True:
-            s = chr(ord("a") + k % 26) + s
-            k = k // 26 - 1
-            if k < 0:
-                break
-        symbols.append(s)
-    return tuple(symbols)
+    words = (map("".join, product(ascii_lowercase, repeat=k)) for k in count(1))
+    return tuple(islice(chain.from_iterable(words), n))
 
 
 def _world(letters, endowments, requirements, seed: int) -> AlphabetWorld:
@@ -132,14 +125,13 @@ def generate_random_world(
         raise ValueError("need at least 1 location and 1 activity")
     rng = np.random.default_rng(seed)
     letters = letter_symbols(num_letters)
-    pool = np.arange(num_letters)
     for _ in range(RETRY_BUDGET):
         endowments = tuple(
-            frozenset(letters[i] for i in rng.choice(pool, size=letters_per_location, replace=False))
+            frozenset(letters[i] for i in rng.choice(num_letters, size=letters_per_location, replace=False))
             for _ in range(num_locations)
         )
         requirements = tuple(
-            frozenset(letters[i] for i in rng.choice(pool, size=letters_per_word, replace=False))
+            frozenset(letters[i] for i in rng.choice(num_letters, size=letters_per_word, replace=False))
             for _ in range(num_activities)
         )
         feasible = all(

@@ -57,17 +57,6 @@ class LongTable:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __eq__(self, other) -> bool:
-        """Same rows, and values with the same bits (``-0.0`` is not ``0.0``)."""
-        if not isinstance(other, LongTable):
-            return NotImplemented
-        return (
-            (self.location_labels, self.activity_labels) == (other.location_labels, other.activity_labels)
-            and np.array_equal(self.location_codes, other.location_codes)
-            and np.array_equal(self.activity_codes, other.activity_codes)
-            and self.values.tobytes() == other.values.tobytes()
-        )
-
 
 @dataclass(frozen=True)
 class OutputMatrix:

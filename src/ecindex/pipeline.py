@@ -259,11 +259,11 @@ def prepare(
     cfg: PipelineConfig, dropped: list[dict]
 ) -> Iterator[tuple[str, OutputMatrix | SpecializationMatrix | IncidenceMatrix]]:
     """Ingest -> left-tail cut -> empty-margin drop -> RCA -> binarize -> prune
-    -> largest component, each step stage-tagged. Yields ``(name, matrix)``
-    for ``raw``, ``nonzero``, ``specialization``, ``pruned`` and ``final`` as
-    each is made, and appends the drop records of each step to ``dropped``
-    before it yields. A step runs only when the next item is asked for.
-    Writes nothing."""
+    -> largest component; a step that can refuse its input tags the error with
+    its stage. Yields ``(name, matrix)`` for ``raw``, ``nonzero``,
+    ``specialization``, ``pruned`` and ``final`` as each is made, and appends
+    the drop records of each step to ``dropped`` before it yields. A step runs
+    only when the next item is asked for. Writes nothing."""
     with _stage("ingest", (ComplexityError, OSError)):
         try:
             with open_text(cfg.input_path) as fh:
@@ -294,8 +294,7 @@ def prepare(
         specialization = compute_rca(nonzero)
     yield "specialization", specialization
 
-    with _stage("binarize"):
-        unpruned = binarize(specialization, cfg.rca_threshold)
+    unpruned = binarize(specialization, cfg.rca_threshold)
 
     with _stage("prune_degenerate"):
         pruned, _ = prune_degenerate(unpruned)
@@ -305,9 +304,8 @@ def prepare(
         )
     yield "pruned", pruned
 
-    with _stage("largest_component"):
-        final, _ = largest_component(pruned)
-        _record_drops(dropped, pruned, final, "largest_component", "outside largest connected component")
+    final, _ = largest_component(pruned)
+    _record_drops(dropped, pruned, final, "largest_component", "outside largest connected component")
     yield "final", final
 
 
@@ -341,8 +339,7 @@ def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
     want = set(cfg.emit)
     scores: dict[str, ComplexityScores] = {}
 
-    with _stage("emit"):
-        outputs.update(write_incidence_files(out_dir, final, cfg.delimiter))
+    outputs.update(write_incidence_files(out_dir, final, cfg.delimiter))
 
     with _stage("eci"):
         if want & {"eci", "compare"}:

@@ -85,7 +85,7 @@ class SimilarityMatrix:
     def weights(self) -> np.ndarray:
         if self.kind == "extensive":
             return np.ones(len(self.labels))
-        return (self.m.diversity if self.side == "location" else self.m.ubiquity).astype(float)
+        return _margins(self.m, self.side)[1]
 
     @cached_property
     def factor(self) -> np.ndarray:
@@ -248,7 +248,7 @@ def eci(m: IncidenceMatrix) -> ComplexityScores:
     """
     s = similarity_intensive(m, side="location")  # refuses zero margins first
     _require_connected(m)
-    return _second_eigenvector_scores(eigendecompose(s), s.labels, "ECI", "diversity", s.weights)
+    return _second_eigenvector_scores(eigendecompose(s), s.labels, "ECI", *_margins(m, "location"))
 
 
 def pci(m: IncidenceMatrix) -> ComplexityScores:
@@ -275,9 +275,9 @@ def extensive_scores(
     """
     s = similarity_extensive(m, side)
     solution = eigendecompose(s)
-    labels, reference = s.labels, (m.diversity if side == "location" else m.ubiquity).astype(float)
-    second = _second_eigenvector_scores(solution, labels, "extensive-second", "diversity", reference)
-    first = _scores_for_index(solution, 0, labels, "extensive-first", "diversity", reference)
+    reference = _margins(m, side)
+    second = _second_eigenvector_scores(solution, s.labels, "extensive-second", *reference)
+    first = _scores_for_index(solution, 0, s.labels, "extensive-first", *reference)
     return first, second, solution
 
 
@@ -394,6 +394,15 @@ def write_eigensolution(path: Path, solution: EigenSolution, delimiter: str = ",
     zeros = ["0.0"] * (solution.eigenvectors.shape[0] - solution.eigenvalues.size)
     block = Columns(*(number_texts(x).tolist() + zeros for x in (solution.eigenvalues, solution.residuals)))
     write_rows(path, ("eigenvalue", "residual"), [block], delimiter)
+
+
+def _margins(m: IncidenceMatrix, side: Side) -> tuple[str, np.ndarray]:
+    """The name and float values of ``side``'s margins: each location's
+    diversity or each activity's ubiquity, the size a score's sign is fixed
+    against."""
+    if side == "location":
+        return "diversity", m.diversity.astype(float)
+    return "ubiquity", m.ubiquity.astype(float)
 
 
 def _require_connected(m: IncidenceMatrix) -> None:

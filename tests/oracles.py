@@ -20,6 +20,19 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 
+def long_table_bits(table):
+    """A ``LongTable`` as plain comparable data: its labels, its codes and the
+    bits of its values (``-0.0`` is not ``0.0``). Two tables hold the same rows
+    exactly when these are equal."""
+    return (
+        table.location_labels,
+        table.activity_labels,
+        table.location_codes.tolist(),
+        table.activity_codes.tolist(),
+        table.values.tobytes(),
+    )
+
+
 def pivot_by_dict(table):
     """Sum-by-key aggregation oracle over a ``LongTable``'s rows: dict of
     dicts, first-appearance order."""

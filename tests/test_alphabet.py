@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -220,9 +222,32 @@ def test_world_file_roundtrip(tmp_path):
     assert tuple(frozenset(read[f"activity {label}"]) for label in world.activity_labels) == world.requirements
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: replace(chain_world(["a"]), endowments=(frozenset("a"),)), "one endowment per location"),
+        (lambda: replace(chain_world(["a"]), requirements=()), "one requirement per activity"),
+        (lambda: replace(chain_world(["a"]), endowments=(frozenset("a"),) * 2 + (frozenset("az"),)),
+         "endowment contains unknown letters"),
+        (lambda: chain_world(["az"]), "requirement contains unknown letters"),
+        (lambda: generate_nested_world(3, 0, seed=0), "need at least 1 activity"),
+        (lambda: generate_random_world(0, 6, 5, 2, seed=0), "need at least 1 location and 1 activity"),
+        (lambda: generate_random_world(4, 0, 5, 2, seed=0), "need at least 1 location and 1 activity"),
+    ],
+    ids=["endowment-count", "requirement-count", "endowment-letter", "requirement-letter",
+         "nested-no-activity", "random-no-location", "random-no-activity"],
+)
+def test_bad_arguments_are_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_letter_symbols_extend_beyond_z():
     symbols = letter_symbols(30)
     assert symbols[0] == "a"
     assert symbols[25] == "z"
     assert symbols[26] == "aa"
     assert len(set(symbols)) == 30
+    symbols = letter_symbols(703)
+    assert symbols[51:53] == ("az", "ba")
+    assert symbols[701:] == ("zz", "aaa")

@@ -17,6 +17,7 @@ from ecindex.pipeline import read_scores_file
 
 from oracles import read_matrix_text
 from test_pipeline import block_input, damaged_gzip
+from test_spectral import REGULAR
 
 
 def invoke(*args):
@@ -554,6 +555,21 @@ def test_extensive_on_a_rank_one_table_is_an_extensive_error(tmp_path, shape):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # no uncaught traceback
     assert result.stderr.startswith("error [extensive] ")
+    assert result.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_on_a_regular_table_is_an_extensive_error(tmp_path):
+    # REGULAR's cells at value 1 have RCA 8/3, so it is the incidence: ECI and
+    # PCI are found (ECI's sign by the fallback), but the first extensive
+    # eigenvector is constant and ranks nothing
+    input_path = tmp_path / "input.csv"
+    input_path.write_text("location,activity,value\n" + "".join(
+        f"{REGULAR.location_labels[c]},{REGULAR.activity_labels[p]},1\n" for c, p in zip(*np.nonzero(REGULAR.values))
+    ))
+    result = invoke("run", "--input", input_path, "--out-dir", tmp_path / "out")
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error [extensive] extensive-first eigenvector is constant")
     assert result.stderr.count("\n") == 1
     assert not (tmp_path / "out").exists()
 

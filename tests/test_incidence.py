@@ -53,6 +53,8 @@ class TestComputeRca:
     def test_zero_margin_rejected(self):
         with pytest.raises(ZeroMargin):
             compute_rca(output_matrix([[1.0, 0.0], [2.0, 0.0]]))
+        with pytest.raises(ZeroMargin, match="empty"):
+            compute_rca(output_matrix(np.zeros((0, 0))))
 
     @given(positive_matrices)
     @settings(deadline=None)

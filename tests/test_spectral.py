@@ -48,6 +48,11 @@ WORKED = labeled_incidence(np.array([[1, 1], [0, 1]]))
 #: connected and rectangular both ways, so one side of each is rank-deficient
 WIDE = labeled_incidence(np.array([[1, 1, 0, 0, 1], [0, 1, 1, 0, 1], [1, 0, 1, 1, 0]]))
 TALL = labeled_incidence(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1], [0, 0, 1]]))
+#: 3-regular both ways (L0..L7 hold A{1,3,5}, A{0,1,6}, A{1,6,7}, A{2,4,7},
+#: A{2,3,4}, A{4,5,6}, A{0,3,5}, A{0,2,7}) and connected: every margin is 3
+REGULAR = labeled_incidence(np.array([[int(p in held) for p in range(8)] for held in (
+    {1, 3, 5}, {0, 1, 6}, {1, 6, 7}, {2, 4, 7}, {2, 3, 4}, {4, 5, 6}, {0, 3, 5}, {0, 2, 7},
+)]))
 WORKED_EXAMPLES = pytest.mark.parametrize(
     "m", [WORKED, WIDE, TALL, *(nested_triangular(n) for n in (5, 8, 12))],
     ids=["worked", "wide", "tall", "nested5", "nested8", "nested12"],
@@ -352,6 +357,11 @@ class TestEci:
         assert scores.raw[0] > 0 > scores.raw[-1]
         assert abs(abs(scores.raw[0]) - abs(scores.raw[-1])) <= 1e-15
 
+    def test_regular_table_falls_back(self):
+        # every diversity is 3; PCI's reference, ECI projected, is not constant
+        assert eci(REGULAR).sign_convention == SignConvention("diversity", 0.0, fallback_used=True)
+        assert not pci(REGULAR).sign_convention.fallback_used
+
     def test_fallback_orientation_ignores_the_last_bit(self):
         """Either end of the path's eigenvector moved one ulp either way, in
         either sign the solver may return, still orients the first label up."""
@@ -424,6 +434,11 @@ class TestExtensiveScores:
         for side in ("location", "activity"):
             with pytest.raises(DegenerateSpectrum):
                 extensive_scores(m, side)
+
+    @pytest.mark.parametrize("side", ["location", "activity"])
+    def test_regular_table_has_a_constant_size_axis(self, side):
+        with pytest.raises(DegenerateSpectrum, match="extensive-first eigenvector is constant"):
+            extensive_scores(REGULAR, side)
 
     def test_second_orthogonal_to_first(self):
         m = random_connected_incidence(np.random.default_rng(29), 20, 30, 0.3, 0.5)
@@ -656,6 +671,11 @@ class TestDataContracts:
             with pytest.raises(DegenerateMargins):
                 SimilarityMatrix(m, "intensive", side)
 
+    @pytest.mark.parametrize("kind, side", [("intensive", "both"), ("extensive", "rows"), ("dense", "location")])
+    def test_unknown_side_or_kind_is_refused(self, kind, side):
+        with pytest.raises(ValueError, match="unknown (side|kind)"):
+            SimilarityMatrix(WORKED, kind, side)
+
     def test_intensive_requires_factor(self):
         """The factor is derived from the incidence matrix, never passed in."""
         with pytest.raises(TypeError):
@@ -691,12 +711,19 @@ class TestDataContracts:
         for m in bernoulli_ensemble_100:
             location = eci(m)
             projected = (m.values.T @ location.standardized) / m.ubiquity
-            panels = [(location, m.location_labels, m.diversity), (pci(m), m.activity_labels, projected)]
-            sides = (("location", m.location_labels, m.diversity), ("activity", m.activity_labels, m.ubiquity))
-            for side, labels, margin in sides:
+            panels = [
+                (location, m.location_labels, "diversity", m.diversity),
+                (pci(m), m.activity_labels, "projected ECI", projected),
+            ]
+            sides = (
+                ("location", m.location_labels, "diversity", m.diversity),
+                ("activity", m.activity_labels, "ubiquity", m.ubiquity),
+            )
+            for side, labels, name, margin in sides:
                 first, second, _ = extensive_scores(m, side)
-                panels += [(first, labels, margin), (second, labels, margin)]
-            for scores, labels, reference in panels:
+                panels += [(first, labels, name, margin), (second, labels, name, margin)]
+            for scores, labels, name, reference in panels:
+                assert scores.sign_convention.reference == name
                 assert scores.labels == labels
                 assert len(scores.raw) == len(scores.standardized) == len(labels)
                 assert abs(float(scores.standardized.mean())) <= 1e-10
