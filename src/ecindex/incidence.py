@@ -63,6 +63,11 @@ class IncidenceMatrix:
     def ubiquity(self) -> np.ndarray:
         return self.values.sum(axis=0)
 
+    @cached_property
+    def _spectral(self) -> dict:
+        """What :mod:`ecindex.spectral` derives once per matrix, by its keys."""
+        return {}
+
 
 @dataclass(frozen=True)
 class PruneRecord:

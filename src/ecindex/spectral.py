@@ -17,7 +17,11 @@ nonnegative, and one ``eigh`` of the short side's n x n Gram matrix, n = min(C, 
 gives it: the short side's vectors are its eigenvectors ``q``, the long side's
 are ``A^T q / sigma`` (or ``A q / sigma``), both mapped back by ``D^{-1/2}``.
 Both sides keep the same pairs, those of lambda > ``EIGEN_RESIDUAL_TOL``; each
-other eigenvalue is a zero within the residual bound. ECI is the
+other eigenvalue is a zero within the residual bound. A solve may ask for
+the leading few pairs only: it maps and checks no others. ECI and PCI read
+three, and one incidence matrix keeps its intensive factor and the ``eigh``
+of that factor's Gram matrix, so ``eci``, ``pci`` and the ``eci`` inside
+``pci`` share one factorization. ECI is the
 standardized eigenvector of the second-largest eigenvalue (by value, not
 magnitude) of the intensive location-side matrix; PCI is the activity-side
 analog.
@@ -63,7 +67,8 @@ class SimilarityMatrix:
     """Square location-location or activity-activity similarity of ``m``.
     ``factor`` (``A``) and ``weights`` (this side's diagonal of ``D``: the
     margins, which must be positive, for the intensive kind and ones for the
-    extensive kind) are derived on first read."""
+    extensive kind) are derived on first read, the intensive factor once per
+    incidence matrix for both sides."""
 
     m: IncidenceMatrix
     kind: Kind
@@ -89,11 +94,13 @@ class SimilarityMatrix:
 
     @cached_property
     def factor(self) -> np.ndarray:
+        m = self.m
         if self.kind == "extensive":
-            return np.asarray(self.m.values, dtype=float)
-        factor = self.m.values / np.sqrt(self.m.diversity)[:, None]
-        factor /= np.sqrt(self.m.ubiquity)
-        return factor
+            return np.asarray(m.values, dtype=float)
+        if "factor" not in m._spectral:
+            factor = m._spectral["factor"] = m.values / np.sqrt(m.diversity)[:, None]
+            factor /= np.sqrt(m.ubiquity)
+        return m._spectral["factor"]
 
     @property
     def values(self) -> np.ndarray:
@@ -119,18 +126,25 @@ class EigenSolution:
     """Real eigenpairs as :func:`eigendecompose` makes them: eigenvalues
     descending, one unit-norm column eigenvector each. Only the residuals are checked.
 
-    Holds at most the leading ``min(C, P)`` pairs; the other eigenvalues of the
-    side are zeros, so there may be fewer columns than rows.
+    Holds at most the leading ``min(C, P)`` pairs, so there may be fewer
+    columns than rows. ``zeros`` counts the eigenvalues of the side that are
+    zeros and have no pair; a ``truncated`` solution also leaves out nonzero
+    eigenvalues, those after its last pair.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray
+    zeros: int
 
     def __post_init__(self):
         bound = EIGEN_RESIDUAL_TOL * np.maximum(1.0, np.abs(self.eigenvalues))
         if not np.all(self.residuals <= bound):  # NaN fails
             raise ConvergenceFailure(f"eigen residual {float(self.residuals.max()):.3e} exceeds contract")
+
+    @property
+    def truncated(self) -> bool:
+        return self.eigenvalues.size + self.zeros < self.eigenvectors.shape[0]
 
 
 @dataclass(frozen=True)
@@ -210,9 +224,10 @@ def similarity_intensive(m: IncidenceMatrix, side: Side = "location") -> Similar
     return SimilarityMatrix(m, "intensive", side)
 
 
-def eigendecompose(s: SimilarityMatrix) -> EigenSolution:
+def eigendecompose(s: SimilarityMatrix, pairs: int | None = None) -> EigenSolution:
     """The eigenpairs of lambda > ``EIGEN_RESIDUAL_TOL``, descending, the same
-    pairs from either side; the omitted eigenvalues are zeros within the contract.
+    pairs from either side, or the leading ``pairs`` of them; the omitted
+    eigenvalues are zeros within the contract (``EigenSolution.zeros``).
 
     One ``eigh`` of the short side's n x n Gram matrix, n = min(C, P): with
     ``a`` the factor oriented one row per label of ``s`` (``A`` or ``A.T``),
@@ -222,21 +237,42 @@ def eigendecompose(s: SimilarityMatrix) -> EigenSolution:
     the contract as an exact zero: its ``q`` is any vector of a null space, and
     its sigma, at rounding level, would make the long side's vector noise.
     Vectors are mapped back by ``D^{-1/2}`` (D = the weights) and renormalized;
-    ``eigh``'s ascending order, reversed, makes the eigenvalues descending. The
-    residuals, taken through the factor (:meth:`SimilarityMatrix.apply`), are
-    checked by :class:`EigenSolution`.
+    ``eigh``'s ascending order, reversed, makes the eigenvalues descending.
+    Only the returned pairs are mapped to the long side, and their residuals,
+    taken through the factor (:meth:`SimilarityMatrix.apply`), are checked by
+    :class:`EigenSolution`.
+
+    An intensive solve with ``pairs`` stores the kept eigenvalues and the
+    leading ``q`` on the incidence matrix, keyed by the Gram matrix it formed
+    (``A A^T`` or ``A^T A``): the other side of a non-square table, and a
+    second solve of one side, read them instead of another ``eigh``. Each
+    side of a square table forms its own Gram matrix, so each side solves once.
     """
     a = s.factor if s.side == "location" else s.factor.T
     on_short = a.shape[0] <= a.shape[1]
-    w, q = np.linalg.eigh(a @ a.T if on_short else a.T @ a)
-    kept = np.count_nonzero(w > EIGEN_RESIDUAL_TOL)
-    eigenvalues, vectors = w[::-1][:kept], q[:, ::-1][:, :kept]
+    key = ("A A^T" if (s.side == "location") == on_short else "A^T A", pairs)
+    memo = s.m._spectral if s.kind == "intensive" and pairs is not None else {}
+    if key not in memo:
+        memo[key] = _gram_eigh(a, on_short, pairs)
+    spectrum, vectors = memo[key]
+    eigenvalues = spectrum[: vectors.shape[1]]
     if not on_short:
         vectors = a @ vectors / np.sqrt(eigenvalues)
     vectors = vectors / np.sqrt(s.weights)[:, None]
     vectors /= np.linalg.norm(vectors, axis=0)
     residuals = np.abs(s.apply(vectors) - vectors * eigenvalues).max(axis=0)
-    return EigenSolution(eigenvalues, vectors, residuals)
+    return EigenSolution(eigenvalues, vectors, residuals, len(s.labels) - spectrum.size)
+
+
+def _gram_eigh(a: np.ndarray, on_short: bool, pairs: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues > ``EIGEN_RESIDUAL_TOL`` of ``a``'s short-side Gram
+    matrix, descending, and the vectors of the leading ``pairs`` of them (all
+    when None) in a copy of their own, both read-only."""
+    w, q = np.linalg.eigh(a @ a.T if on_short else a.T @ a)
+    kept = np.count_nonzero(w > EIGEN_RESIDUAL_TOL)
+    spectrum, vectors = w[::-1][:kept], q[:, ::-1][:, :kept][:, :pairs].copy()
+    spectrum.flags.writeable = vectors.flags.writeable = False
+    return spectrum, vectors
 
 
 def eci(m: IncidenceMatrix) -> ComplexityScores:
@@ -248,7 +284,7 @@ def eci(m: IncidenceMatrix) -> ComplexityScores:
     """
     s = similarity_intensive(m, side="location")  # refuses zero margins first
     _require_connected(m)
-    return _second_eigenvector_scores(eigendecompose(s), s.labels, "ECI", *_margins(m, "location"))
+    return _second_eigenvector_scores(eigendecompose(s, 3), s.labels, "ECI", *_margins(m, "location"))
 
 
 def pci(m: IncidenceMatrix) -> ComplexityScores:
@@ -259,7 +295,7 @@ def pci(m: IncidenceMatrix) -> ComplexityScores:
     high-complexity locations score high.
     """
     location_scores = eci(m)
-    solution = eigendecompose(similarity_intensive(m, side="activity"))
+    solution = eigendecompose(similarity_intensive(m, side="activity"), 3)
     projected = (m.values.T @ location_scores.standardized) / m.ubiquity
     return _second_eigenvector_scores(solution, m.activity_labels, "PCI", "projected ECI", projected)
 
@@ -328,12 +364,21 @@ def bipartite_components(values: np.ndarray) -> tuple[int, np.ndarray]:
 
     Returns the component count and one component id per node (the first C
     for locations, the remaining P for activities), numbering components by
-    their smallest node. Min-label propagation with pointer jumping (Shiloach
-    & Vishkin 1982): each edge lowers the label of one end's label to the
-    other end's label, then every label jumps to its label's label, until
-    nothing changes. Labels only fall and stay in their component, so the
-    fixed point is each component's smallest node.
+    their smallest node. A connected table of small diameter, the common
+    case, takes one breadth-first sweep (:func:`_sweep_connects`); any other
+    takes :func:`_propagated_components`.
     """
+    if _sweep_connects(values):
+        return 1, np.zeros(sum(values.shape), dtype=np.intp)
+    return _propagated_components(values)
+
+
+def _propagated_components(values: np.ndarray) -> tuple[int, np.ndarray]:
+    """:func:`bipartite_components` by min-label propagation with pointer
+    jumping (Shiloach & Vishkin 1982): each edge lowers the label of one end's
+    label to the other end's label, then every label jumps to its label's
+    label, until nothing changes. Labels only fall and stay in their
+    component, so the fixed point is each component's smallest node."""
     locations, activities = np.nonzero(values)
     activities += values.shape[0]
     label = np.arange(sum(values.shape))
@@ -346,6 +391,28 @@ def bipartite_components(values: np.ndarray) -> tuple[int, np.ndarray]:
             break
     roots, ids = np.unique(label, return_inverse=True)
     return len(roots), ids
+
+
+def _sweep_connects(values: np.ndarray) -> bool:
+    """Whether a breadth-first sweep from location 0 reaches every node within
+    ``ceil(log2(C + P))`` levels. A level reads only the rows (or columns) of
+    the nodes the level before reached first, so the sweep reads each cell at
+    most twice, once from each end."""
+    n_loc, n_act = values.shape
+    if n_loc == 0:
+        return False
+    seen = (np.zeros(n_loc, dtype=bool), np.zeros(n_act, dtype=bool))
+    seen[0][0] = True
+    frontier, unseen = np.zeros(1, dtype=np.intp), n_loc + n_act - 1
+    for level in range((n_loc + n_act - 1).bit_length()):
+        here, there = level % 2, 1 - level % 2
+        reached = (values, values.T)[here][frontier].any(axis=0) & ~seen[there]
+        seen[there][reached] = True
+        frontier = np.flatnonzero(reached)
+        unseen -= frontier.size
+        if not (unseen and frontier.size):
+            break
+    return unseen == 0
 
 
 def largest_component(m: IncidenceMatrix) -> tuple[IncidenceMatrix, ComponentReport]:
@@ -390,8 +457,11 @@ def write_scores(path: Path, scores: ComplexityScores, delimiter: str = ",") -> 
 
 def write_eigensolution(path: Path, solution: EigenSolution, delimiter: str = ",") -> None:
     """Columns eigenvalue, residual: one row per eigenvalue of the side, the
-    rows past the computed pairs being the exact zeros ``0.0,0.0``."""
-    zeros = ["0.0"] * (solution.eigenvectors.shape[0] - solution.eigenvalues.size)
+    rows past the computed pairs being the exact zeros ``0.0,0.0``. A
+    truncated solution lacks rows of the spectrum and is refused."""
+    if solution.truncated:
+        raise ValueError("a truncated eigensolution does not hold the whole spectrum")
+    zeros = ["0.0"] * solution.zeros
     block = Columns(*(number_texts(x).tolist() + zeros for x in (solution.eigenvalues, solution.residuals)))
     write_rows(path, ("eigenvalue", "residual"), [block], delimiter)
 
@@ -473,8 +543,8 @@ def _second_eigenvector_scores(
     eigenvalues = solution.eigenvalues
     if eigenvalues.size < 2:
         raise DegenerateSpectrum("no second nonzero eigenvalue")
-    if solution.eigenvectors.shape[0] > eigenvalues.size:
-        eigenvalues = np.append(eigenvalues, 0.0)  # the omitted eigenvalues are exact zeros
+    if solution.zeros and not solution.truncated:
+        eigenvalues = np.append(eigenvalues, 0.0)  # the next eigenvalue is an omitted zero
     gap_above = eigenvalues[0] - eigenvalues[1]
     gap_below = eigenvalues[1] - eigenvalues[2] if eigenvalues.size > 2 else np.inf
     if min(gap_above, gap_below) <= DEGENERATE_EIGENVALUE_TOL:

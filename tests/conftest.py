@@ -9,6 +9,8 @@ vector).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,13 @@ def random_connected_incidence(
             continue
         if len(bfs_bipartite_components(values)) == 1:
             return labeled_incidence(values)
+
+
+def fresh(m: IncidenceMatrix) -> IncidenceMatrix:
+    """An equal incidence matrix that keeps none of ``m``'s derived state, so
+    a solve of it forms its own factor and ``eigh``: two solves compared
+    through one matrix could share a factorization and agree by construction."""
+    return dataclasses.replace(m)
 
 
 def nested_triangular(n: int) -> IncidenceMatrix:

@@ -28,7 +28,7 @@ from ecindex.spectral import (
     similarity_intensive,
 )
 
-from conftest import labeled_incidence, random_connected_incidence
+from conftest import fresh, labeled_incidence, random_connected_incidence
 from oracles import pearson_by_formula
 
 MODULE_START = time.monotonic()
@@ -250,7 +250,7 @@ def test_criterion_8_residuals_and_runtime(bernoulli_ensemble_100):
             (similarity_intensive, "activity"),
             (similarity_extensive, "location"),
         ):
-            solution = eigendecompose(build(m, side))
+            solution = eigendecompose(build(fresh(m), side))
             bound = 1e-8 * np.maximum(1.0, np.abs(solution.eigenvalues))
             assert (solution.residuals <= bound).all()
             worst = max(worst, float((solution.residuals / bound).max()))

@@ -316,9 +316,19 @@ def test_write_scores_writes_what_csv_writes(tmp_path, delimiter):
 def test_write_eigensolution_writes_what_csv_writes(tmp_path, delimiter):
     eigenvalues = np.array([float("inf"), 1e16, 1e-05, -0.0])
     residuals = np.array([1.0, 1e-05, 1e-09, -0.0])
-    write_eigensolution(tmp_path / "e.csv", EigenSolution(eigenvalues, np.eye(6)[:, :4], residuals), delimiter)
+    write_eigensolution(tmp_path / "e.csv", EigenSolution(eigenvalues, np.eye(6)[:, :4], residuals, 2), delimiter)
     rows = [*zip(eigenvalues.tolist(), residuals.tolist()), (0.0, 0.0), (0.0, 0.0)]
     assert written(tmp_path / "e.csv") == csv_text(("eigenvalue", "residual"), rows, delimiter)
+
+
+def test_write_eigensolution_refuses_a_truncated_solution(tmp_path):
+    """Four pairs and one zero of a six-row side leave one nonzero eigenvalue
+    out, which no ``0.0,0.0`` row may stand for."""
+    solution = EigenSolution(np.array([3.0, 2.0, 1.0, 0.5]), np.eye(6)[:, :4], np.zeros(4), 1)
+    assert solution.truncated
+    with pytest.raises(ValueError, match="truncated"):
+        write_eigensolution(tmp_path / "e.csv", solution)
+    assert not (tmp_path / "e.csv").exists()
 
 
 @pytest.mark.parametrize("delimiter", WRITER_DELIMITERS)

@@ -614,6 +614,35 @@ class TestRunPipeline:
             if name.split("_")[0] in emit
         )
 
+    @pytest.mark.parametrize("square", [False, True], ids=["wide", "square"])
+    def test_a_default_run_factorizes_once_per_gram_matrix(self, tmp_path, monkeypatch, square):
+        """Every emit of a non-square table takes two ``eigh``: one of the
+        intensive Gram matrix, which ECI, PCI and PCI's ECI share, and one of
+        the extensive. Each side of a square table forms its own intensive
+        Gram matrix, so it takes three."""
+        grams = []
+
+        def counted(gram, _real=np.linalg.eigh):
+            grams.append(gram.shape)
+            return _real(gram)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        if square:
+            input_path = block_input(tmp_path / "input.csv")
+        else:
+            values = np.random.default_rng(8).lognormal(size=(8, 12))
+            lines = [f"L{i},A{j},{value!r}" for i, row in enumerate(values.tolist()) for j, value in enumerate(row)]
+            input_path = tmp_path / "input.csv"
+            input_path.write_text("\n".join(["location,activity,value", *lines]) + "\n")
+        cfg = PipelineConfig(
+            input_path=input_path, out_dir=tmp_path / "out", min_location_total=5.0, min_activity_total=5.0,
+        )
+        counts = run_pipeline(cfg).manifest["counts"]
+        assert cfg.emit == EMIT_CHOICES
+        n_loc, n_act = counts["final_locations"], counts["final_activities"]
+        assert (n_loc == n_act) == square
+        assert grams == [(min(n_loc, n_act),) * 2] * (3 if square else 2)
+
     def test_prepare_writes_nothing_and_feeds_run(self, tmp_path):
         cfg = PipelineConfig(
             input_path=block_input(tmp_path / "input.csv"), out_dir=tmp_path / "out",

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from ecindex.alphabet import generate_nested_world, world_to_incidence
 from ecindex.errors import (
@@ -14,12 +15,16 @@ from ecindex.errors import (
 )
 from ecindex.incidence import IncidenceMatrix
 from ecindex.spectral import (
+    EIGEN_RESIDUAL_TOL,
     ComplexityScores,
     ComponentReport,
     EigenSolution,
     SignConvention,
     SimilarityMatrix,
     _fix_sign,
+    _propagated_components,
+    _second_eigenvector_scores,
+    _sweep_connects,
     bipartite_components,
     eci,
     eigendecompose,
@@ -33,7 +38,7 @@ from ecindex.spectral import (
     write_scores,
 )
 
-from conftest import labeled_incidence, nested_triangular, prune_values, random_connected_incidence
+from conftest import fresh, labeled_incidence, nested_triangular, prune_values, random_connected_incidence
 from oracles import (
     bfs_bipartite_components,
     dense_eigh,
@@ -65,7 +70,7 @@ def assert_matches_dense_oracle(m, build=similarity_intensive):
     a dense ``eigh`` of the symmetrized matrix."""
     rank = min(m.values.shape)
     for side in ("location", "activity"):
-        s = build(m, side)
+        s = build(fresh(m), side)
         solution = eigendecompose(s)
         oracle_values, oracle_vectors = dense_eigh(s.values, s.weights)
         assert solution.eigenvalues.shape == (rank,)
@@ -215,8 +220,8 @@ class TestEigendecompose:
         rng = np.random.default_rng(19)
         for _ in range(10):
             m = random_connected_incidence(rng, 40, 60, 0.2, 0.5)
-            location = eigendecompose(similarity_intensive(m, "location")).eigenvalues
-            activity = eigendecompose(similarity_intensive(m, "activity")).eigenvalues
+            location = eigendecompose(similarity_intensive(fresh(m), "location")).eigenvalues
+            activity = eigendecompose(similarity_intensive(fresh(m), "activity")).eigenvalues
             assert np.abs(location - activity).max() <= 1e-12
 
     def test_intensive_unit_eigenvector_is_constant(self):
@@ -237,13 +242,90 @@ class TestEigendecompose:
         values = prune_values((np.random.default_rng(26).random((400, 40)) < 0.3).astype(np.int64))
         m = labeled_incidence(values)
         for side in ("location", "activity"):
-            s = similarity_intensive(m, side)
+            s = similarity_intensive(fresh(m), side)
             oracle_values, oracle_vectors = dense_eigh(s.values, s.weights)
             assert oracle_values[2] / oracle_values[1] >= 0.98
             gap = min(oracle_values[0] - oracle_values[1], oracle_values[1] - oracle_values[2])
             got, want = eigendecompose(s).eigenvectors[:, 1], oracle_vectors[:, 1]
             error = np.linalg.norm(got - np.sign(got @ want) * want)
             assert error <= 10 * np.finfo(float).eps * oracle_values[0] / gap
+
+    @pytest.mark.parametrize("build", [similarity_intensive, similarity_extensive])
+    @pytest.mark.parametrize("side", ["location", "activity"])
+    def test_leading_pairs_match_the_full_solve(self, build, side, bernoulli_ensemble_100):
+        """``eigendecompose(s, 3)`` returns the first three pairs of the full
+        solve and counts the same zeros; it is truncated exactly when the
+        spectrum has more than three nonzero eigenvalues, and each pair it
+        returns has its own residual, within the contract. The eigenvalues
+        and the short side's vectors are the same bits. The long side's are
+        ``a @ q`` over three columns instead of all: OpenBLAS may sum a dot
+        product of a small table in another order for another column count,
+        which moves a unit vector's entry by at most an ulp."""
+        tables = [WORKED, WIDE, TALL, REGULAR, *bernoulli_ensemble_100[:30]]
+        tables += [labeled_incidence(duplicated_location(flip)) for flip in (False, True)]
+        for m in tables:
+            full = eigendecompose(build(fresh(m), side))
+            s = build(fresh(m), side)
+            leading = eigendecompose(s, 3)
+            kept = min(3, full.eigenvalues.size)
+            assert np.array_equal(leading.eigenvalues, full.eigenvalues[:kept])
+            if len(s.labels) == min(m.values.shape):
+                assert np.array_equal(leading.eigenvectors, full.eigenvectors[:, :kept])
+            else:
+                assert np.abs(leading.eigenvectors - full.eigenvectors[:, :kept]).max() <= 2 * np.finfo(float).eps
+            assert leading.zeros == full.zeros and not full.truncated
+            assert leading.truncated == (full.eigenvalues.size > 3)
+            vectors, eigenvalues = leading.eigenvectors, leading.eigenvalues
+            dense = np.abs(s.values @ vectors - vectors * eigenvalues).max(axis=0)
+            assert np.abs(leading.residuals - dense).max() <= 1e-14 * max(1.0, eigenvalues[0])
+            assert (leading.residuals <= EIGEN_RESIDUAL_TOL * np.maximum(1.0, eigenvalues)).all()
+
+
+class TestOneFactorization:
+    """One incidence matrix keeps its intensive factor and the leading pairs
+    of each Gram matrix it formed, so ECI and PCI read one ``eigh`` on a
+    non-square table, and one per side on a square one."""
+
+    @pytest.mark.parametrize(("m", "eighs"), [(WIDE, 1), (TALL, 1), (REGULAR, 2)], ids=["wide", "tall", "square"])
+    def test_eci_and_pci_solve_once_per_gram_matrix(self, monkeypatch, m, eighs):
+        shapes = []
+
+        def counted(gram, _real=np.linalg.eigh):
+            shapes.append(gram.shape)
+            return _real(gram)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        m = fresh(m)
+        for scores in (eci, pci, eci):
+            scores(m)
+        assert shapes == [(min(m.values.shape),) * 2] * eighs
+        eigendecompose(similarity_extensive(m, "location"))  # another matrix: its own eigh
+        assert len(shapes) == eighs + 1
+
+    def test_either_order_gives_the_same_bits(self, bernoulli_ensemble_100):
+        """pci then eci gives the bits of eci then pci, on square and
+        non-square tables."""
+        for m in (WORKED, WIDE, TALL, REGULAR, nested_triangular(8), *bernoulli_ensemble_100[:20]):
+            forward, backward = fresh(m), fresh(m)
+            location, activity = eci(forward), pci(forward)
+            activity_first = pci(backward)
+            for want, got in ((location, eci(backward)), (activity, activity_first)):
+                assert np.array_equal(got.raw, want.raw) and np.array_equal(got.standardized, want.standardized)
+                assert got.sign_convention == want.sign_convention
+
+    def test_the_kept_factorization_is_three_columns(self):
+        """What the matrix keeps is its factor, the kept eigenvalues and three
+        vectors of the short side in arrays of their own, never an n x n
+        matrix; none of it is writable."""
+        m = fresh(random_connected_incidence(np.random.default_rng(23), 40, 60, 0.2, 0.5, 30, 45))
+        pci(m)  # and the eci inside it
+        n = min(m.values.shape)
+        assert m._spectral.keys() == {"factor", ("A A^T" if m.values.shape[0] <= m.values.shape[1] else "A^T A", 3)}
+        assert m._spectral["factor"].shape == m.values.shape
+        spectrum, vectors = next(value for key, value in m._spectral.items() if key != "factor")
+        assert vectors.shape == (n, 3) and vectors.base is None
+        assert spectrum.size <= n and spectrum.base.size == n
+        assert not (spectrum.flags.writeable or vectors.flags.writeable)
 
 
 def duplicated_location(flip: bool) -> np.ndarray:
@@ -269,7 +351,7 @@ class TestZeroEigenvalues:
         m = labeled_incidence(values.T if tall else values)
         for build in (similarity_intensive, similarity_extensive):
             for side in ("location", "activity"):
-                s = build(m, side)
+                s = build(fresh(m), side)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     solution = eigendecompose(s)
@@ -592,9 +674,51 @@ class TestBipartiteComponents:
         assert partition == {(frozenset(locs), frozenset(acts)) for locs, acts in bfs_bipartite_components(values)}
         return count
 
+    @staticmethod
+    def assert_sweep_agrees(values) -> bool:
+        """Whether the sweep settled ``values``, once the components match
+        label propagation's with and without it."""
+        swept = _sweep_connects(values)
+        count, ids = bipartite_components(values)
+        want_count, want_ids = _propagated_components(values)
+        assert count == want_count and np.array_equal(ids, want_ids)
+        assert not swept or count == 1
+        return swept
+
     def test_bernoulli_ensemble_is_one_component(self, bernoulli_ensemble_100):
         for m in bernoulli_ensemble_100:
             assert self.assert_matches_oracles(m.values) == 1
+            assert self.assert_sweep_agrees(m.values)
+
+    def test_sweep_agrees_with_label_propagation(self):
+        """Shuffled tables of 1 to 6 connected blocks, some with empty rows
+        and columns: the sweep settles only the connected ones."""
+        rng = np.random.default_rng(54)
+        settled = {}
+        for k, empties in ((k, empties) for k in range(1, 7) for empties in (0, 1, 2) for _ in range(3)):
+            values = block_diag(*(random_connected_incidence(rng, 12, 12, 0.2, 0.6).values for _ in range(k)))
+            for axis in (0, 1):
+                values = np.insert(values, rng.integers(0, values.shape[axis] + 1, size=empties), 0, axis=axis)
+            values = values[rng.permutation(values.shape[0])][:, rng.permutation(values.shape[1])]
+            swept = self.assert_sweep_agrees(values)
+            settled.setdefault(swept, set()).add(bipartite_components(values)[0])
+        assert settled[True] == {1} and settled[False] >= set(range(2, 7))
+
+    @pytest.mark.parametrize(
+        "values", [np.zeros((1, 0)), np.zeros((0, 1)), np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 5))],
+        ids=["one-location", "one-activity", "two-nodes", "one-edge", "one-row"],
+    )
+    def test_sweep_on_single_nodes(self, values):
+        values = values.astype(np.int64)
+        assert self.assert_sweep_agrees(values) == (bipartite_components(values)[0] == 1 and values.shape[0] > 0)
+
+    def test_sweep_leaves_a_long_path_and_many_blocks_to_propagation(self):
+        """A 1500 x 1500 path is deeper than ceil(log2(3000)) levels and 400
+        blocks of 3 x 2 are disconnected: the sweep settles neither."""
+        blocks = np.kron(np.eye(400, dtype=np.int64), np.ones((3, 2), dtype=np.int64))
+        for values, count in ((path_table(1500)[:-1], 1), (blocks, 400)):
+            assert not self.assert_sweep_agrees(values)
+            assert bipartite_components(values)[0] == count
 
     def test_sparse_bernoulli_tables(self):
         """Unpruned tables up to 30 x 30 at densities up to 0.3: many
@@ -691,7 +815,24 @@ class TestDataContracts:
                     eigenvalues=np.array([1.0, 0.5]),
                     eigenvectors=np.eye(2),
                     residuals=np.array([0.0, residual]),
+                    zeros=0,
                 )
+
+    @pytest.mark.parametrize(("zeros", "refused"), [(1, True), (0, False)], ids=["zero-omitted", "truncated"])
+    def test_the_gap_below_reads_the_count_of_zeros(self, zeros, refused):
+        """Two pairs of a three-row side: with one omitted zero the second
+        eigenvalue, 5e-11, is a double zero and refused; truncated, the third
+        eigenvalue is unknown but not zero, and the second is taken."""
+        vectors = np.column_stack([np.ones(3) / math.sqrt(3), np.array([1.0, 0.0, -1.0]) / math.sqrt(2)])
+        solution = EigenSolution(np.array([1.0, 5e-11]), vectors, np.zeros(2), zeros)
+        assert solution.truncated == (not zeros)
+        labels, reference = ("L0", "L1", "L2"), np.array([3.0, 2.0, 1.0])
+        if refused:
+            with pytest.raises(DegenerateSpectrum, match="multiplicity"):
+                _second_eigenvector_scores(solution, labels, "ECI", "diversity", reference)
+        else:
+            scores = _second_eigenvector_scores(solution, labels, "ECI", "diversity", reference)
+            assert scores.raw.tolist() == vectors[:, 1].tolist()
 
     @pytest.mark.parametrize("build", [similarity_intensive, similarity_extensive])
     @pytest.mark.parametrize("side", ["location", "activity"])
