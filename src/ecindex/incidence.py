@@ -44,7 +44,7 @@ class IncidenceMatrix:
         values = self.values
         if values.shape != (len(self.location_labels), len(self.activity_labels)):
             raise ValueError("matrix shape does not match label counts")
-        if values.size and not np.isin(values, (0, 1)).all():
+        if not ((values == 0) | (values == 1)).all():
             raise ValueError("incidence entries must be 0 or 1")
 
     @classmethod

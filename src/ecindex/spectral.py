@@ -13,15 +13,15 @@ Both kinds are diagonally similar to ``A @ A.T`` (location side) or
 ``A.T @ A`` (activity side) for a C x P factor ``A = D_c^{-1/2} M D_p^{-1/2}``:
 the margins give ``D`` for the intensive kind (correspondence analysis), and
 ``D = I``, so ``A = M``, for the extensive kind. So every spectrum is real and
-nonnegative, and one ``eigh`` of the short side's n x n Gram matrix, n = min(C, P),
-gives it: the short side's vectors are its eigenvectors ``q``, the long side's
-are ``A^T q / sigma`` (or ``A q / sigma``), both mapped back by ``D^{-1/2}``.
-Both sides keep the same pairs, those of lambda > ``EIGEN_RESIDUAL_TOL``; each
-other eigenvalue is a zero within the residual bound. A solve may ask for
-the leading few pairs only: it maps and checks no others. ECI and PCI read
-three, and one incidence matrix keeps its intensive factor and the ``eigh``
-of that factor's Gram matrix, so ``eci``, ``pci`` and the ``eci`` inside
-``pci`` share one factorization. ECI is the
+nonnegative, and one ``eigh`` of an n x n Gram matrix, n = min(C, P), gives
+it: ``A A^T`` when C <= P, whose eigenvectors ``q`` are the location side's and
+``A^T q / sigma`` the activity side's, else ``A^T A`` and the other way round,
+both mapped back by ``D^{-1/2}``. Both sides keep the same pairs, those of
+lambda > ``EIGEN_RESIDUAL_TOL``; each other eigenvalue is a zero within the
+residual bound. A solve may ask for the leading few pairs only: it maps and
+checks no others. ECI and PCI read three, and one incidence matrix keeps its
+intensive factor and the ``eigh`` of that factor's Gram matrix, so ``eci``,
+``pci`` and the ``eci`` inside ``pci`` share one factorization. ECI is the
 standardized eigenvector of the second-largest eigenvalue (by value, not
 magnitude) of the intensive location-side matrix; PCI is the activity-side
 analog.
@@ -229,46 +229,41 @@ def eigendecompose(s: SimilarityMatrix, pairs: int | None = None) -> EigenSoluti
     pairs from either side, or the leading ``pairs`` of them; the omitted
     eigenvalues are zeros within the contract (``EigenSolution.zeros``).
 
-    One ``eigh`` of the short side's n x n Gram matrix, n = min(C, P): with
-    ``a`` the factor oriented one row per label of ``s`` (``A`` or ``A.T``),
-    ``a @ a.T`` when this side is the short one (on a tie too), else
-    ``a.T @ a``. Its eigenvalues are the spectrum and its vectors ``q`` the short
-    side's; the long side's are ``a @ q / sqrt(lambda)``. Any other lambda meets
-    the contract as an exact zero: its ``q`` is any vector of a null space, and
-    its sigma, at rounding level, would make the long side's vector noise.
-    Vectors are mapped back by ``D^{-1/2}`` (D = the weights) and renormalized;
-    ``eigh``'s ascending order, reversed, makes the eigenvalues descending.
-    Only the returned pairs are mapped to the long side, and their residuals,
-    taken through the factor (:meth:`SimilarityMatrix.apply`), are checked by
-    :class:`EigenSolution`.
+    One ``eigh`` of the factor's Gram matrix, ``A @ A.T`` when C <= P, else
+    ``A.T @ A``, whichever side is solved. Its eigenvalues are the spectrum
+    and its vectors ``q`` the vectors of the side whose Gram matrix it is; the
+    other side's are ``A.T @ q / sqrt(lambda)`` (or ``A @ q``). Any other
+    lambda meets the contract as an exact zero: its ``q`` is any vector of a
+    null space, and its sigma, at rounding level, would make the other side's
+    vector noise. Vectors are mapped back by ``D^{-1/2}`` (D = the weights)
+    and renormalized; ``eigh``'s ascending order, reversed, makes the
+    eigenvalues descending. Only the returned pairs are mapped, and their
+    residuals, taken through the factor (:meth:`SimilarityMatrix.apply`), are
+    checked by :class:`EigenSolution`.
 
-    An intensive solve with ``pairs`` stores the kept eigenvalues and the
-    leading ``q`` on the incidence matrix, keyed by the Gram matrix it formed
-    (``A A^T`` or ``A^T A``): the other side of a non-square table, and a
-    second solve of one side, read them instead of another ``eigh``. Each
-    side of a square table forms its own Gram matrix, so each side solves once.
+    An intensive solve with ``pairs`` stores the kept eigenvalues and leading
+    ``q`` on the incidence matrix, keyed by ``pairs``, for every later one.
     """
-    a = s.factor if s.side == "location" else s.factor.T
-    on_short = a.shape[0] <= a.shape[1]
-    key = ("A A^T" if (s.side == "location") == on_short else "A^T A", pairs)
+    factor = s.factor
+    location_gram = factor.shape[0] <= factor.shape[1]
     memo = s.m._spectral if s.kind == "intensive" and pairs is not None else {}
-    if key not in memo:
-        memo[key] = _gram_eigh(a, on_short, pairs)
-    spectrum, vectors = memo[key]
+    if pairs not in memo:
+        memo[pairs] = _gram_eigh(factor @ factor.T if location_gram else factor.T @ factor, pairs)
+    spectrum, vectors = memo[pairs]
     eigenvalues = spectrum[: vectors.shape[1]]
-    if not on_short:
-        vectors = a @ vectors / np.sqrt(eigenvalues)
+    if location_gram != (s.side == "location"):
+        vectors = (factor.T if location_gram else factor) @ vectors / np.sqrt(eigenvalues)
     vectors = vectors / np.sqrt(s.weights)[:, None]
     vectors /= np.linalg.norm(vectors, axis=0)
     residuals = np.abs(s.apply(vectors) - vectors * eigenvalues).max(axis=0)
     return EigenSolution(eigenvalues, vectors, residuals, len(s.labels) - spectrum.size)
 
 
-def _gram_eigh(a: np.ndarray, on_short: bool, pairs: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues > ``EIGEN_RESIDUAL_TOL`` of ``a``'s short-side Gram
-    matrix, descending, and the vectors of the leading ``pairs`` of them (all
-    when None) in a copy of their own, both read-only."""
-    w, q = np.linalg.eigh(a @ a.T if on_short else a.T @ a)
+def _gram_eigh(gram: np.ndarray, pairs: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues > ``EIGEN_RESIDUAL_TOL`` of ``gram``, descending, and
+    the vectors of the leading ``pairs`` of them (all when None) in a copy of
+    their own, both read-only."""
+    w, q = np.linalg.eigh(gram)
     kept = np.count_nonzero(w > EIGEN_RESIDUAL_TOL)
     spectrum, vectors = w[::-1][:kept], q[:, ::-1][:, :kept][:, :pairs].copy()
     spectrum.flags.writeable = vectors.flags.writeable = False
@@ -363,56 +358,30 @@ def bipartite_components(values: np.ndarray) -> tuple[int, np.ndarray]:
     """Connected components of the location-activity graph (edges where M=1).
 
     Returns the component count and one component id per node (the first C
-    for locations, the remaining P for activities), numbering components by
-    their smallest node. A connected table of small diameter, the common
-    case, takes one breadth-first sweep (:func:`_sweep_connects`); any other
-    takes :func:`_propagated_components`.
+    for locations, the remaining P for activities). One breadth-first search
+    per component starts from the smallest node no earlier search reached, so
+    components are numbered by their smallest node. A level reads only the
+    rows (or columns) of the nodes the level before reached first, so each
+    cell is read at most twice, once from each end, and a search stops as soon
+    as every node has an id.
     """
-    if _sweep_connects(values):
-        return 1, np.zeros(sum(values.shape), dtype=np.intp)
-    return _propagated_components(values)
-
-
-def _propagated_components(values: np.ndarray) -> tuple[int, np.ndarray]:
-    """:func:`bipartite_components` by min-label propagation with pointer
-    jumping (Shiloach & Vishkin 1982): each edge lowers the label of one end's
-    label to the other end's label, then every label jumps to its label's
-    label, until nothing changes. Labels only fall and stay in their
-    component, so the fixed point is each component's smallest node."""
-    locations, activities = np.nonzero(values)
-    activities += values.shape[0]
-    label = np.arange(sum(values.shape))
-    while True:
-        previous = label.copy()
-        np.minimum.at(label, label[locations], label[activities])
-        np.minimum.at(label, label[activities], label[locations])
-        label = label[label]
-        if np.array_equal(label, previous):
-            break
-    roots, ids = np.unique(label, return_inverse=True)
-    return len(roots), ids
-
-
-def _sweep_connects(values: np.ndarray) -> bool:
-    """Whether a breadth-first sweep from location 0 reaches every node within
-    ``ceil(log2(C + P))`` levels. A level reads only the rows (or columns) of
-    the nodes the level before reached first, so the sweep reads each cell at
-    most twice, once from each end."""
-    n_loc, n_act = values.shape
-    if n_loc == 0:
-        return False
-    seen = (np.zeros(n_loc, dtype=bool), np.zeros(n_act, dtype=bool))
-    seen[0][0] = True
-    frontier, unseen = np.zeros(1, dtype=np.intp), n_loc + n_act - 1
-    for level in range((n_loc + n_act - 1).bit_length()):
-        here, there = level % 2, 1 - level % 2
-        reached = (values, values.T)[here][frontier].any(axis=0) & ~seen[there]
-        seen[there][reached] = True
-        frontier = np.flatnonzero(reached)
-        unseen -= frontier.size
-        if not (unseen and frontier.size):
-            break
-    return unseen == 0
+    n_loc = values.shape[0]
+    ids = np.full(sum(values.shape), -1, dtype=np.intp)
+    sides = ((values, ids[:n_loc]), (values.T, ids[n_loc:]))
+    count, unseen = 0, ids.size
+    while unseen:
+        start = int(np.argmax(ids < 0))
+        ids[start], unseen = count, unseen - 1
+        here = int(start >= n_loc)
+        frontier = np.array([start - here * n_loc])
+        while frontier.size and unseen:
+            rows, there = sides[here][0], sides[1 - here][1]
+            frontier = np.flatnonzero(rows[frontier].any(axis=0) & (there < 0))
+            there[frontier] = count
+            unseen -= frontier.size
+            here = 1 - here
+        count += 1
+    return count, ids
 
 
 def largest_component(m: IncidenceMatrix) -> tuple[IncidenceMatrix, ComponentReport]:

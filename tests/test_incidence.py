@@ -198,6 +198,22 @@ def test_incidence_rejects_non_binary():
         IncidenceMatrix.from_values(np.array([[1, 0]]), ("L0",), ("A0",))
 
 
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int8, np.int64, np.float32, np.float64])
+def test_cells_are_checked_as_isin_checks_them(dtype):
+    """Built directly, with no cast, a matrix is refused exactly when
+    ``np.isin`` finds a cell other than 0 or 1."""
+    for x in (0.0, 1.0, 2.0, 0.5, -1.0, np.inf, np.nan):
+        with np.errstate(invalid="ignore"):
+            values = np.array([[0.0, 1.0, x]]).astype(dtype)
+        binary = bool(np.isin(values, (0, 1)).all())
+        try:
+            IncidenceMatrix(values, ("L0",), ("A0", "A1", "A2"))
+        except ValueError:
+            assert not binary
+        else:
+            assert binary
+
+
 def test_incidence_roundtrip(tmp_path):
     m = labeled_incidence(np.array([[1, 0, 1], [1, 1, 0]]))
     path = tmp_path / "incidence.csv"

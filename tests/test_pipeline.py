@@ -616,10 +616,9 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("square", [False, True], ids=["wide", "square"])
     def test_a_default_run_factorizes_once_per_gram_matrix(self, tmp_path, monkeypatch, square):
-        """Every emit of a non-square table takes two ``eigh``: one of the
+        """Every emit takes two ``eigh``, on a square table too: one of the
         intensive Gram matrix, which ECI, PCI and PCI's ECI share, and one of
-        the extensive. Each side of a square table forms its own intensive
-        Gram matrix, so it takes three."""
+        the extensive."""
         grams = []
 
         def counted(gram, _real=np.linalg.eigh):
@@ -641,7 +640,7 @@ class TestRunPipeline:
         assert cfg.emit == EMIT_CHOICES
         n_loc, n_act = counts["final_locations"], counts["final_activities"]
         assert (n_loc == n_act) == square
-        assert grams == [(min(n_loc, n_act),) * 2] * (3 if square else 2)
+        assert grams == [(min(n_loc, n_act),) * 2] * 2
 
     def test_prepare_writes_nothing_and_feeds_run(self, tmp_path):
         cfg = PipelineConfig(
