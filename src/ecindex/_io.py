@@ -17,41 +17,46 @@ rows into blocks of about :data:`BLOCK_CELLS` cells and format a block only
 when it is read (a proximity matrix of millions of cells holds a few hundred
 distinct numbers); the other writers hand it one block.
 
-One rule decides who writes: where ``os.fork`` exists, :func:`write_rows`
-splits the blocks into contiguous ranges, one per usable CPU
-(``os.sched_getaffinity``, else ``os.cpu_count()``) and at most one per block,
-forks a worker for each range after the first and formats the first range
-itself. A worker writes its range into a hidden part file ``.<name>.part<j>``
-beside the file, and the parent appends the parts in order before it
-returns. So ``density.csv``,
-``proximity_matrix.csv``, ``proximity_edges.csv``, ``incidence.csv``, the
+One fork rule, :func:`run_ranges`, serves the writers and the ingest reader
+(:mod:`ecindex.ingest`): where ``os.fork`` exists, a job of blocks is split
+into contiguous ranges, one per usable CPU (``os.sched_getaffinity``, else
+``os.cpu_count()``) and at most one per block; a worker is forked for each
+range after the first, and the parent does the first range itself. A worker
+puts its range's result into an unlinked temporary file, which the parent
+takes in range order. :func:`write_rows` forks workers that format their
+ranges, and appends their files to its own before it returns. So
+``density.csv``, ``proximity_matrix.csv``, ``proximity_edges.csv``, the
 ingest and RCA matrices and the reflections trajectories are formatted on
 every usable CPU. Every byte comes from the same code on the same blocks, so
-the files do not depend on the number of CPUs. A file of one block, a process
+the files do not depend on the number of CPUs. A file of one block, an
+integer matrix such as ``incidence.csv`` (its 0/1 cells format through
+:func:`number_texts`' lookup table faster than a fork pays), a process
 allowed one CPU (``taskset -c 0``, say) and a platform without ``os.fork``
 write in-process.
 
-A worker writes nothing but its part file, calls no BLAS, imports nothing and
-ends with ``os._exit``, so it flushes no inherited stdio buffer. On Python
-3.12 and later ``os.fork`` may emit a ``DeprecationWarning`` when the process
-has other threads, such as OpenBLAS's. The fork is safe all the same:
-OpenBLAS stops its threads before a fork, and a worker calls no BLAS. When a
-worker exits nonzero the parent formats that range itself, so a real error
+A worker writes nothing but its temporary file, calls no BLAS and ends with
+``os._exit``, so it flushes no inherited stdio buffer. On Python 3.12 and
+later ``os.fork`` may emit a ``DeprecationWarning`` when the process has
+other threads, such as OpenBLAS's. The fork is safe all the same: OpenBLAS
+stops its threads before a fork, and a worker calls no BLAS. When a worker
+exits nonzero the parent does that range itself, so a real error
 (``ENOSPC``, say) surfaces with its own type; when the parent raises,
-``KeyboardInterrupt`` included, it kills and reaps every worker and deletes
-every part file before the error propagates.
+``KeyboardInterrupt`` included, it kills and reaps every worker before the
+error propagates. The temporary files have no name, so none outlives the
+call.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import os
 import shutil
 import signal
 import tempfile
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
-from typing import Callable, Collection, Iterator, NoReturn, Sequence
+from typing import BinaryIO, Callable, Collection, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -145,72 +150,102 @@ class Blocks:
         return self.make(self.bounds[k], self.bounds[k + 1])
 
 
-def write_rows(path: Path, header: Sequence[str], blocks: Sequence[Collection], delimiter: str = ",") -> None:
+def write_rows(
+    path: Path, header: Sequence[str], blocks: Sequence[Collection], delimiter: str = ",", fork: bool = True
+) -> None:
     """Header then the rows of each block, byte for byte as ``csv.writer``
     writes them (see the module docstring). ``blocks`` is a sized sequence,
     such as a list or :class:`Blocks`; a block is a sized collection of rows
     of ``str`` cells that can be iterated twice, such as a list of rows or a
     :class:`Columns`. The blocks are split among forked workers as the module
-    docstring says; the file is whole when this returns, and no worker or part
-    file outlives the call.
+    docstring says, unless ``fork`` is false; the file is whole when this
+    returns, and no worker or temporary file outlives the call.
     """
     path = Path(path)
-    workers = _workers(blocks)
-    bounds = [len(blocks) * j // workers for j in range(workers + 1)]
-    parts = {j: path.with_name(f".{path.name}.part{j}") for j in range(1, workers)}
+    ranges = _workers(len(blocks)) if fork else 1
+    bounds = [len(blocks) * j // ranges for j in range(ranges + 1)]
+
+    def work(j: int, part: BinaryIO) -> None:
+        out = io.TextIOWrapper(part, encoding="utf-8", newline="")
+        _write_blocks(out, blocks, bounds[j], bounds[j + 1], delimiter)
+        out.detach()  # flushes into part, which stays open
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerow(header)
+
+        def take(j: int, part: BinaryIO | None) -> None:
+            if part is None:
+                _write_blocks(fh, blocks, bounds[j], bounds[j + 1], delimiter)
+            else:
+                fh.flush()
+                shutil.copyfileobj(part, fh.buffer)
+
+        run_ranges(ranges, work, take, path.parent)
+
+
+def run_ranges(
+    ranges: int,
+    work: Callable[[int, BinaryIO], None],
+    take: Callable[[int, BinaryIO | None], None],
+    scratch: Path | None = None,
+) -> None:
+    """The one fork rule (see the module docstring) for a job cut into
+    ``ranges`` contiguous ranges. A worker is forked for each range ``j``
+    after the first; it runs ``work(j, part)`` into ``part``, an unlinked
+    temporary file in ``scratch`` (the default temporary directory when
+    ``None``). Then ``take(j, part)`` runs in this process for each range in
+    order, with ``part`` at offset 0 once its worker exited 0, else ``None``:
+    the caller does range 0 itself, and every range whose file, fork or
+    worker failed. When anything raises here, ``KeyboardInterrupt``
+    included, every worker is killed and reaped before the error propagates;
+    no worker or file outlives the call."""
     pids: dict[int, int] = {}  # range -> worker, until the worker is reaped
     parent = os.getpid()
-    try:
-        for j in range(1, workers):
-            try:
-                pid = os.fork()
-            except OSError:
-                break  # the parent formats the ranges no worker took
-            if pid == 0:
-                _worker(parts[j], blocks, bounds[j], bounds[j + 1], delimiter)
-            pids[j] = pid
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerow(header)
-            _write_blocks(fh, blocks, bounds[0], bounds[1], delimiter)
-            for j in range(1, workers):
+    with ExitStack() as files:
+        parts: dict[int, BinaryIO] = {}
+        try:
+            for j in range(1, ranges):
+                try:
+                    parts[j] = files.enter_context(tempfile.TemporaryFile(dir=scratch))
+                    pid = os.fork()
+                except OSError:
+                    break  # the caller does the ranges no worker took
+                if pid == 0:
+                    _worker(work, j, parts[j])
+                pids[j] = pid
+            for j in range(ranges):
                 done = j in pids and os.waitpid(pids[j], 0)[1] == 0
                 pids.pop(j, None)
                 if done:
-                    fh.flush()
-                    with open(parts[j], "rb") as part:
-                        shutil.copyfileobj(part, fh.buffer)
-                else:
-                    _write_blocks(fh, blocks, bounds[j], bounds[j + 1], delimiter)
-    except BaseException:
-        if os.getpid() != parent:  # a worker interrupted before it reached _worker
-            os._exit(1)
-        for pid in pids.values():
-            with suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-        raise
-    finally:
-        for part in parts.values():
-            part.unlink(missing_ok=True)
+                    parts[j].seek(0)
+                take(j, parts[j] if done else None)
+        except BaseException:
+            if os.getpid() != parent:  # a worker interrupted before it reached _worker
+                os._exit(1)
+            for pid in pids.values():
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                with suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+            raise
 
 
-def _workers(blocks: Sequence[Collection]) -> int:
-    """Processes that write ``blocks``: one per usable CPU and at most one per
-    block where ``os.fork`` exists, else one."""
+def _workers(units: int) -> int:
+    """Processes for a job of ``units`` blocks: one per usable CPU and at most
+    one per block where ``os.fork`` exists, else one."""
     if not hasattr(os, "fork"):
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(cpus, len(blocks)))
+    return max(1, min(cpus, units))
 
 
-def _worker(part: Path, blocks: Sequence[Collection], start: int, stop: int, delimiter: str) -> NoReturn:
-    """A forked worker's whole life: ``blocks[start:stop]`` into ``part``, then
-    ``os._exit``, with status 0 only when the part is complete."""
+def _worker(work: Callable[[int, BinaryIO], None], j: int, part: BinaryIO) -> NoReturn:
+    """A forked worker's whole life: ``work(j, part)``, then ``os._exit``,
+    with status 0 only when ``part`` is complete."""
     status = 1
     try:
-        with open(part, "w", encoding="utf-8", newline="") as fh:
-            _write_blocks(fh, blocks, start, stop, delimiter)
+        work(j, part)
+        part.flush()
         status = 0
     finally:
         os._exit(status)
@@ -256,4 +291,6 @@ def write_matrix(
         texts = number_texts(values[start:stop]).tolist()
         return [[label, *row] for label, row in zip(row_labels[start:stop], texts)]
 
-    write_rows(path, [corner, *col_labels], Blocks(np.full(values.shape[0], values.shape[1]), block), delimiter)
+    # an integer matrix formats through number_texts' lookup table faster than a fork pays
+    fork = values.dtype.kind == "f"
+    write_rows(path, [corner, *col_labels], Blocks(np.full(values.shape[0], values.shape[1]), block), delimiter, fork)

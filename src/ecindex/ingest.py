@@ -6,15 +6,25 @@ e.g. export USD. Gzip-compressed files are accepted when the name ends in
 ``.gz``.
 
 :func:`parse_long_records` takes the text or a text file object, which it
-reads whole, and hands the text to numpy's C reader (``np.loadtxt``), the
-fast path for plain tables, whose converters trim each label field and
-return the label's code, so a row keeps two integers, not two strings. The
-record parser, a ``csv`` loop over the same text, reads it instead when the
-text holds ``"`` (csv quoting), NUL or CR (a file from :func:`open_text`
-holds no CR: it reads CR and CRLF line ends as ``\\n``), when the header is
-not three fields, and when no line follows the header, and when the C reader
-refuses the table or reads it otherwise than ``csv`` would: a row count
-other than the number of non-empty lines, a non-finite or negative value, a
+reads whole (:func:`read_text` decompresses a ``.gz`` file in one call), and
+hands the text to numpy's C reader (``np.loadtxt``), the fast path for plain
+tables, whose converters trim each label field and return the label's code,
+so a row keeps two integers, not two strings. The data lines are cut at line
+starts into contiguous ranges of about equal bytes, one per usable CPU and at
+most one per ``BLOCK_CELLS`` rows: the fork rule of the writers
+(:func:`ecindex._io.run_ranges`), so a table of fewer than twice that many
+rows is one range. The parent reads the first range, a forked worker each
+later one, and the parent merges them in order: a worker's labels join the
+parent's in first-appearance order, and its codes are mapped onto them, so
+the table is the one a single range gives, bit for bit. A worker hands back
+its records and labels as raw bytes in an unlinked temporary file; the
+parent reads a range itself when its worker fails. The record parser, a
+``csv`` loop over the same text, reads it instead when the text holds ``"``
+(csv quoting), NUL or CR (the text from :func:`read_text` holds no CR: it
+reads CR and CRLF line ends as ``\\n``), when the header is not three
+fields, and when no line follows the header, and when the C reader refuses
+any range or reads it otherwise than ``csv`` would: a row count other than
+the range's number of non-empty lines, a non-finite or negative value, a
 label that is empty after trimming or longer than ``csv.field_size_limit()``
 (the converters refuse both). Text that ``float`` reads and numpy does not,
 such as ``1_000``, takes the record parser too.
@@ -28,13 +38,15 @@ import csv
 import gzip
 import io
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, BinaryIO, Iterable, Iterator
 
 import numpy as np
 
+from . import _io
 from .errors import EmptyInput, MalformedLine, NegativeValue, NonNumericValue, OutOfRange
 
 #: the fields numpy's C reader parses each data row into: two label codes and the value
@@ -97,12 +109,16 @@ class OutputMatrix:
         return self.values.size == 0
 
 
-def open_text(path: str | Path) -> IO[str]:
-    """Open a data file for reading, transparently decompressing ``.gz``."""
+def read_text(path: str | Path) -> str:
+    """The whole text of a data file, a ``.gz`` file decompressed in one call;
+    it is decoded as UTF-8 in one call, with CR and CRLF line ends read as
+    ``\\n`` as ``open`` reads text. No file or buffer outlives the call."""
     path = Path(path)
+    data = path.read_bytes()
     if path.suffix == ".gz":
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+        data = gzip.decompress(data)
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def parse_long_records(source: str | IO[str], delimiter: str = ",") -> LongTable:
@@ -124,37 +140,79 @@ def parse_long_records(source: str | IO[str], delimiter: str = ",") -> LongTable
 
 
 def _parse_columns(text: str, delimiter: str) -> LongTable | None:
-    """The table numpy's C reader reads from ``text``, or ``None`` when the
-    record parser must read it (see the module docstring)."""
+    """The table numpy's C reader reads from ``text``, range by range, or
+    ``None`` when the record parser must read it (see the module docstring)."""
     header_end = text.find("\n")
     header = text if header_end < 0 else text[:header_end]
     if '"' in text or "\0" in text or "\r" in text or len(header.split(delimiter)) != 3:
         return None
-    expected = _data_lines(text)
-    if not expected:  # numpy warns on a table without rows
+    rows = _lines(text) - 1
+    if not rows:
         return None
-    # as bytes: a StringIO would hold the text again at 4 bytes a character
-    lines = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="\n")
+    ranges = _io._workers(rows // _io.BLOCK_CELLS)
+    cuts = [0, *(_line_start(text, header_end + 1 + (len(text) - header_end - 1) * j // ranges)
+                 for j in range(1, ranges)), len(text)]
     locations, activities = _Codes(), _Codes()
+    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def work(j: int, part: BinaryIO) -> None:
+        codes = _Codes(), _Codes()
+        data = _parse_range(text[cuts[j]:cuts[j + 1]], 0, delimiter, *codes)
+        # the records, then each coder's labels: a label holds no line break or NUL
+        part.write(len(data).to_bytes(8, sys.byteorder))
+        part.write(data)
+        part.write("\0".join("\n".join(c.labels) for c in codes).encode("utf-8"))
+
+    def take(j: int, part: BinaryIO | None) -> None:
+        if part is None:
+            data = _parse_range(text[cuts[j]:cuts[j + 1]], int(j == 0), delimiter, locations, activities)
+            columns.append((data["l"], data["a"], data["v"]))
+            return
+        count = int.from_bytes(part.read(8), sys.byteorder)
+        data = np.frombuffer(part.read(count * _ROW.itemsize), dtype=_ROW)
+        labels = [names.split("\n") if names else [] for names in part.read().decode("utf-8").split("\0")]
+        columns.append((locations.recode(labels[0], data["l"]), activities.recode(labels[1], data["a"]), data["v"]))
+
+    try:
+        _io.run_ranges(ranges, work, take)
+    except ValueError:
+        return None
+    l_codes, a_codes, values = columns[0] if ranges == 1 else map(np.concatenate, zip(*columns))
+    return LongTable(tuple(locations.labels), tuple(activities.labels), l_codes, a_codes, values)
+
+
+def _parse_range(part: str, skip: int, delimiter: str, locations: _Codes, activities: _Codes) -> np.ndarray:
+    """The rows of ``part``, whose first ``skip`` lines are not data, as
+    :data:`_ROW` records with labels coded by ``locations`` and
+    ``activities``. Raises ``ValueError`` when numpy's C reader refuses the
+    rows or reads them otherwise than ``csv`` would."""
+    rows = _lines(part) - skip
+    if not rows:  # numpy warns on a table without rows
+        return np.empty(0, dtype=_ROW)
+    # as bytes: a StringIO would hold the text again at 4 bytes a character
+    lines = io.TextIOWrapper(io.BytesIO(part.encode("utf-8")), encoding="utf-8", newline="\n")
     # a field seen before is coded by the dict lookup alone; numpy before 2.0
     # hands converters latin-1 bytes unless told the encoding
     converters = {0: locations.__getitem__, 1: activities.__getitem__}
-    try:
-        data = np.loadtxt(lines, delimiter=delimiter, skiprows=1, dtype=_ROW, comments=None, ndmin=1,
-                          converters=converters, encoding="utf-8")
-    except ValueError:
-        return None
+    data = np.loadtxt(lines, delimiter=delimiter, skiprows=skip, dtype=_ROW, comments=None, ndmin=1,
+                      converters=converters, encoding="utf-8")
     values = data["v"]
-    if len(data) != expected or not (np.isfinite(values).all() and (values >= 0).all()):
-        return None
-    return LongTable(tuple(locations.labels), tuple(activities.labels), data["l"], data["a"], values)
+    if len(data) != rows or not (np.isfinite(values).all() and (values >= 0).all()):
+        raise ValueError("numpy's reader read otherwise than csv")
+    return data
 
 
-def _data_lines(text: str) -> int:
-    """The number of non-empty lines after the first."""
-    if "\n\n" not in text:
-        return text.count("\n") - text.endswith("\n")
-    lines = text.split("\n")[1:]
+def _line_start(text: str, at: int) -> int:
+    """The first line start at or after ``at``, or ``len(text)``."""
+    end = text.find("\n", at - 1)
+    return len(text) if end < 0 else end + 1
+
+
+def _lines(text: str) -> int:
+    """The number of non-empty lines."""
+    if text and "\n\n" not in text and text[0] != "\n":
+        return text.count("\n") + (text[-1] != "\n")
+    lines = text.split("\n")
     return len(lines) - lines.count("")
 
 
@@ -174,6 +232,12 @@ class _Codes(dict):
             raise ValueError("empty or oversized label")
         code = self[field] = self.labels.setdefault(label, len(self.labels))
         return code
+
+    def recode(self, labels: list[str], codes: np.ndarray) -> np.ndarray:
+        """``codes`` of ``labels`` (another coder's labels, in code order) as
+        codes of this coder's labels, which gain the new ones in order."""
+        mapping = np.array([self.labels.setdefault(label, len(self.labels)) for label in labels], dtype=np.intp)
+        return np.take(mapping, codes)
 
 
 def _parse_records(stream: Iterable[str], delimiter: str) -> LongTable:

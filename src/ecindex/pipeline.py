@@ -51,9 +51,9 @@ from .ingest import (
     OutputMatrix,
     drop_empty_margins,
     left_tail_filter,
-    open_text,
     parse_long_records,
     pivot_to_matrix,
+    read_text,
 )
 from .relatedness import (
     proximity,
@@ -266,9 +266,8 @@ def prepare(
     only when the next item is asked for. Writes nothing."""
     with _stage("ingest", (ComplexityError, OSError)):
         try:
-            with open_text(cfg.input_path) as fh:
-                # no name holds the table, so its rows go once the pivot returns
-                raw = pivot_to_matrix(parse_long_records(fh, cfg.delimiter))
+            # no name holds the text or the table, so each goes once the step reading it returns
+            raw = pivot_to_matrix(parse_long_records(read_text(cfg.input_path), cfg.delimiter))
         except UnicodeDecodeError as err:
             raise UndecodableInput(
                 f"{cfg.input_path}: not UTF-8 text: {err.reason} (byte 0x{err.object[err.start]:02x})"

@@ -1,6 +1,11 @@
 import csv
+import errno
 import gzip
 import io
+import json
+import os
+import tempfile
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecindex import _io, ingest
 from ecindex.errors import (
     EmptyInput,
     MalformedLine,
@@ -21,9 +27,9 @@ from ecindex.ingest import (
     _parse_records,
     drop_empty_margins,
     left_tail_filter,
-    open_text,
     parse_long_records,
     pivot_to_matrix,
+    read_text,
 )
 
 from oracles import long_table_bits, pivot_by_dict
@@ -126,20 +132,17 @@ class TestParseLongRecords:
         assert long_table_bits(parse_long_records(text)) == bits(("FRA", "wine", 1000.0))
 
 
-def test_open_text_gzip_roundtrip(tmp_path):
+def test_read_text_gzip_roundtrip(tmp_path):
     path = tmp_path / "data.csv.gz"
     with gzip.open(path, "wt", encoding="utf-8") as fh:
         fh.write("loc,act,val\nFRA,wine,100\n")
-    with open_text(path) as fh:
-        parsed = parse_long_records(fh)
-    assert long_table_bits(parsed) == bits(("FRA", "wine", 100.0))
+    assert long_table_bits(parse_long_records(read_text(path))) == bits(("FRA", "wine", 100.0))
 
 
-def test_open_text_plain(tmp_path):
+def test_read_text_plain(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("loc,act,val\nFRA,wine,100\n")
-    with open_text(path) as fh:
-        assert len(parse_long_records(fh)) == 1
+    assert len(parse_long_records(read_text(path))) == 1
 
 
 def test_long_table_equality_compares_value_bits():
@@ -173,10 +176,10 @@ def assert_paths_agree(text: str, delimiter: str = ",") -> LongTable | None:
 
 
 def gzip_stream(text: str, newline: str) -> io.TextIOWrapper:
-    """``text`` with ``newline`` line ends, gzipped and opened as ``open_text``
-    opens a ``.gz`` file."""
+    """``text`` with ``newline`` line ends, gzipped, decompressed and decoded
+    as ``read_text`` reads a ``.gz`` file, as a text file object."""
     data = gzip.compress(text.replace("\n", newline).encode("utf-8"))
-    return io.TextIOWrapper(gzip.GzipFile(fileobj=io.BytesIO(data)), encoding="utf-8")
+    return io.TextIOWrapper(io.BytesIO(gzip.decompress(data)), encoding="utf-8")
 
 
 H = "location,activity,value\n"
@@ -279,10 +282,9 @@ class TestFastPath:
         path = tmp_path / ("t.csv.gz" if compressed else "t.csv")
         data = text.replace("\n", "\r\n").encode("utf-8")
         path.write_bytes(gzip.compress(data) if compressed else data)
-        with open_text(path) as fh:
-            assert _parse_columns(fh.read(), ",") is not None
-        with open_text(path) as fh:
-            assert long_table_bits(parse_long_records(fh)) == bits(("A", "x", 1.0), ("B", "y", 2.5), ("A", "x", 3.0))
+        assert _parse_columns(read_text(path), ",") is not None
+        expected = bits(("A", "x", 1.0), ("B", "y", 2.5), ("A", "x", 3.0))
+        assert long_table_bits(parse_long_records(read_text(path))) == expected
 
 
 def test_ingest_holds_no_string_per_row():
@@ -338,10 +340,157 @@ def long_texts(draw):
 def test_fast_path_matches_the_record_parser(case, newline):
     text, delimiter = case
     assert_paths_agree(text.replace("\n", newline), delimiter)
-    # a file, gzipped, with either line end: open_text hands both paths "\n"
+    # a file, gzipped, with either line end: read_text hands both paths "\n"
     expected = outcome(lambda: _parse_records(io.StringIO(text), delimiter))
     with gzip_stream(text, newline) as fh:
         assert outcome(lambda: parse_long_records(fh, delimiter)) == expected
+
+
+# --- the range parse: forked workers, the same table ----------------------
+
+
+def cut_every_two_rows(monkeypatch, cpus):
+    """Let the reader see ``cpus`` usable CPUs and cut at most one range per two data rows."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(_io, "BLOCK_CELLS", 2)
+
+
+def logged_ranges(monkeypatch, log):
+    """A function returning the texts ``_parse_range`` read, in this process
+    or a worker, in the order they were logged."""
+    parse_range = ingest._parse_range
+
+    def logged(part, *args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(part) + "\n")
+        return parse_range(part, *args)
+
+    monkeypatch.setattr(ingest, "_parse_range", logged)
+    return lambda: [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.fixture
+def no_child_or_temp_file(tmp_path, monkeypatch):
+    """The test leaves no child process and no file in the temporary directory."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    yield
+    assert list(scratch.iterdir()) == []
+    with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def ranged_text(seed: int) -> str:
+    """A plain table with padded labels, duplicate pairs and runs of blank
+    lines; ``P`` opens it and `` P `` (the same label, padded) closes it on a
+    row with ``late``, an activity seen nowhere before; odd seeds end in a
+    blank tail longer than the rows."""
+    rng = np.random.default_rng(seed)
+
+    def padded(label):
+        return " " * int(rng.integers(3)) + label + " " * int(rng.integers(3))
+
+    rows = [f"{padded(f'L{rng.integers(4)}')},{padded(f'A{rng.integers(5)}')},{rng.integers(50) / 4}"
+            for _ in range(int(rng.integers(6, 30)))]
+    rows.insert(int(rng.integers(len(rows))), rows[int(rng.integers(len(rows)))])
+    lines = []
+    for row in ["P,x,1", *rows, " P ,late,2"]:
+        lines += [""] * int(rng.integers(4)) * (rng.random() < 0.3)
+        lines.append(row)
+    body = "\n".join(lines) + "\n"
+    return H + body + "\n" * (len(body) + 1) * (seed % 2)
+
+
+@pytest.mark.filterwarnings("error")  # numpy warns on a range of blank lines alone
+def test_ranges_merge_to_the_one_range_table(tmp_path, monkeypatch, no_child_or_temp_file):
+    seen = {"blank line at a cut": 0, "blank-only range": 0, "late label in a later range": 0,
+            "padded variant in a later range": 0}
+    for seed in range(24):
+        text = ranged_text(seed)
+        cut_every_two_rows(monkeypatch, 1)
+        expected = long_table_bits(_parse_records(io.StringIO(text), ","))
+        assert long_table_bits(parse_long_records(text)) == expected
+        for cpus in (2, 3):
+            cut_every_two_rows(monkeypatch, cpus)
+            log = tmp_path / f"ranges-{seed}-{cpus}.jsonl"
+            ranges = logged_ranges(monkeypatch, log)
+            table = _parse_columns(text, ",")
+            assert table is not None and long_table_bits(table) == expected
+            parts = ranges()
+            assert len(parts) == cpus and sum(map(len, parts)) == len(text)
+            later = [part for part in parts if not part.startswith(H)]
+            seen["blank line at a cut"] += any(part.startswith("\n") and part.strip() for part in later)
+            seen["blank-only range"] += any(not part.strip() for part in later)
+            seen["late label in a later range"] += any("late" in part for part in later)
+            seen["padded variant in a later range"] += any(" P ," in part for part in later)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize(
+    "last_row, error",
+    [("L9,A1,-3", NegativeValue), ("L9,A1,nan", NonNumericValue), ("L9,A1", MalformedLine)],
+    ids=["negative", "nan", "malformed"],
+)
+def test_a_refusal_in_the_last_range_is_the_record_parsers_error(monkeypatch, no_child_or_temp_file, last_row, error):
+    text = H + "".join(f"L{i},A{i % 3},{i}\n" for i in range(20)) + last_row + "\n"
+    with pytest.raises(error) as one_range:
+        parse_long_records(text)
+    cut_every_two_rows(monkeypatch, 3)
+    assert _parse_columns(text, ",") is None
+    with pytest.raises(error) as three_ranges:
+        parse_long_records(text)
+    assert str(three_ranges.value) == str(one_range.value)
+    assert three_ranges.value.line_number == one_range.value.line_number == 22
+
+
+def test_a_failed_fork_parses_in_process(monkeypatch, no_child_or_temp_file):
+    text = ranged_text(3)
+    expected = long_table_bits(parse_long_records(text))
+    cut_every_two_rows(monkeypatch, 3)
+    tries = []
+
+    def fork():
+        tries.append(1)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert long_table_bits(parse_long_records(text)) == expected
+    assert tries == [1]  # the first failure ends the forking
+
+
+def test_a_range_whose_worker_failed_is_parsed_by_the_parent(monkeypatch, no_child_or_temp_file):
+    text = ranged_text(5)
+    expected = long_table_bits(parse_long_records(text))
+    cut_every_two_rows(monkeypatch, 2)
+    parent, parse_range = os.getpid(), ingest._parse_range
+    parsed_here = []
+
+    def fail_in_the_worker(part, *args):
+        if os.getpid() != parent:
+            raise MemoryError
+        parsed_here.append(part)
+        return parse_range(part, *args)
+
+    monkeypatch.setattr(ingest, "_parse_range", fail_in_the_worker)
+    assert long_table_bits(parse_long_records(text)) == expected
+    assert "".join(parsed_here) == text
+
+
+def test_an_interrupted_parse_kills_and_reaps_its_worker(monkeypatch, no_child_or_temp_file):
+    cut_every_two_rows(monkeypatch, 2)
+    parent = os.getpid()
+
+    def interrupt(part, *args):
+        if os.getpid() != parent:
+            time.sleep(60)  # still running when the parent gives up, unless killed
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ingest, "_parse_range", interrupt)
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        parse_long_records(ranged_text(7))
+    assert time.perf_counter() - started < 30
 
 
 rows_strategy = st.lists(

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ecindex import _io
 from ecindex._io import BLOCK_CELLS, Blocks, Columns, number_texts, write_matrix, write_rows
-from ecindex.incidence import IncidenceMatrix
+from ecindex.incidence import IncidenceMatrix, write_incidence
 from ecindex.pipeline import (
     PipelineConfig,
     _write_trajectory,
@@ -488,6 +488,23 @@ def test_platform_paths_write_what_csv_writes(tmp_path, monkeypatch, platform, f
         write(tmp_path / "out.csv", delimiter)
         assert written(tmp_path / "out.csv") == csv_text(header, rows, delimiter)
     assert len(forks) == 2 * forks_per_file
+    assert_no_worker_or_part_left(tmp_path)
+
+
+def test_integer_matrices_are_written_in_process(tmp_path, monkeypatch):
+    # 0/1 cells format through number_texts' lookup table faster than a fork
+    # pays; the same cells as floats still fork
+    monkeypatch.setattr(_io, "BLOCK_CELLS", 7)
+    usable_cpus(monkeypatch, 2)
+    forks = counted_forks(monkeypatch)
+    values = np.random.default_rng(11).integers(0, 2, (11, 3))
+    row_labels = tuple(f"L{i}" for i in range(11))
+    write_incidence(tmp_path / "incidence.csv", IncidenceMatrix.from_values(values, row_labels, LABELS[:3]))
+    rows = [[label, *row] for label, row in zip(row_labels, values.tolist())]
+    assert written(tmp_path / "incidence.csv") == csv_text(["location", *LABELS[:3]], rows)
+    assert forks == []
+    write_matrix(tmp_path / "floats.csv", values.astype(float), row_labels, LABELS[:3])
+    assert len(forks) == 1
     assert_no_worker_or_part_left(tmp_path)
 
 
