@@ -8,27 +8,27 @@ e.g. export USD. Gzip-compressed files are accepted when the name ends in
 :func:`parse_long_records` takes the text or a text file object, which it
 reads whole (:func:`read_text` decompresses a ``.gz`` file in one call), and
 hands the text to numpy's C reader (``np.loadtxt``), the fast path for plain
-tables, whose converters trim each label field and return the label's code,
-so a row keeps two integers, not two strings. The data lines are cut at line
-starts into contiguous ranges of about equal bytes, one per usable CPU and at
-most one per ``BLOCK_CELLS`` rows: the fork rule of the writers
-(:func:`ecindex._io.run_ranges`), so a table of fewer than twice that many
-rows is one range. The parent reads the first range, a forked worker each
-later one, and the parent merges them in order: a worker's labels join the
-parent's in first-appearance order, and its codes are mapped onto them, so
-the table is the one a single range gives, bit for bit. A worker hands back
-its records and labels as raw bytes in an unlinked temporary file; the
-parent reads a range itself when its worker fails. The record parser, a
-``csv`` loop over the same text, reads it instead when the text holds ``"``
-(csv quoting), NUL or CR (the text from :func:`read_text` holds no CR: it
-reads CR and CRLF line ends as ``\\n``), when the header is not three
-fields, and when no line follows the header, and when the C reader refuses
-any range or reads it otherwise than ``csv`` would: a row count other than
-the range's number of non-empty lines, a non-finite or negative value, a
-label that is empty after trimming or longer than ``csv.field_size_limit()``
-(the converters refuse both). Text that ``float`` reads and numpy does not,
-such as ``1_000``, takes the record parser too.
-Every error and its 1-based line number come from the record parser, and
+tables, whose converters trim each label field and return the label's code, so
+a row keeps two integers, not two strings. The data lines, after the header's,
+are cut at line starts into contiguous ranges of about equal bytes, one per
+usable CPU and at most one per ``BLOCK_CELLS`` rows: the fork rule of the
+writers (:func:`ecindex._io.run_ranges`), so a table of fewer than twice that
+many rows is one range. Each range is read with its own label coders, by the
+parent for the first range and by a forked worker for each later one (by the
+parent when that worker fails); a worker hands back its records (``np.save``)
+and labels (text) in an unlinked temporary file. The parent merges the ranges
+in order: a range's labels join the table's in first-appearance order, and its
+codes are mapped onto them, so the table is the one a single coder reading
+every line gives, bit for bit. The record parser, a ``csv`` loop over the same
+text, reads it instead when the text holds ``"`` (csv quoting), NUL or CR (the
+text from :func:`read_text` holds no CR: it reads CR and CRLF line ends as
+``\\n``), when the header is not three fields, and when no line follows the
+header, and when the C reader refuses any range or reads it otherwise than
+``csv`` would: a row count other than the range's number of non-empty lines, a
+non-finite or negative value, a label that is empty after trimming or longer
+than ``csv.field_size_limit()`` (the converters refuse both). Text that
+``float`` reads and numpy does not, such as ``1_000``, takes the record parser
+too. Every error and its 1-based line number come from the record parser, and
 both paths build the same :class:`LongTable` from the same table.
 """
 
@@ -38,7 +38,6 @@ import csv
 import gzip
 import io
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -150,43 +149,42 @@ def _parse_columns(text: str, delimiter: str) -> LongTable | None:
     if not rows:
         return None
     ranges = _io._workers(rows // _io.BLOCK_CELLS)
-    cuts = [0, *(_line_start(text, header_end + 1 + (len(text) - header_end - 1) * j // ranges)
-                 for j in range(1, ranges)), len(text)]
+    start = header_end + 1
+    cuts = [*(_line_start(text, start + (len(text) - start) * j // ranges) for j in range(ranges)), len(text)]
     locations, activities = _Codes(), _Codes()
     columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def work(j: int, part: BinaryIO) -> None:
+    def parse(j: int) -> tuple[np.ndarray, list[str], list[str]]:
         codes = _Codes(), _Codes()
-        data = _parse_range(text[cuts[j]:cuts[j + 1]], 0, delimiter, *codes)
-        # the records, then each coder's labels: a label holds no line break or NUL
-        part.write(len(data).to_bytes(8, sys.byteorder))
-        part.write(data)
-        part.write("\0".join("\n".join(c.labels) for c in codes).encode("utf-8"))
+        return _parse_range(text[cuts[j]:cuts[j + 1]], delimiter, *codes), *(list(c.labels) for c in codes)
+
+    def work(j: int, part: BinaryIO) -> None:
+        data, *labels = parse(j)
+        np.save(part, data)
+        # then each coder's labels: a label holds no line break or NUL
+        part.write("\0".join(map("\n".join, labels)).encode("utf-8"))
 
     def take(j: int, part: BinaryIO | None) -> None:
         if part is None:
-            data = _parse_range(text[cuts[j]:cuts[j + 1]], int(j == 0), delimiter, locations, activities)
-            columns.append((data["l"], data["a"], data["v"]))
-            return
-        count = int.from_bytes(part.read(8), sys.byteorder)
-        data = np.frombuffer(part.read(count * _ROW.itemsize), dtype=_ROW)
-        labels = [names.split("\n") if names else [] for names in part.read().decode("utf-8").split("\0")]
+            data, *labels = parse(j)
+        else:
+            data = np.load(part)
+            labels = [names.split("\n") if names else [] for names in part.read().decode("utf-8").split("\0")]
         columns.append((locations.recode(labels[0], data["l"]), activities.recode(labels[1], data["a"]), data["v"]))
 
     try:
         _io.run_ranges(ranges, work, take)
     except ValueError:
         return None
-    l_codes, a_codes, values = columns[0] if ranges == 1 else map(np.concatenate, zip(*columns))
+    l_codes, a_codes, values = map(np.concatenate, zip(*columns))
     return LongTable(tuple(locations.labels), tuple(activities.labels), l_codes, a_codes, values)
 
 
-def _parse_range(part: str, skip: int, delimiter: str, locations: _Codes, activities: _Codes) -> np.ndarray:
-    """The rows of ``part``, whose first ``skip`` lines are not data, as
-    :data:`_ROW` records with labels coded by ``locations`` and
-    ``activities``. Raises ``ValueError`` when numpy's C reader refuses the
-    rows or reads them otherwise than ``csv`` would."""
-    rows = _lines(part) - skip
+def _parse_range(part: str, delimiter: str, locations: _Codes, activities: _Codes) -> np.ndarray:
+    """The data rows of ``part`` as :data:`_ROW` records with labels coded by
+    ``locations`` and ``activities``. Raises ``ValueError`` when numpy's C
+    reader refuses the rows or reads them otherwise than ``csv`` would."""
+    rows = _lines(part)
     if not rows:  # numpy warns on a table without rows
         return np.empty(0, dtype=_ROW)
     # as bytes: a StringIO would hold the text again at 4 bytes a character
@@ -194,7 +192,7 @@ def _parse_range(part: str, skip: int, delimiter: str, locations: _Codes, activi
     # a field seen before is coded by the dict lookup alone; numpy before 2.0
     # hands converters latin-1 bytes unless told the encoding
     converters = {0: locations.__getitem__, 1: activities.__getitem__}
-    data = np.loadtxt(lines, delimiter=delimiter, skiprows=skip, dtype=_ROW, comments=None, ndmin=1,
+    data = np.loadtxt(lines, delimiter=delimiter, dtype=_ROW, comments=None, ndmin=1,
                       converters=converters, encoding="utf-8")
     values = data["v"]
     if len(data) != rows or not (np.isfinite(values).all() and (values >= 0).all()):

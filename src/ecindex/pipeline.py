@@ -104,8 +104,10 @@ class PipelineConfig:
             raise ValueError("thresholds must be >= 0")
         if not self.rca_threshold > 0:
             raise ValueError("rca_threshold must be positive")
-        if self.reflections_iterations < 1:
-            raise ValueError("reflections_iterations must be >= 1")
+        if not isinstance(self.reflections_iterations, (int, np.integer)) or self.reflections_iterations < 1:
+            raise ValueError(f"reflections_iterations must be an integer >= 1, got {self.reflections_iterations!r}")
+        if isinstance(self.emit, str):
+            raise ValueError(f"emit takes a tuple of flags, such as ({self.emit!r},), not a string")
         unknown = set(self.emit) - set(EMIT_CHOICES)
         if unknown:
             raise ValueError(f"unknown emit flags: {sorted(unknown)}")
@@ -215,7 +217,7 @@ def read_scores_file(
     elif len(header) == 2:
         index = 1
     else:
-        raise ValueError(f"column {column!r} not in {header}")
+        raise ValueError(f"{path}: column {column!r} not in {header}")
     values = np.empty(len(rows))
     lines: dict[str, int] = {}
     for i, (line, row) in enumerate(rows):
@@ -480,7 +482,12 @@ def _as_labeled(x) -> tuple[tuple[str, ...], np.ndarray]:
         raise TypeError(
             f"compare_vectors takes ComplexityScores or a (labels, values) pair, not {type(x).__name__}"
         ) from None
-    return labels, np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(labels),):
+        raise ValueError(f"{len(labels)} labels for values of shape {values.shape}")
+    if len(set(labels)) != len(labels):
+        raise ValueError("a label repeats")
+    return labels, values
 
 
 def _spearman(a: np.ndarray, b: np.ndarray) -> float:

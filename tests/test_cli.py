@@ -646,7 +646,7 @@ SCORES_A = "label,raw,standardized,rank\nL0,1,-1.2,3\nL1,2,0.0,2\nL2,4,1.2,1\n"
 @pytest.mark.parametrize(
     "scores_b, args, message",
     [
-        (SCORES_A, ["--column", "nope"], "column 'nope' not in"),
+        (SCORES_A, ["--column", "nope"], "a.csv: column 'nope' not in"),
         (SCORES_A.replace("0.0", "zero"), [], "b.csv: line 3: could not convert string to float: 'zero'"),
         (SCORES_A.replace("L1", "Q1").replace("L2", "Q2"), [], "only 1 shared labels"),
         ("", [], "b.csv: no header line"),

@@ -356,17 +356,22 @@ def cut_every_two_rows(monkeypatch, cpus):
 
 
 def logged_ranges(monkeypatch, log):
-    """A function returning the texts ``_parse_range`` read, in this process
-    or a worker, in the order they were logged."""
-    parse_range = ingest._parse_range
+    """A function returning the texts ``_parse_range`` read in this process
+    and those it read in workers, each in the order they were logged."""
+    parse_range, parent = ingest._parse_range, os.getpid()
 
     def logged(part, *args):
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(part) + "\n")
+            fh.write(json.dumps([os.getpid() == parent, part]) + "\n")
         return parse_range(part, *args)
 
     monkeypatch.setattr(ingest, "_parse_range", logged)
-    return lambda: [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+
+    def ranges():
+        entries = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        return [part for here, part in entries if here], [part for here, part in entries if not here]
+
+    return ranges
 
 
 @pytest.fixture
@@ -417,14 +422,36 @@ def test_ranges_merge_to_the_one_range_table(tmp_path, monkeypatch, no_child_or_
             ranges = logged_ranges(monkeypatch, log)
             table = _parse_columns(text, ",")
             assert table is not None and long_table_bits(table) == expected
-            parts = ranges()
-            assert len(parts) == cpus and sum(map(len, parts)) == len(text)
-            later = [part for part in parts if not part.startswith(H)]
+            here, later = ranges()  # this process reads the first range, a worker each later one
+            assert len(here) == 1 and len(later) == cpus - 1 and text[len(H):].startswith(here[0])
+            assert sum(map(len, here + later)) == len(text) - len(H)  # the data lines alone
             seen["blank line at a cut"] += any(part.startswith("\n") and part.strip() for part in later)
             seen["blank-only range"] += any(not part.strip() for part in later)
             seen["late label in a later range"] += any("late" in part for part in later)
             seen["padded variant in a later range"] += any(" P ," in part for part in later)
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("late", ["S\u00e3o Paulo \u6771\u4eac", "New   York City", None],
+                         ids=["non-ascii", "inner-spaces", "field-size-limit"])
+def test_labels_first_seen_in_a_worker_merge_to_the_one_range_table(tmp_path, monkeypatch, no_child_or_temp_file,
+                                                                   late):
+    # ``None`` stands for a label of exactly csv's field limit, the longest either parser reads
+    late = late or "\u00e9" * csv.field_size_limit()
+    first = "P" * len(late)  # the first range's rows weigh as much as the late label's
+    text = H + "".join(f"{first},A{i % 3},{i}\n" for i in range(6)) + f"{late},A1,5\nL2,{late},7\n{late},{late},1\n"
+    expected = long_table_bits(_parse_records(io.StringIO(text), ","))
+    cut_every_two_rows(monkeypatch, 1)
+    table = _parse_columns(text, ",")
+    assert table is not None and long_table_bits(table) == expected
+    assert late in table.location_labels and late in table.activity_labels
+    for cpus in (2, 3):
+        cut_every_two_rows(monkeypatch, cpus)
+        ranges = logged_ranges(monkeypatch, tmp_path / f"ranges-{cpus}.jsonl")
+        table = _parse_columns(text, ",")
+        assert table is not None and long_table_bits(table) == expected
+        here, later = ranges()
+        assert len(here) == 1 and len(later) == cpus - 1 and late not in here[0]
 
 
 @pytest.mark.parametrize(
@@ -474,7 +501,7 @@ def test_a_range_whose_worker_failed_is_parsed_by_the_parent(monkeypatch, no_chi
 
     monkeypatch.setattr(ingest, "_parse_range", fail_in_the_worker)
     assert long_table_bits(parse_long_records(text)) == expected
-    assert "".join(parsed_here) == text
+    assert "".join(parsed_here) == text[len(H):]  # the data lines alone
 
 
 def test_an_interrupted_parse_kills_and_reaps_its_worker(monkeypatch, no_child_or_temp_file):

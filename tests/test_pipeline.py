@@ -133,6 +133,19 @@ class TestCompareVectors:
         with pytest.raises(TypeError, match=r"ComplexityScores or a \(labels, values\) pair"):
             compare_vectors(bare, labeled(np.array([1.0, 2.0, 3.0])))
 
+    @pytest.mark.parametrize(
+        "pair, message",
+        [((("x", "y", "z"), [1.0, 2.0]), "3 labels for values of shape"),
+         ((("x", "y"), [1.0, 2.0, 3.0]), "2 labels for values of shape"),
+         ((("a", "a", "b", "c"), [1.0, 2.0, 3.0, 4.0]), "a label repeats")],
+        ids=["fewer-values", "more-values", "repeated-label"],
+    )
+    def test_a_malformed_pair_is_a_value_error(self, pair, message):
+        other = (("a", "b", "c"), np.array([1.0, 2.0, 4.0]))
+        for a, b in ((pair, other), (other, pair)):
+            with pytest.raises(ValueError, match=message):
+                compare_vectors(a, b)
+
     def test_spearman_with_ties_matches_definition(self):
         a = np.array([1.0, 1.0, 2.0, 3.0])
         b = np.array([4.0, 2.0, 2.0, 1.0])
@@ -698,3 +711,7 @@ class TestConfig:
             PipelineConfig(input_path="x", out_dir="y", delimiter=",;")
         with pytest.raises(ValueError, match="reflections_iterations"):
             PipelineConfig(input_path="x", out_dir="y", reflections_iterations=0)
+        with pytest.raises(ValueError, match="reflections_iterations"):
+            PipelineConfig(input_path="x", out_dir="y", reflections_iterations=2.5)
+        with pytest.raises(ValueError, match=r"tuple of flags, such as \('eci',\)"):
+            PipelineConfig(input_path="x", out_dir="y", emit="eci")
