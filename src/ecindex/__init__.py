@@ -30,7 +30,6 @@ from .alphabet import (
 )
 from .incidence import (
     IncidenceMatrix,
-    SpecializationMatrix,
     binarize,
     compute_rca,
     prune_degenerate,
@@ -51,7 +50,7 @@ from .pipeline import (
     emit_figure_data,
     run_pipeline,
 )
-from .relatedness import DensityMatrix, ProximityMatrix, proximity, relatedness_density
+from .relatedness import ProximityMatrix, proximity, relatedness_density
 from .spectral import (
     ComplexityScores,
     EigenSolution,
@@ -71,7 +70,6 @@ __all__ = [
     "AlphabetWorld",
     "ComparisonReport",
     "ComplexityScores",
-    "DensityMatrix",
     "EigenSolution",
     "IncidenceMatrix",
     "LongTable",
@@ -80,7 +78,6 @@ __all__ = [
     "ProximityMatrix",
     "RunResult",
     "SimilarityMatrix",
-    "SpecializationMatrix",
     "binarize",
     "compare_vectors",
     "compute_rca",

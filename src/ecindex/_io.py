@@ -10,9 +10,12 @@ cell is written as ``str(x)``, which for a ``float`` is the shortest decimal
 text that round-trips to the same IEEE double and for an ``int`` is its
 integer text. Rounding is the consumer's job.
 
-Every writer formats its numbers once, with :func:`number_texts`, and hands
-:func:`write_rows` blocks of ``str`` cells, whose rows it joins per block. The
-matrix, edge and trajectory writers hand it :class:`Blocks`, which cut their
+Every writer hands :func:`write_rows` blocks of ``str`` cells, whose rows it
+joins per block. Arrays of numbers are formatted once, with
+:func:`number_texts`; a comparison's fields, a trajectory's iteration number
+and the spectrum's exact zeros past its computed pairs are ``str(x)`` or the
+literal ``0.0``, the text :func:`number_texts` gives them. The matrix, edge
+and trajectory writers hand it :class:`Blocks`, which cut their
 rows into blocks of about :data:`BLOCK_CELLS` cells and format a block only
 when it is read (a proximity matrix of millions of cells holds a few hundred
 distinct numbers); the other writers hand it one block.
@@ -49,6 +52,7 @@ call.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import os
 import shutil
@@ -97,9 +101,12 @@ def staged_dir(out_dir: Path) -> Iterator[Path]:
     and each staged file is moved into it with ``os.replace``,
     ``manifest.json`` last. The staging directory is removed either way, so a
     failed block leaves ``out_dir`` and every directory above it as they were.
+    Raises ``NotADirectoryError`` naming that ancestor when it is not a directory.
     """
     out_dir = Path(out_dir)
     anchor = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    if not anchor.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(anchor))
     stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=anchor))
     try:
         yield stage

@@ -4,12 +4,13 @@ Subcommands cover the full pipeline (``run``), each pipeline stage
 (``ingest`` .. ``density``), synthetic world generation (``world``) and score
 comparison (``compare``). Stage commands are thin shells over the pipeline:
 ``eci`` .. ``density`` are ``run --emit <name>`` that keep the files an
-earlier run left in the output directory (``run`` removes the ones the old
-manifest listed and it did not write). ``ingest``, ``rca`` and ``incidence``
-each write one intermediate that :func:`ecindex.pipeline.prepare` yields and
-stop there, so no later step runs: ``ingest`` runs parse through the
-empty-margin drop, ``rca`` adds RCA, and ``incidence`` adds binarize and
-prune but no component cut. Their flags, ``run``'s and the ``run --config``
+earlier run left in the output directory, and list them in the manifest
+under ``kept`` (``run`` removes the ones the old manifest listed and it did
+not write). ``ingest``, ``rca`` and ``incidence`` each write one
+intermediate that :func:`ecindex.pipeline.prepare` yields and stop there, so
+no later step runs: ``ingest`` runs parse through the empty-margin drop,
+``rca`` adds RCA, and ``incidence`` adds binarize and prune but no
+component cut. Their flags, ``run``'s and the ``run --config``
 keys come from one table, ``_FLAGS``, with
 :class:`ecindex.pipeline.PipelineConfig`'s defaults. Exit code is 0 on
 success; on failure a stage-tagged error line goes to stderr, nonzero exit.
@@ -29,6 +30,7 @@ from ._io import staged_dir, write_matrix
 from .alphabet import generate_nested_world, generate_random_world, world_to_incidence, write_world
 from .errors import ComplexityError
 from .incidence import write_incidence
+from .ingest import OutputMatrix
 from .pipeline import (
     EMIT_CHOICES,
     PipelineConfig,
@@ -156,8 +158,8 @@ def _matrix_command(name, doc, intermediate, write):
     main.command(name=name, help=doc)(_flags(*_STAGE_FLAGS)(command))
 
 
-def _write_labeled(stem, out_dir, m, delimiter):
-    """``m`` with its labels as ``<stem>.csv`` in ``out_dir``."""
+def _write_labeled(stem, out_dir, m: OutputMatrix, delimiter):
+    """``m``, an output or RCA matrix, with its labels as ``<stem>.csv`` in ``out_dir``."""
     write_matrix(out_dir / f"{stem}.csv", m.values, m.location_labels, m.activity_labels, delimiter)
     return {stem: out_dir / f"{stem}.csv"}
 

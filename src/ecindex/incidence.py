@@ -17,15 +17,6 @@ from ._io import write_matrix
 from .errors import DegenerateMargins, EmptyAfterPrune, OutOfRange, ZeroMargin
 from .ingest import OutputMatrix, restrict
 
-@dataclass(frozen=True)
-class SpecializationMatrix:
-    """Ratio of observed to expected output share, same shape as its source;
-    finite and nonnegative, as :func:`compute_rca` makes it."""
-
-    values: np.ndarray
-    location_labels: tuple[str, ...]
-    activity_labels: tuple[str, ...]
-
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
@@ -76,7 +67,7 @@ class PruneRecord:
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # a ratio out of range is refused below
-def compute_rca(m: OutputMatrix) -> SpecializationMatrix:
+def compute_rca(m: OutputMatrix) -> OutputMatrix:
     """Specialization ratios: observed output over the share expected from margins.
 
     Entry (c, p) is ``X_cp * X / (X_c * X_p)``. Requires every row and column
@@ -92,10 +83,10 @@ def compute_rca(m: OutputMatrix) -> SpecializationMatrix:
     values = x * x.sum() / np.outer(x.sum(axis=1), x.sum(axis=0))
     if not np.isfinite(values).all():
         raise OutOfRange("specialization ratios leave the range of a double")
-    return SpecializationMatrix(values, m.location_labels, m.activity_labels)
+    return OutputMatrix(values, m.location_labels, m.activity_labels)
 
 
-def binarize(r: SpecializationMatrix, threshold: float = 1.0) -> IncidenceMatrix:
+def binarize(r: OutputMatrix, threshold: float = 1.0) -> IncidenceMatrix:
     """Mark cells with specialization at or above ``threshold``.
 
     The boundary is inclusive and the comparison is exact IEEE ``>=``; values

@@ -71,29 +71,31 @@ class LongTable:
 
 @dataclass(frozen=True)
 class OutputMatrix:
-    """Dense nonnegative output matrix with label registries; margins derive from ``values``."""
+    """Dense finite nonnegative location-activity matrix with distinct labels:
+    the pivoted output, its RCA ratios or a relatedness density. Margins derive
+    from ``values``. :meth:`from_values` checks the cells and labels; the plain
+    constructor trusts its producer, such as RCA and density."""
 
     values: np.ndarray
     location_labels: tuple[str, ...]
     activity_labels: tuple[str, ...]
 
-    def __post_init__(self):
-        values = self.values
-        if values.shape != (len(self.location_labels), len(self.activity_labels)):
+    @classmethod
+    def from_values(cls, values, location_labels, activity_labels) -> "OutputMatrix":
+        values = np.ascontiguousarray(values, dtype=float)
+        location_labels, activity_labels = tuple(location_labels), tuple(activity_labels)
+        if values.shape != (len(location_labels), len(activity_labels)):
             raise ValueError("matrix shape does not match label counts")
-        if len(set(self.location_labels)) != len(self.location_labels):
+        if len(set(location_labels)) != len(location_labels):
             raise ValueError("duplicate location labels")
-        if len(set(self.activity_labels)) != len(self.activity_labels):
+        if len(set(activity_labels)) != len(activity_labels):
             raise ValueError("duplicate activity labels")
         if values.size:
             if not np.isfinite(values).all():
                 raise ValueError("matrix entries must be finite")
             if values.min() < 0:
                 raise ValueError("matrix entries must be nonnegative")
-
-    @classmethod
-    def from_values(cls, values, location_labels, activity_labels) -> "OutputMatrix":
-        return cls(np.ascontiguousarray(values, dtype=float), tuple(location_labels), tuple(activity_labels))
+        return cls(values, location_labels, activity_labels)
 
     @cached_property
     def row_totals(self) -> np.ndarray:

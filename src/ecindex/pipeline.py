@@ -41,7 +41,6 @@ from .errors import (
 )
 from .incidence import (
     IncidenceMatrix,
-    SpecializationMatrix,
     binarize,
     compute_rca,
     prune_degenerate,
@@ -102,6 +101,8 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.min_location_total < 0 or self.min_activity_total < 0 or self.min_phi < 0:
             raise ValueError("thresholds must be >= 0")
+        if self.min_phi > 1:
+            raise ValueError("min_phi must be at most 1")
         if not self.rca_threshold > 0:
             raise ValueError("rca_threshold must be positive")
         if not isinstance(self.reflections_iterations, (int, np.integer)) or self.reflections_iterations < 1:
@@ -245,13 +246,15 @@ def run_pipeline(cfg: PipelineConfig, replace: bool = True) -> RunResult:
     at a time with ``manifest.json`` last; a failed run leaves ``cfg.out_dir``
     as it was. With ``replace``, the files that the previous ``manifest.json``
     in ``cfg.out_dir`` listed and this run did not write are then removed, and
-    no other file; without it, they stay. The returned outputs name the files
-    under ``cfg.out_dir``.
+    no other file; without it, they stay, and the new manifest lists those
+    that exist under ``kept``, beside its ``outputs``. The returned outputs
+    name the files under ``cfg.out_dir``.
     """
-    previous = _listed_outputs(cfg.out_dir / "manifest.json") if replace else set()
+    previous = _listed_outputs(cfg.out_dir / "manifest.json")
+    kept = set() if replace else previous
     with staged_dir(cfg.out_dir) as stage:
-        manifest, outputs = _run(cfg, stage)
-    for name in previous - {path.name for path in outputs.values()}:
+        manifest, outputs = _run(cfg, stage, kept)
+    for name in previous - kept - {path.name for path in outputs.values()}:
         if (cfg.out_dir / name).is_file():
             (cfg.out_dir / name).unlink()
     return RunResult(manifest, {name: cfg.out_dir / path.name for name, path in outputs.items()})
@@ -259,7 +262,7 @@ def run_pipeline(cfg: PipelineConfig, replace: bool = True) -> RunResult:
 
 def prepare(
     cfg: PipelineConfig, dropped: list[dict]
-) -> Iterator[tuple[str, OutputMatrix | SpecializationMatrix | IncidenceMatrix]]:
+) -> Iterator[tuple[str, OutputMatrix | IncidenceMatrix]]:
     """Ingest -> left-tail cut -> empty-margin drop -> RCA -> binarize -> prune
     -> largest component; a step that can refuse its input tags the error with
     its stage. Yields ``(name, matrix)`` for ``raw``, ``nonzero``,
@@ -324,9 +327,10 @@ def write_incidence_files(out_dir: Path, m: IncidenceMatrix, delimiter: str = ",
     return paths
 
 
-def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
+def _run(cfg: PipelineConfig, out_dir: Path, kept: set[str]) -> tuple[dict, dict[str, Path]]:
     """The manifest and the name -> path dict of every file written in
-    ``out_dir``."""
+    ``out_dir``. The manifest's ``kept`` lists the names of ``kept`` that this
+    run did not write and that exist in ``cfg.out_dir``."""
     outputs: dict[str, Path] = {}
 
     def emit(name: str, writer, *args) -> None:
@@ -384,6 +388,7 @@ def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
             emit("comparisons", write_rows, header, [[tuple(map(str, report)) for report in reports]])
             outputs.update(emit_figure_data(out_dir, *diversity, panels, cfg.delimiter))
 
+    written = sorted(path.name for path in outputs.values())
     manifest = {
         "input": str(cfg.input_path),
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -410,7 +415,8 @@ def _run(cfg: PipelineConfig, out_dir: Path) -> tuple[dict, dict[str, Path]]:
             "proximity_diagonal": "reported as 1, excluded from density sums",
             "standardization": "population standard deviation",
         },
-        "outputs": sorted(path.name for path in outputs.values()),
+        "outputs": written,
+        "kept": sorted(name for name in kept.difference(written) if (cfg.out_dir / name).is_file()),
     }
     manifest_path = outputs["manifest"] = out_dir / "manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
@@ -431,14 +437,13 @@ def _stage(name: str, tagged=ComplexityError):
 
 
 def _listed_outputs(manifest_path: Path) -> set[str]:
-    """The plain file names in the ``outputs`` list of the manifest at
-    ``manifest_path``; none when it is missing or unreadable."""
+    """The plain file names in the ``outputs`` and ``kept`` lists of the
+    manifest at ``manifest_path``; none when it is missing or unreadable."""
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
-            listed = json.load(fh)["outputs"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return set()
-    if not isinstance(listed, list):
+            manifest = json.load(fh)
+        listed = manifest["outputs"] + manifest.get("kept", [])
+    except (OSError, ValueError, KeyError, TypeError):  # TypeError: either one is not a list
         return set()
     return {name for name in listed if isinstance(name, str) and name not in ("", "..") and Path(name).name == name}
 

@@ -22,6 +22,7 @@ import numpy as np
 from ._io import Blocks, Columns, number_texts, write_matrix, write_rows
 from .errors import IsolatedActivity
 from .incidence import IncidenceMatrix, require_positive_margins
+from .ingest import OutputMatrix
 
 
 @dataclass(frozen=True)
@@ -31,16 +32,6 @@ class ProximityMatrix:
     entry (a count over the larger ubiquity) lies in [0, 1], and the diagonal is 1."""
 
     values: np.ndarray
-    activity_labels: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Location-activity relatedness density in [0, 1]: each numerator sums, in
-    order, a subset of its denominator's nonnegative rows (:func:`relatedness_density`)."""
-
-    values: np.ndarray
-    location_labels: tuple[str, ...]
     activity_labels: tuple[str, ...]
 
 
@@ -54,7 +45,7 @@ def proximity(m: IncidenceMatrix) -> ProximityMatrix:
     return ProximityMatrix(phi, m.activity_labels)
 
 
-def relatedness_density(m: IncidenceMatrix, phi: ProximityMatrix) -> DensityMatrix:
+def relatedness_density(m: IncidenceMatrix, phi: ProximityMatrix) -> OutputMatrix:
     """Share of each activity's proximity mass held by each location.
 
     Self-proximity is excluded from both numerator and denominator, so held
@@ -78,7 +69,7 @@ def relatedness_density(m: IncidenceMatrix, phi: ProximityMatrix) -> DensityMatr
     numerator = np.empty(held.shape)
     for c, row in enumerate(held):
         numerator[c] = off_diagonal[row].sum(axis=0)
-    return DensityMatrix(numerator / denominator, m.location_labels, m.activity_labels)
+    return OutputMatrix(numerator / denominator, m.location_labels, m.activity_labels)
 
 
 def write_proximity(path: Path, phi: ProximityMatrix, delimiter: str = ",") -> None:
@@ -102,5 +93,5 @@ def write_proximity_edges(
     write_rows(path, ("activityA", "activityB", "phi"), blocks, delimiter)
 
 
-def write_density(path: Path, density: DensityMatrix, delimiter: str = ",") -> None:
+def write_density(path: Path, density: OutputMatrix, delimiter: str = ",") -> None:
     write_matrix(path, density.values, density.location_labels, density.activity_labels, delimiter)

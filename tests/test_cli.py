@@ -107,13 +107,14 @@ def test_run_config_values_may_hold_a_hash(tmp_path):
         (["iterations = 5", "emit = reflections"], [], 0),
         (["min-location-total = inf"], [], 2),
         (["min_phi = nan", "emit = proximity"], [], 2),
+        (["min_phi = 2", "emit = proximity"], [], 2),
         (["rca-threshold = inf"], [], 2),
         (["foo = 1"], [], 2),
         (["delimiter = ;;"], [], 2),
         (["emit = eci,nonsense"], [], 2),
     ],
-    ids=["bad-number", "no-equals", "missing-input-flag", "missing-input-config", "iterations-key",
-         "inf-cut", "nan-min-phi", "inf-rca-threshold", "unknown-key", "bad-delimiter", "unknown-emit"],
+    ids=["bad-number", "no-equals", "missing-input-flag", "missing-input-config", "iterations-key", "inf-cut",
+         "nan-min-phi", "min-phi-above-1", "inf-rca-threshold", "unknown-key", "bad-delimiter", "unknown-emit"],
 )
 def test_run_config_problems_are_config_errors(tmp_path, config_lines, flags, exit_code):
     input_path = write_sample(tmp_path / "input.csv")
@@ -350,6 +351,7 @@ def test_unwritable_out_dir_is_output_error(tmp_path, command):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # no uncaught traceback
     assert result.stderr.startswith("error [output] ") and result.stderr.count("\n") == 1
+    assert str(blocker) in result.stderr and ".out." not in result.stderr  # names the file, not the staging directory
 
 
 @pytest.mark.parametrize("command, filename", [("ingest", "output_matrix.csv"), ("incidence", "incidence.csv")])

@@ -13,6 +13,7 @@ from ecindex.incidence import (
     write_incidence,
 )
 from ecindex.ingest import OutputMatrix
+from ecindex.relatedness import proximity, relatedness_density
 
 from conftest import labeled_incidence
 from oracles import rca_by_loops, read_matrix_text
@@ -30,6 +31,22 @@ def output_matrix(values):
 positive_matrices = st.lists(
     st.lists(st.integers(1, 40), min_size=2, max_size=5), min_size=2, max_size=5
 ).filter(lambda rows: len({len(r) for r in rows}) == 1)
+
+
+def test_rca_and_density_are_output_matrices_that_skip_the_checks(monkeypatch):
+    """RCA and density trust their input: their plain OutputMatrix constructor
+    makes no pass over the cells, as the checked ``from_values`` does."""
+    x = output_matrix([[10, 0, 5], [10, 10, 0], [0, 3, 8]])
+    m = labeled_incidence(np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]]))
+
+    def refuse(*args):
+        raise AssertionError("from_values re-checked a trusted result")
+
+    monkeypatch.setattr(OutputMatrix, "from_values", refuse)
+    for result, source in ((compute_rca(x), x), (relatedness_density(m, proximity(m)), m)):
+        assert type(result) is OutputMatrix
+        assert (result.location_labels, result.activity_labels) == (source.location_labels, source.activity_labels)
+    assert OutputMatrix(np.array([[-1.0]]), ("A",), ("A",)).values.min() == -1.0  # no check at all
 
 
 class TestComputeRca:
@@ -90,9 +107,7 @@ class TestBinarize:
         assert m.values.min() == 1
 
     def test_just_below_threshold_is_zero(self):
-        from ecindex.incidence import SpecializationMatrix
-
-        r = SpecializationMatrix(np.array([[0.999999, 1.0]]), ("L0",), ("A0", "A1"))
+        r = OutputMatrix(np.array([[0.999999, 1.0]]), ("L0",), ("A0", "A1"))
         assert binarize(r).values.tolist() == [[0, 1]]
 
     def test_threshold_must_be_positive(self):

@@ -505,16 +505,39 @@ class TestRunPipeline:
         assert sorted(path.name for path in result.outputs.values()) == sorted([*listed, "manifest.json"])
         assert (out_dir / "notes.txt").read_text() == "mine\n"
 
+    def test_a_stage_command_keeps_the_earlier_files_on_the_ledger(self, tmp_path):
+        """run, then a stage command (run --emit eci, keeping files), then a
+        narrower run: the stage command's manifest lists the first run's files
+        it kept, so the last run removes them and leaves no unlisted file."""
+        out_dir = tmp_path / "out"
+        cfg = PipelineConfig(
+            input_path=block_input(tmp_path / "input.csv"), out_dir=out_dir,
+            min_location_total=5.0, min_activity_total=5.0,
+        )
+        first = run_pipeline(cfg).manifest["outputs"]
+        (out_dir / "notes.txt").write_text("mine\n")
+        (out_dir / "density.csv").unlink()  # a listed file gone is not kept
+        cfg.emit = ("eci",)
+        stage = run_pipeline(cfg, replace=False).manifest
+        assert stage["kept"] == sorted(set(first) - set(stage["outputs"]) - {"density.csv"})
+        assert json.loads((out_dir / "manifest.json").read_text())["kept"] == stage["kept"]
+        cfg.emit = ("pci",)
+        last = run_pipeline(cfg).manifest
+        assert last["kept"] == []
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted([*last["outputs"], "manifest.json", "notes.txt"])
+        assert (out_dir / "notes.txt").read_text() == "mine\n"
+
     @pytest.mark.parametrize(
         "old_manifest, notes_removed",
         [
             (b'{"outputs": ["notes.txt", "../outside.txt", "sub/inner.txt", "sub", "", ".", ".."]}', True),
             (b'{"outputs": {"notes.txt": 1}}', False),
+            (b'{"outputs": [], "kept": ["notes.txt"]}', True),
             (b'["notes.txt"]', False),
             (b"{not json", False),
             (b"\xff\xfe", False),
         ],
-        ids=["unsafe-names", "not-a-list", "no-outputs-key", "not-json", "not-utf8"],
+        ids=["unsafe-names", "not-a-list", "kept-list", "no-outputs-key", "not-json", "not-utf8"],
     )
     def test_rerun_removes_only_plain_names_of_a_readable_manifest(self, tmp_path, old_manifest, notes_removed):
         out_dir = tmp_path / "out"
@@ -715,3 +738,6 @@ class TestConfig:
             PipelineConfig(input_path="x", out_dir="y", reflections_iterations=2.5)
         with pytest.raises(ValueError, match=r"tuple of flags, such as \('eci',\)"):
             PipelineConfig(input_path="x", out_dir="y", emit="eci")
+        with pytest.raises(ValueError, match="min_phi must be at most 1"):
+            PipelineConfig(input_path="x", out_dir="y", min_phi=2.0)
+        PipelineConfig(input_path="x", out_dir="y", min_phi=1.0)  # keeps the edges of phi exactly 1

@@ -102,7 +102,8 @@ class TestRelatednessDensity:
         assert density.values[1, 0] == 1.0
 
     def test_bounds(self, wide_table):
-        # DensityMatrix checks none of these; relatedness_density makes each exact
+        # the density's plain OutputMatrix constructor checks none of these;
+        # relatedness_density makes each exact
         rng = np.random.default_rng(59)
         for m in [*(random_connected_incidence(rng, 25, 35, 0.2, 0.5) for _ in range(10)), wide_table]:
             density = relatedness_density(m, proximity(m))
