@@ -1,5 +1,5 @@
-"""Small shared helpers for output files: the staged output directory
-(:func:`staged_dir`) and delimiter-separated files.
+"""Small shared helpers for output files: the staged output directory and its
+manifest (:func:`staged_dir`) and delimiter-separated files.
 
 Every delimited file is written exactly as ``csv.writer(fh, delimiter=delimiter,
 lineterminator="\\n")`` writes it: ``\\n`` line ends and Python ``csv``'s
@@ -54,6 +54,7 @@ from __future__ import annotations
 import csv
 import errno
 import io
+import json
 import os
 import shutil
 import signal
@@ -94,14 +95,19 @@ def number_texts(block: np.ndarray) -> np.ndarray:
 
 
 @contextmanager
-def staged_dir(out_dir: Path) -> Iterator[Path]:
+def staged_dir(out_dir: Path, manifest: dict, replace: bool = False) -> Iterator[Path]:
     """A fresh hidden directory ``.<out_dir name>.*`` inside ``out_dir`` or its
     nearest existing ancestor, for the block to write ``out_dir``'s files in.
-    When the block succeeds, ``out_dir`` is created with its missing parents
-    and each staged file is moved into it with ``os.replace``,
-    ``manifest.json`` last. The staging directory is removed either way, so a
-    failed block leaves ``out_dir`` and every directory above it as they were.
-    Raises ``NotADirectoryError`` naming that ancestor when it is not a directory.
+    When the block succeeds, ``manifest["outputs"]`` lists the staged files
+    and ``manifest["kept"]`` those the previous manifest listed (see
+    :func:`_listed_outputs`) that exist and were not rewritten; ``manifest`` is
+    staged as ``manifest.json``, ``out_dir`` is created with its missing
+    parents, and each staged file is moved into it with ``os.replace``,
+    ``manifest.json`` last. With ``replace``, ``kept`` is empty and those files
+    are removed instead, and no other file. The staging directory is removed
+    either way, so a failed block leaves ``out_dir`` and every directory above
+    it as they were. Raises ``NotADirectoryError`` naming that ancestor when it
+    is not a directory.
     """
     out_dir = Path(out_dir)
     anchor = next(d for d in (out_dir, *out_dir.parents) if d.exists())
@@ -110,11 +116,32 @@ def staged_dir(out_dir: Path) -> Iterator[Path]:
     stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=anchor))
     try:
         yield stage
+        written = sorted(path.name for path in stage.iterdir())
+        listed = _listed_outputs(out_dir / "manifest.json") - {*written, "manifest.json"}  # never the new manifest
+        stale = sorted(name for name in listed if (out_dir / name).is_file())
+        manifest["outputs"], manifest["kept"] = written, [] if replace else stale
+        with open(stage / "manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
         out_dir.mkdir(parents=True, exist_ok=True)
-        for path in sorted(stage.iterdir(), key=lambda p: (p.name == "manifest.json", p.name)):
-            os.replace(path, out_dir / path.name)
+        for name in (*written, "manifest.json"):
+            os.replace(stage / name, out_dir / name)
+        for name in stale if replace else ():
+            (out_dir / name).unlink(missing_ok=True)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+
+
+def _listed_outputs(manifest_path: Path) -> set[str]:
+    """The plain file names in the ``outputs`` and ``kept`` lists of the
+    manifest at ``manifest_path``; none when it is missing or unreadable."""
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        listed = manifest["outputs"] + manifest.get("kept", [])
+    except (OSError, ValueError, KeyError, TypeError):  # TypeError: either one is not a list
+        return set()
+    return {name for name in listed if isinstance(name, str) and name not in ("", "..") and Path(name).name == name}
 
 
 class Columns:

@@ -4,14 +4,15 @@ Subcommands cover the full pipeline (``run``), each pipeline stage
 (``ingest`` .. ``density``), synthetic world generation (``world``) and score
 comparison (``compare``). Stage commands are thin shells over the pipeline:
 ``eci`` .. ``density`` are ``run --emit <name>`` that keep the files an
-earlier run left in the output directory, and list them in the manifest
-under ``kept`` (``run`` removes the ones the old manifest listed and it did
-not write). ``ingest``, ``rca`` and ``incidence`` each write one
-intermediate that :func:`ecindex.pipeline.prepare` yields and stop there, so
-no later step runs: ``ingest`` runs parse through the empty-margin drop,
-``rca`` adds RCA, and ``incidence`` adds binarize and prune but no
-component cut. Their flags, ``run``'s and the ``run --config``
-keys come from one table, ``_FLAGS``, with
+earlier command left in the output directory. ``ingest``, ``rca`` and
+``incidence`` each write one intermediate that
+:func:`ecindex.pipeline.prepare` yields and stop there, so no later step
+runs: ``ingest`` runs parse through the empty-margin drop, ``rca`` adds RCA,
+and ``incidence`` adds binarize and prune but no component cut. Every
+command that writes files writes them through :func:`ecindex._io.staged_dir`
+with a ``manifest.json`` that lists them and the earlier files it kept; only
+``run`` removes the earlier ones. Their flags, ``run``'s and the ``run
+--config`` keys come from one table, ``_FLAGS``, with
 :class:`ecindex.pipeline.PipelineConfig`'s defaults. Exit code is 0 on
 success; on failure a stage-tagged error line goes to stderr, nonzero exit.
 """
@@ -132,9 +133,9 @@ def _pipeline(step, options: dict):
         _fail(err, "output")
 
 
-def _report(outputs: dict[str, Path]) -> None:
-    for name in sorted(outputs):
-        click.echo(f"wrote {outputs[name]}")
+def _report(out_dir: Path, manifest: dict) -> None:
+    for name in sorted([*manifest["outputs"], "manifest.json"]):
+        click.echo(f"wrote {out_dir / name}")
 
 
 @click.group()
@@ -147,13 +148,14 @@ def _matrix_command(name, doc, intermediate, write):
     ``intermediate`` matrix, and no further, and writes it with ``write``."""
 
     def step(cfg):
-        matrix = next(m for key, m in prepare(cfg, []) if key == intermediate)
-        with staged_dir(cfg.out_dir) as stage:
-            outputs = write(stage, matrix, cfg.delimiter)
-        return {key: cfg.out_dir / path.name for key, path in outputs.items()}
+        manifest = {"dropped": []}
+        matrix = next(m for key, m in prepare(cfg, manifest["dropped"]) if key == intermediate)
+        with staged_dir(cfg.out_dir, manifest) as stage:
+            write(stage, matrix, cfg.delimiter)
+        return manifest
 
     def command(**options):
-        _report(_pipeline(step, options))
+        _report(options["out_dir"], _pipeline(step, options))
 
     main.command(name=name, help=doc)(_flags(*_STAGE_FLAGS)(command))
 
@@ -161,7 +163,6 @@ def _matrix_command(name, doc, intermediate, write):
 def _write_labeled(stem, out_dir, m: OutputMatrix, delimiter):
     """``m``, an output or RCA matrix, with its labels as ``<stem>.csv`` in ``out_dir``."""
     write_matrix(out_dir / f"{stem}.csv", m.values, m.location_labels, m.activity_labels, delimiter)
-    return {stem: out_dir / f"{stem}.csv"}
 
 
 _matrix_command("ingest", "Parse, aggregate and size-filter the input into an output matrix.", "nonzero",
@@ -176,7 +177,8 @@ def _emit_command(name, doc, *extra_flags):
     flags, adding its files to those already in the output directory."""
 
     def command(**options):
-        _report(_pipeline(partial(run_pipeline, replace=False), {**options, "emit": (name,)}).outputs)
+        result = _pipeline(partial(run_pipeline, replace=False), {**options, "emit": (name,)})
+        _report(options["out_dir"], result.manifest)
 
     main.command(name=name, help=doc)(_flags(*_STAGE_FLAGS, *extra_flags)(command))
 
@@ -208,10 +210,11 @@ def world(kind, locations, activities, letters_per_location, letters_per_word, n
             generated = generate_random_world(
                 locations, activities, letters_per_location, letters_per_word, seed, num_letters
             )
-        with staged_dir(out_dir) as stage:
+        manifest = {}
+        with staged_dir(out_dir, manifest) as stage:
             write_world(stage / "world.txt", generated)
             write_incidence(stage / "world_incidence.csv", world_to_incidence(generated), delimiter)
-        _report({"world": out_dir / "world.txt", "world_incidence": out_dir / "world_incidence.csv"})
+        _report(out_dir, manifest)
     except (ComplexityError, ValueError) as err:
         _fail(err, "world")
     except OSError as err:
@@ -256,7 +259,7 @@ def run(config_path, **flags):
     missing = [f"--{flag.name}" for flag in _FLAGS if flag.field not in options and flag.field not in _DEFAULTS]
     if missing:
         _config_error(f"missing required options: {missing}")
-    _report(_pipeline(run_pipeline, options).outputs)
+    _report(options["out_dir"], _pipeline(run_pipeline, options).manifest)
 
 
 if __name__ == "__main__":

@@ -8,18 +8,16 @@ after RCA and ``incidence`` after prune. The runner consumes all of it, then
 emits score and relatedness files per the configured emit flags. Every label
 from the raw input either reaches an output file or appears in exactly one
 drop record of the manifest, with the stage and reason that removed it.
-:func:`run_pipeline` writes through :func:`ecindex._io.staged_dir`: a failed
-run leaves the output directory as it was, and a failed rerun keeps the
-previous results, while a successful one removes the previous results it did
-not rewrite. Reruns with identical config and input on the same machine with
-the same BLAS thread count produce byte-identical outputs; only the manifest
-timestamp differs.
+:func:`run_pipeline` writes through :func:`ecindex._io.staged_dir`, which
+keeps the manifest's ledger of files and leaves the output directory as it
+was when a run fails. Reruns with identical config and input on the same
+machine with the same BLAS thread count produce byte-identical outputs; only
+the manifest timestamp differs.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import re
 import zlib
 from contextlib import contextmanager
@@ -112,7 +110,7 @@ class PipelineConfig:
         unknown = set(self.emit) - set(EMIT_CHOICES)
         if unknown:
             raise ValueError(f"unknown emit flags: {sorted(unknown)}")
-        self.emit = tuple(self.emit)
+        self.emit = tuple(dict.fromkeys(self.emit))  # the first of each flag
 
 
 @dataclass(frozen=True)
@@ -179,11 +177,13 @@ def emit_figure_data(
 
 
 def load_config_file(path: Path) -> dict[str, str]:
-    """Plain-text ``key = value`` config. '#' starts a comment at the start of
-    a line or after whitespace, so a value may hold one (``out_dir = runs#2``).
-    CLI flags win over file values."""
+    """Plain-text ``key = value`` config, UTF-8 with or without a BOM. '#'
+    starts a comment at the start of a line or after whitespace, so a value may
+    hold one (``out_dir = runs#2``). A key given twice (``-`` is ``_``) is a
+    ``ValueError``. CLI flags win over file values."""
     options: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    lines: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not text:
@@ -191,7 +191,10 @@ def load_config_file(path: Path) -> dict[str, str]:
             key, sep, value = text.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            options[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if (first := lines.setdefault(key, lineno)) != lineno:
+                raise ValueError(f"{path}: key {key!r} is on line {first} and line {lineno}")
+            options[key] = value.strip()
     return options
 
 
@@ -240,24 +243,15 @@ def read_scores_file(
 def run_pipeline(cfg: PipelineConfig, replace: bool = True) -> RunResult:
     """Execute the full pipeline and write the configured artifact set.
 
-    Module errors propagate with their pipeline stage attached. Files are
-    written in a staging directory (see :func:`ecindex._io.staged_dir`) and
-    moved into ``cfg.out_dir`` only when every stage has succeeded, one file
-    at a time with ``manifest.json`` last; a failed run leaves ``cfg.out_dir``
-    as it was. With ``replace``, the files that the previous ``manifest.json``
-    in ``cfg.out_dir`` listed and this run did not write are then removed, and
-    no other file; without it, they stay, and the new manifest lists those
-    that exist under ``kept``, beside its ``outputs``. The returned outputs
-    name the files under ``cfg.out_dir``.
+    Module errors propagate with their pipeline stage attached. The files,
+    the manifest among them, are written and moved into ``cfg.out_dir`` by
+    :func:`ecindex._io.staged_dir` with ``replace``, only when every stage has
+    succeeded. The returned outputs name the files under ``cfg.out_dir``.
     """
-    previous = _listed_outputs(cfg.out_dir / "manifest.json")
-    kept = set() if replace else previous
-    with staged_dir(cfg.out_dir) as stage:
-        manifest, outputs = _run(cfg, stage, kept)
-    for name in previous - kept - {path.name for path in outputs.values()}:
-        if (cfg.out_dir / name).is_file():
-            (cfg.out_dir / name).unlink()
-    return RunResult(manifest, {name: cfg.out_dir / path.name for name, path in outputs.items()})
+    manifest: dict = {}
+    with staged_dir(cfg.out_dir, manifest, replace) as stage:
+        _run(cfg, stage, manifest)
+    return RunResult(manifest, {Path(f).stem: cfg.out_dir / f for f in [*manifest["outputs"], "manifest.json"]})
 
 
 def prepare(
@@ -327,24 +321,21 @@ def write_incidence_files(out_dir: Path, m: IncidenceMatrix, delimiter: str = ",
     return paths
 
 
-def _run(cfg: PipelineConfig, out_dir: Path, kept: set[str]) -> tuple[dict, dict[str, Path]]:
-    """The manifest and the name -> path dict of every file written in
-    ``out_dir``. The manifest's ``kept`` lists the names of ``kept`` that this
-    run did not write and that exist in ``cfg.out_dir``."""
-    outputs: dict[str, Path] = {}
+def _run(cfg: PipelineConfig, out_dir: Path, manifest: dict) -> None:
+    """Writes the configured files in ``out_dir`` and fills ``manifest`` with
+    all but its ``outputs`` and ``kept`` lists."""
 
     def emit(name: str, writer, *args) -> None:
-        path = outputs[name] = out_dir / f"{name}.csv"
-        writer(path, *args, cfg.delimiter)
+        writer(out_dir / f"{name}.csv", *args, cfg.delimiter)
 
-    dropped: list[dict] = []
-    stages = dict(prepare(cfg, dropped))
+    manifest["dropped"] = []
+    stages = dict(prepare(cfg, manifest["dropped"]))
     final, raw_shape = stages["final"], stages["raw"].values.shape
     del stages  # the outputs need no other intermediate: they go before the solves
     want = set(cfg.emit)
     scores: dict[str, ComplexityScores] = {}
 
-    outputs.update(write_incidence_files(out_dir, final, cfg.delimiter))
+    write_incidence_files(out_dir, final, cfg.delimiter)
 
     with _stage("eci"):
         if want & {"eci", "compare"}:
@@ -386,10 +377,9 @@ def _run(cfg: PipelineConfig, out_dir: Path, kept: set[str]) -> tuple[dict, dict
             reports = [astuple(compare_vectors(diversity, panel, "diversity", name)) for name, panel in panels.items()]
             header = ("a", "b", "n", "pearson_r", "r_squared", "spearman_rho")
             emit("comparisons", write_rows, header, [[tuple(map(str, report)) for report in reports]])
-            outputs.update(emit_figure_data(out_dir, *diversity, panels, cfg.delimiter))
+            emit_figure_data(out_dir, *diversity, panels, cfg.delimiter)
 
-    written = sorted(path.name for path in outputs.values())
-    manifest = {
+    manifest.update({
         "input": str(cfg.input_path),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": {
@@ -402,7 +392,6 @@ def _run(cfg: PipelineConfig, out_dir: Path, kept: set[str]) -> tuple[dict, dict
             "final_locations": len(final.location_labels),
             "final_activities": len(final.activity_labels),
         },
-        "dropped": dropped,
         "tolerances": {
             "eigen_residual": EIGEN_RESIDUAL_TOL,
             "degenerate_eigenvalue": DEGENERATE_EIGENVALUE_TOL,
@@ -415,14 +404,7 @@ def _run(cfg: PipelineConfig, out_dir: Path, kept: set[str]) -> tuple[dict, dict
             "proximity_diagonal": "reported as 1, excluded from density sums",
             "standardization": "population standard deviation",
         },
-        "outputs": written,
-        "kept": sorted(name for name in kept.difference(written) if (cfg.out_dir / name).is_file()),
-    }
-    manifest_path = outputs["manifest"] = out_dir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest, outputs
+    })
 
 
 @contextmanager
@@ -434,18 +416,6 @@ def _stage(name: str, tagged=ComplexityError):
         if getattr(err, "stage", None) is None:
             err.stage = name
         raise
-
-
-def _listed_outputs(manifest_path: Path) -> set[str]:
-    """The plain file names in the ``outputs`` and ``kept`` lists of the
-    manifest at ``manifest_path``; none when it is missing or unreadable."""
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        listed = manifest["outputs"] + manifest.get("kept", [])
-    except (OSError, ValueError, KeyError, TypeError):  # TypeError: either one is not a list
-        return set()
-    return {name for name in listed if isinstance(name, str) and name not in ("", "..") and Path(name).name == name}
 
 
 def _record_drops(

@@ -112,9 +112,12 @@ def test_run_config_values_may_hold_a_hash(tmp_path):
         (["foo = 1"], [], 2),
         (["delimiter = ;;"], [], 2),
         (["emit = eci,nonsense"], [], 2),
+        (["input = {tmp}/input.csv"], [], 2),
+        (["min_location_total = 5"], [], 2),
     ],
     ids=["bad-number", "no-equals", "missing-input-flag", "missing-input-config", "iterations-key", "inf-cut",
-         "nan-min-phi", "min-phi-above-1", "inf-rca-threshold", "unknown-key", "bad-delimiter", "unknown-emit"],
+         "nan-min-phi", "min-phi-above-1", "inf-rca-threshold", "unknown-key", "bad-delimiter", "unknown-emit",
+         "repeated-key", "repeated-key-other-spelling"],
 )
 def test_run_config_problems_are_config_errors(tmp_path, config_lines, flags, exit_code):
     input_path = write_sample(tmp_path / "input.csv")
@@ -542,7 +545,12 @@ def test_world_reports_both_files(tmp_path):
     out_dir = tmp_path / "w"
     result = invoke("world", "--out-dir", out_dir)
     assert result.exit_code == 0, result.output
-    assert result.stdout == f"wrote {out_dir / 'world.txt'}\nwrote {out_dir / 'world_incidence.csv'}\n"
+    assert result.stdout == "".join(
+        f"wrote {out_dir / name}\n" for name in ("manifest.json", "world.txt", "world_incidence.csv")
+    )
+    assert json.loads((out_dir / "manifest.json").read_text()) == {
+        "outputs": ["world.txt", "world_incidence.csv"], "kept": [],
+    }
 
 
 @pytest.mark.parametrize("shape", [(3, 1), (3, 2), (4, 3), (5, 2), (6, 4), (7, 3), (3, 5)], ids=str)

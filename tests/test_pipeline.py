@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from scipy import stats
 
 from ecindex import spectral
+from ecindex.cli import main
 from ecindex._io import write_rows
 from ecindex.errors import ComplexityError, EmptyInput, InsufficientOverlap, UndecodableInput, ZeroVariance
 from ecindex.ingest import _parse_columns, parse_long_records
@@ -527,17 +529,85 @@ class TestRunPipeline:
         assert sorted(path.name for path in out_dir.iterdir()) == sorted([*last["outputs"], "manifest.json", "notes.txt"])
         assert (out_dir / "notes.txt").read_text() == "mine\n"
 
+    def test_every_command_that_writes_files_keeps_the_ledger(self, tmp_path):
+        """run, ingest, rca, incidence, then a narrower run into one
+        directory: each intermediate command lists its own file under
+        ``outputs`` and every earlier one under ``kept``, so the last run
+        removes them all and leaves no unlisted file but the user's."""
+        input_path, out_dir = block_input(tmp_path / "input.csv"), tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("mine\n")
+        common = ["--input", input_path, "--out-dir", out_dir, "--min-location-total", 5, "--min-activity-total", 5]
+
+        def manifest(*args):
+            result = CliRunner().invoke(main, [str(a) for a in (*args, *common)])
+            assert result.exit_code == 0, result.output
+            assert f"wrote {out_dir / 'manifest.json'}\n" in result.stdout
+            return json.loads((out_dir / "manifest.json").read_text())
+
+        earlier = set(manifest("run")["outputs"])
+        for command, written in (
+            ("ingest", ["output_matrix.csv"]),
+            ("rca", ["rca.csv"]),
+            ("incidence", ["diversity.csv", "incidence.csv", "ubiquity.csv"]),
+        ):
+            stage = manifest(command)
+            assert stage["outputs"] == written, command
+            assert stage["kept"] == sorted(earlier - set(written)), command
+            earlier |= set(written)
+        last = manifest("run", "--emit", "pci")
+        assert last["kept"] == []
+        found = sorted(path.name for path in out_dir.iterdir())
+        assert found == sorted([*last["outputs"], "manifest.json", "notes.txt"])
+        assert (out_dir / "notes.txt").read_text() == "mine\n"
+
+    def test_incidence_after_run_lists_its_uncut_matrix_as_its_own(self, tmp_path):
+        """incidence after run rewrites incidence.csv with the matrix before
+        the component cut (both blocks): its manifest lists that file as its
+        output and the run's scores as kept, with drop records up to prune."""
+        input_path, out_dir = block_input(tmp_path / "input.csv"), tmp_path / "out"
+        cfg = PipelineConfig(input_path=input_path, out_dir=out_dir, min_location_total=5.0, min_activity_total=5.0)
+        # three of the eight pruned locations, the Z block's among them, lie outside the component
+        assert run_pipeline(cfg).manifest["counts"]["final_locations"] == 5
+        common = ["--input", input_path, "--out-dir", out_dir, "--min-location-total", 5, "--min-activity-total", 5]
+        result = CliRunner().invoke(main, ["incidence", *map(str, common)])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert set(manifest) == {"dropped", "outputs", "kept"}
+        assert "incidence.csv" in manifest["outputs"] and "incidence.csv" not in manifest["kept"]
+        assert "eci.csv" in manifest["kept"]
+        stages = {record["stage"] for record in manifest["dropped"]}
+        assert stages <= {"left_tail_filter", "empty_margins", "prune_degenerate"}
+        assert len(read_matrix_text(out_dir / "incidence.csv")[1]) == 8
+
+    def test_a_run_removes_the_files_world_wrote_into_its_directory(self, tmp_path):
+        out_dir = tmp_path / "out"
+        cfg = PipelineConfig(
+            input_path=block_input(tmp_path / "input.csv"), out_dir=out_dir,
+            min_location_total=5.0, min_activity_total=5.0,
+        )
+        first = run_pipeline(cfg).manifest["outputs"]
+        result = CliRunner().invoke(main, ["world", "--out-dir", str(out_dir)])
+        assert result.exit_code == 0, result.output
+        world = json.loads((out_dir / "manifest.json").read_text())
+        assert world == {"outputs": ["world.txt", "world_incidence.csv"], "kept": first}
+        last = run_pipeline(cfg).manifest
+        assert not (out_dir / "world.txt").exists()
+        assert not (out_dir / "world_incidence.csv").exists()
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted([*last["outputs"], "manifest.json"])
+
     @pytest.mark.parametrize(
         "old_manifest, notes_removed",
         [
             (b'{"outputs": ["notes.txt", "../outside.txt", "sub/inner.txt", "sub", "", ".", ".."]}', True),
             (b'{"outputs": {"notes.txt": 1}}', False),
             (b'{"outputs": [], "kept": ["notes.txt"]}', True),
+            (b'{"outputs": ["manifest.json", "notes.txt"]}', True),
             (b'["notes.txt"]', False),
             (b"{not json", False),
             (b"\xff\xfe", False),
         ],
-        ids=["unsafe-names", "not-a-list", "kept-list", "no-outputs-key", "not-json", "not-utf8"],
+        ids=["unsafe-names", "not-a-list", "kept-list", "lists-its-manifest", "no-outputs-key", "not-json", "not-utf8"],
     )
     def test_rerun_removes_only_plain_names_of_a_readable_manifest(self, tmp_path, old_manifest, notes_removed):
         out_dir = tmp_path / "out"
@@ -550,6 +620,8 @@ class TestRunPipeline:
             min_location_total=5.0, min_activity_total=5.0, emit=("eci",),
         )
         run_pipeline(cfg)
+        listed = json.loads((out_dir / "manifest.json").read_text())["outputs"]
+        assert listed == ["diversity.csv", "eci.csv", "incidence.csv", "ubiquity.csv"]
         assert (out_dir / "notes.txt").exists() != notes_removed
         assert (out_dir / "sub" / "inner.txt").read_text() == "keep\n"
         assert (tmp_path / "outside.txt").read_text() == "keep\n"
@@ -716,11 +788,19 @@ class TestConfig:
             "input": "in#1.csv",
             "out_dir": "runs#2",
         }
+        path.write_text("\ufeffinput = a.csv\n", encoding="utf-8")  # saved with a UTF-8 BOM
+        assert load_config_file(path) == {"input": "a.csv"}
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("min_location_total\n")
         with pytest.raises(ValueError):
+            load_config_file(path)
+        path.write_text("input = a.csv\n\ninput = b.csv\n")
+        with pytest.raises(ValueError, match=f"^{path}: key 'input' is on line 1 and line 3$"):
+            load_config_file(path)
+        path.write_text("min-phi = 0.1\nmin_phi = 0.2\n")
+        with pytest.raises(ValueError, match="key 'min_phi' is on line 1 and line 2"):
             load_config_file(path)
 
     def test_config_validation(self, tmp_path):
@@ -741,3 +821,4 @@ class TestConfig:
         with pytest.raises(ValueError, match="min_phi must be at most 1"):
             PipelineConfig(input_path="x", out_dir="y", min_phi=2.0)
         PipelineConfig(input_path="x", out_dir="y", min_phi=1.0)  # keeps the edges of phi exactly 1
+        assert PipelineConfig(input_path="x", out_dir="y", emit=("eci", "pci", "eci")).emit == ("eci", "pci")
