@@ -98,38 +98,43 @@ def test_run_config_values_may_hold_a_hash(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config_lines, flags, exit_code",
+    "config_lines, flags, exit_code, message",
     [
-        (["min_location_total = abc"], [], 2),
-        (["emit eci"], [], 2),
-        ([], ["--input", "{tmp}/missing.csv"], 2),
-        (["input = {tmp}/missing.csv"], [], 2),
-        (["iterations = 5", "emit = reflections"], [], 0),
-        (["min-location-total = inf"], [], 2),
-        (["min_phi = nan", "emit = proximity"], [], 2),
-        (["min_phi = 2", "emit = proximity"], [], 2),
-        (["rca-threshold = inf"], [], 2),
-        (["foo = 1"], [], 2),
-        (["delimiter = ;;"], [], 2),
-        (["emit = eci,nonsense"], [], 2),
-        (["input = {tmp}/input.csv"], [], 2),
-        (["min_location_total = 5"], [], 2),
+        (["min_location_total = abc"], [], 2, "'abc' is not a valid float"),
+        (["emit eci"], [], 2, "expected 'key = value'"),
+        ([], ["--input", "{tmp}/missing.csv"], 2, "input file not found"),
+        (["input = {tmp}/missing.csv"], [], 2, "input file not found"),
+        (["iterations = 5", "emit = reflections"], [], 0, None),
+        (["min-location-total = inf"], [], 2, "min_location_total must be finite"),
+        (["min_phi = nan", "emit = proximity"], [], 2, "min_phi must be finite"),
+        (["min_phi = 2", "emit = proximity"], [], 2, "min_phi must be at most 1"),
+        (["rca-threshold = inf"], [], 2, "rca_threshold must be finite"),
+        (["foo = 1"], [], 2, "unknown config key 'foo'"),
+        (["delimiter = ;;"], [], 2, "must be a single character"),
+        (["emit = eci,nonsense"], [], 2, "unknown emit flags"),
+        (["min-location-total = 5", "min_location_total = 5"], [], 2,
+         "key 'min_location_total' is on line 3 and line 4"),
     ],
     ids=["bad-number", "no-equals", "missing-input-flag", "missing-input-config", "iterations-key", "inf-cut",
          "nan-min-phi", "min-phi-above-1", "inf-rca-threshold", "unknown-key", "bad-delimiter", "unknown-emit",
-         "repeated-key", "repeated-key-other-spelling"],
+         "repeated-key"],
 )
-def test_run_config_problems_are_config_errors(tmp_path, config_lines, flags, exit_code):
+def test_run_config_problems_are_config_errors(tmp_path, config_lines, flags, exit_code, message):
     input_path = write_sample(tmp_path / "input.csv")
     config = tmp_path / "run.conf"
-    lines = [f"input = {input_path}", "min-location-total = 5", "min-activity-total = 5"]
-    config.write_text("\n".join(lines + [line.format(tmp=tmp_path) for line in config_lines]) + "\n")
+    base = {"input": f"input = {input_path}", "min_location_total": "min-location-total = 5",
+            "min_activity_total": "min-activity-total = 5"}
+    for line in config_lines:
+        base.pop(line.partition("=")[0].strip().replace("-", "_"), None)
+    lines = list(base.values()) + [line.format(tmp=tmp_path) for line in config_lines]
+    config.write_text("\n".join(lines) + "\n")
     out_dir = tmp_path / "out"
     flags = [flag.format(tmp=tmp_path) for flag in flags]
     result = invoke("run", "--config", config, "--out-dir", out_dir, *flags)
     assert result.exit_code == exit_code, result.output
     if exit_code:
         assert result.output.startswith("error [config] ")
+        assert message in result.output
         assert "Traceback" not in result.output
         assert not out_dir.exists()
     else:
