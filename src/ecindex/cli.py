@@ -8,7 +8,9 @@ earlier command left in the output directory. ``ingest``, ``rca`` and
 ``incidence`` each write one intermediate that
 :func:`ecindex.pipeline.prepare` yields and stop there, so no later step
 runs: ``ingest`` runs parse through the empty-margin drop, ``rca`` adds RCA,
-and ``incidence`` adds binarize and prune but no component cut. Every
+and ``incidence`` adds binarize and prune but no component cut. ``prepare``
+fills their manifests as ``run``'s, less the final counts and with an empty
+``config.emit``; ``world``'s records the world's kind, sizes and seed. Every
 command that writes files writes them through :func:`ecindex._io.staged_dir`
 with a ``manifest.json`` that lists them and the earlier files it kept; only
 ``run`` removes the earlier ones. Their flags, ``run``'s and the ``run
@@ -148,14 +150,14 @@ def _matrix_command(name, doc, intermediate, write):
     ``intermediate`` matrix, and no further, and writes it with ``write``."""
 
     def step(cfg):
-        manifest = {"dropped": []}
-        matrix = next(m for key, m in prepare(cfg, manifest["dropped"]) if key == intermediate)
+        manifest = {}
+        matrix = next(m for key, m in prepare(cfg, manifest) if key == intermediate)
         with staged_dir(cfg.out_dir, manifest) as stage:
             write(stage, matrix, cfg.delimiter)
         return manifest
 
     def command(**options):
-        _report(options["out_dir"], _pipeline(step, options))
+        _report(options["out_dir"], _pipeline(step, {**options, "emit": ()}))
 
     main.command(name=name, help=doc)(_flags(*_STAGE_FLAGS)(command))
 
@@ -203,6 +205,7 @@ _emit_command("density", "Write the relatedness density matrix.")
 @click.option("--out-dir", required=True, type=click.Path(path_type=Path))
 def world(kind, locations, activities, letters_per_location, letters_per_word, num_letters, seed, delimiter, out_dir):
     """Generate a synthetic alphabet economy and its incidence matrix."""
+    manifest = {"world": {key: value for key, value in locals().items() if key not in ("delimiter", "out_dir")}}
     try:
         if kind == "nested":
             generated = generate_nested_world(locations, activities, seed)
@@ -210,7 +213,6 @@ def world(kind, locations, activities, letters_per_location, letters_per_word, n
             generated = generate_random_world(
                 locations, activities, letters_per_location, letters_per_word, seed, num_letters
             )
-        manifest = {}
         with staged_dir(out_dir, manifest) as stage:
             write_world(stage / "world.txt", generated)
             write_incidence(stage / "world_incidence.csv", world_to_incidence(generated), delimiter)

@@ -2,17 +2,18 @@
 
 :func:`prepare` runs ingest -> left-tail cut -> empty-margin drop -> RCA ->
 binarize -> prune -> largest component and yields each intermediate as its
-step finishes, so a caller that stops early runs no later step; it writes
-nothing. The ``ingest`` command stops after the empty-margin drop, ``rca``
-after RCA and ``incidence`` after prune. The runner consumes all of it, then
-emits score and relatedness files per the configured emit flags. Every label
-from the raw input either reaches an output file or appears in exactly one
-drop record of the manifest, with the stage and reason that removed it.
-:func:`run_pipeline` writes through :func:`ecindex._io.staged_dir`, which
-keeps the manifest's ledger of files and leaves the output directory as it
-was when a run fails. Reruns with identical config and input on the same
-machine with the same BLAS thread count produce byte-identical outputs; only
-the manifest timestamp differs.
+step finishes, so a caller that stops early runs no later step. It writes no
+file; it fills the manifest's input, config, start time, counts and drops.
+The ``ingest`` command stops after the empty-margin drop, ``rca`` after RCA
+and ``incidence`` after prune. The runner consumes all of it, then emits the
+files of the configured emit flags. Every label from the raw input either
+reaches an output file or appears in exactly one drop record of the
+manifest, with the stage and reason that removed it. :func:`run_pipeline`
+writes through :func:`ecindex._io.staged_dir`, which keeps the manifest's
+ledger of files and leaves the output directory as it was when a run fails.
+Reruns with identical config and input on the same machine with the same
+BLAS thread count produce byte-identical outputs; only the manifest
+timestamp differs.
 """
 
 from __future__ import annotations
@@ -94,6 +95,9 @@ class PipelineConfig:
         self.out_dir = Path(self.out_dir)
         if len(self.delimiter) != 1:
             raise ValueError("delimiter must be a single character")
+        for name in ("min_location_total", "min_activity_total", "rca_threshold", "min_phi", "reflections_iterations"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} takes a number, not {getattr(self, name)!r}")
         for name in ("min_location_total", "min_activity_total", "rca_threshold", "min_phi"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -255,14 +259,21 @@ def run_pipeline(cfg: PipelineConfig, replace: bool = True) -> RunResult:
 
 
 def prepare(
-    cfg: PipelineConfig, dropped: list[dict]
+    cfg: PipelineConfig, manifest: dict
 ) -> Iterator[tuple[str, OutputMatrix | IncidenceMatrix]]:
     """Ingest -> left-tail cut -> empty-margin drop -> RCA -> binarize -> prune
     -> largest component; a step that can refuse its input tags the error with
-    its stage. Yields ``(name, matrix)`` for ``raw``, ``nonzero``,
-    ``specialization``, ``pruned`` and ``final`` as each is made, and appends
-    the drop records of each step to ``dropped`` before it yields. A step runs
-    only when the next item is asked for. Writes nothing."""
+    its stage. Yields ``(name, matrix)`` for ``nonzero``, ``specialization``,
+    ``pruned`` and ``final`` as each is made, a step only when the next item
+    is asked for. Writes no file; fills ``manifest``'s ``input``, ``config``,
+    ``timestamp`` (the start), ``counts`` and ``dropped`` as their steps pass."""
+    manifest.update({
+        "input": str(cfg.input_path),
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("input_path", "out_dir")},
+    })
+    manifest["config"]["emit"] = list(cfg.emit)
+    dropped = manifest["dropped"] = []
     with _stage("ingest", (ComplexityError, OSError)):
         try:
             # no name holds the text or the table, so each goes once the step reading it returns
@@ -273,7 +284,7 @@ def prepare(
             ) from None
         except (EOFError, zlib.error) as err:
             raise UndecodableInput(f"{cfg.input_path}: damaged gzip data: {err}") from None
-    yield "raw", raw
+    manifest["counts"] = {"raw_locations": raw.values.shape[0], "raw_activities": raw.values.shape[1]}
 
     with _stage("left_tail_filter"):
         filtered = left_tail_filter(raw, cfg.min_location_total, cfg.min_activity_total)
@@ -304,6 +315,7 @@ def prepare(
 
     final, _ = largest_component(pruned)
     _record_drops(dropped, pruned, final, "largest_component", "outside largest connected component")
+    manifest["counts"].update(final_locations=len(final.location_labels), final_activities=len(final.activity_labels))
     yield "final", final
 
 
@@ -322,16 +334,13 @@ def write_incidence_files(out_dir: Path, m: IncidenceMatrix, delimiter: str = ",
 
 
 def _run(cfg: PipelineConfig, out_dir: Path, manifest: dict) -> None:
-    """Writes the configured files in ``out_dir`` and fills ``manifest`` with
-    all but its ``outputs`` and ``kept`` lists."""
+    """Writes the configured files in ``out_dir`` and, with :func:`prepare`,
+    fills ``manifest`` with all but its ``outputs`` and ``kept`` lists."""
 
     def emit(name: str, writer, *args) -> None:
         writer(out_dir / f"{name}.csv", *args, cfg.delimiter)
 
-    manifest["dropped"] = []
-    stages = dict(prepare(cfg, manifest["dropped"]))
-    final, raw_shape = stages["final"], stages["raw"].values.shape
-    del stages  # the outputs need no other intermediate: they go before the solves
+    final = dict(prepare(cfg, manifest))["final"]  # no other intermediate outlives this line
     want = set(cfg.emit)
     scores: dict[str, ComplexityScores] = {}
 
@@ -380,18 +389,6 @@ def _run(cfg: PipelineConfig, out_dir: Path, manifest: dict) -> None:
             emit_figure_data(out_dir, *diversity, panels, cfg.delimiter)
 
     manifest.update({
-        "input": str(cfg.input_path),
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "config": {
-            **{f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("input_path", "out_dir")},
-            "emit": list(cfg.emit),
-        },
-        "counts": {
-            "raw_locations": raw_shape[0],
-            "raw_activities": raw_shape[1],
-            "final_locations": len(final.location_labels),
-            "final_activities": len(final.activity_labels),
-        },
         "tolerances": {
             "eigen_residual": EIGEN_RESIDUAL_TOL,
             "degenerate_eigenvalue": DEGENERATE_EIGENVALUE_TOL,

@@ -528,6 +528,10 @@ def test_world_nested_and_random(tmp_path):
     world_text = (nested_dir / "world.txt").read_text()
     assert world_text.startswith("seed: 3\n")
     assert (nested_dir / "world_incidence.csv").exists()
+    assert json.loads((nested_dir / "manifest.json").read_text())["world"] == {
+        "kind": "nested", "locations": 6, "activities": 12, "letters_per_location": 8,
+        "letters_per_word": 3, "num_letters": 12, "seed": 3,
+    }
 
     random_dir = tmp_path / "random"
     result = invoke(
@@ -536,6 +540,10 @@ def test_world_nested_and_random(tmp_path):
         "--num-letters", 8, "--seed", 4, "--out-dir", random_dir,
     )
     assert result.exit_code == 0, result.output
+    assert json.loads((random_dir / "manifest.json").read_text())["world"] == {
+        "kind": "random", "locations": 5, "activities": 8, "letters_per_location": 6,
+        "letters_per_word": 2, "num_letters": 8, "seed": 4,
+    }
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -555,6 +563,10 @@ def test_world_reports_both_files(tmp_path):
     )
     assert json.loads((out_dir / "manifest.json").read_text()) == {
         "outputs": ["world.txt", "world_incidence.csv"], "kept": [],
+        "world": {
+            "kind": "nested", "locations": 10, "activities": 20, "letters_per_location": 8,
+            "letters_per_word": 3, "num_letters": 12, "seed": 0,
+        },
     }
 
 

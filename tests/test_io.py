@@ -371,7 +371,7 @@ def test_comparisons_write_what_csv_writes(tmp_path, delimiter):
         writer.writerows((f"L{c}", f"A{p}", int(values[c, p])) for c, p in zip(*np.nonzero(values)))
     cfg = PipelineConfig(input_path=tmp_path / "in.csv", out_dir=tmp_path / "out", delimiter=delimiter, emit=("compare",))
     result = run_pipeline(cfg)
-    final = dict(prepare(cfg, []))["final"]
+    final = dict(prepare(cfg, {}))["final"]
     first, second, _ = extensive_scores(final)
     diversity = (final.location_labels, final.diversity.astype(float))
     rows = [

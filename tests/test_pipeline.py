@@ -266,6 +266,10 @@ class TestRunPipeline:
         assert stages["tinyact"] == "left_tail_filter"
         assert stages["zeroloc"] == "left_tail_filter"  # total 0 < 5
         assert stages["Z0"] == "largest_component"
+        assert manifest["counts"] == {
+            "raw_locations": len(raw_locations), "raw_activities": len(raw_activities),
+            "final_locations": len(scored_locations), "final_activities": len(scored_activities),
+        }
 
     def test_zero_output_dropped_at_empty_margins_without_thresholds(self, tmp_path):
         input_path = tmp_path / "input.csv"
@@ -327,7 +331,7 @@ class TestRunPipeline:
             min_location_total=5.0, min_activity_total=5.0,
         )
         result = run_pipeline(cfg)
-        expected = eci(dict(prepare(cfg, []))["final"])
+        expected = eci(dict(prepare(cfg, {}))["final"])
         labels, values = read_scores_file(result.outputs["eci"])
         assert labels == expected.labels
         assert np.array_equal(values, expected.standardized)
@@ -564,7 +568,9 @@ class TestRunPipeline:
     def test_incidence_after_run_lists_its_uncut_matrix_as_its_own(self, tmp_path):
         """incidence after run rewrites incidence.csv with the matrix before
         the component cut (both blocks): its manifest lists that file as its
-        output and the run's scores as kept, with drop records up to prune."""
+        output and the run's scores as kept, with drop records up to prune,
+        and describes its own run: the input, its threshold and the raw
+        counts, but no final counts, since it made no component cut."""
         input_path, out_dir = block_input(tmp_path / "input.csv"), tmp_path / "out"
         cfg = PipelineConfig(input_path=input_path, out_dir=out_dir, min_location_total=5.0, min_activity_total=5.0)
         # three of the eight pruned locations, the Z block's among them, lie outside the component
@@ -573,12 +579,35 @@ class TestRunPipeline:
         result = CliRunner().invoke(main, ["incidence", *map(str, common)])
         assert result.exit_code == 0, result.output
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert set(manifest) == {"dropped", "outputs", "kept"}
+        assert set(manifest) == {"input", "timestamp", "config", "counts", "dropped", "outputs", "kept"}
+        assert manifest["input"] == str(input_path)
+        assert manifest["config"]["rca_threshold"] == cfg.rca_threshold
+        assert set(manifest["counts"]) == {"raw_locations", "raw_activities"}
         assert "incidence.csv" in manifest["outputs"] and "incidence.csv" not in manifest["kept"]
         assert "eci.csv" in manifest["kept"]
         stages = {record["stage"] for record in manifest["dropped"]}
         assert stages <= {"left_tail_filter", "empty_margins", "prune_degenerate"}
         assert len(read_matrix_text(out_dir / "incidence.csv")[1]) == 8
+
+    @pytest.mark.parametrize("command", ["ingest", "rca", "incidence"])
+    def test_a_stage_command_describes_its_run_as_run_does(self, tmp_path, command):
+        """ingest, rca and incidence record the input, config (but an empty
+        emit) and raw counts that run records on the same input, and the drop
+        records of the steps they ran, which open run's list."""
+        common = ["--input", block_input(tmp_path / "input.csv"), "--min-location-total", 5, "--min-activity-total", 5]
+
+        def manifest(name):
+            result = CliRunner().invoke(main, [str(a) for a in (name, *common, "--out-dir", tmp_path / name)])
+            assert result.exit_code == 0, result.output
+            return json.loads((tmp_path / name / "manifest.json").read_text())
+
+        run, stage = manifest("run"), manifest(command)
+        assert stage["input"] == run["input"]
+        assert (stage["config"].pop("emit"), run["config"].pop("emit")) == ([], list(EMIT_CHOICES))
+        assert stage["config"] == run["config"]
+        assert stage["counts"] == {key: run["counts"][key] for key in ("raw_locations", "raw_activities")}
+        assert 0 < len(stage["dropped"]) < len(run["dropped"])  # the component cut drops the Z block
+        assert stage["dropped"] == run["dropped"][:len(stage["dropped"])]
 
     def test_a_run_removes_the_files_world_wrote_into_its_directory(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -590,7 +619,7 @@ class TestRunPipeline:
         result = CliRunner().invoke(main, ["world", "--out-dir", str(out_dir)])
         assert result.exit_code == 0, result.output
         world = json.loads((out_dir / "manifest.json").read_text())
-        assert world == {"outputs": ["world.txt", "world_incidence.csv"], "kept": first}
+        assert (world["outputs"], world["kept"]) == (["world.txt", "world_incidence.csv"], first)
         last = run_pipeline(cfg).manifest
         assert not (out_dir / "world.txt").exists()
         assert not (out_dir / "world_incidence.csv").exists()
@@ -755,14 +784,16 @@ class TestRunPipeline:
             input_path=block_input(tmp_path / "input.csv"), out_dir=tmp_path / "out",
             min_location_total=5.0, min_activity_total=5.0, emit=("eci",),
         )
-        dropped = []
-        stages = dict(prepare(cfg, dropped))
-        assert list(stages) == ["raw", "nonzero", "specialization", "pruned", "final"]
+        prepared = {}
+        stages = dict(prepare(cfg, prepared))
+        assert list(stages) == ["nonzero", "specialization", "pruned", "final"]
         assert not cfg.out_dir.exists()
         final = stages["final"]
         assert set(final.location_labels) < set(stages["pruned"].location_labels)
         result = run_pipeline(cfg)
-        assert result.manifest["dropped"] == dropped
+        assert set(prepared) == {"input", "timestamp", "config", "counts", "dropped"}
+        del prepared["timestamp"]
+        assert prepared == {key: result.manifest[key] for key in prepared}
         values, location_labels, activity_labels = read_matrix_text(result.outputs["incidence"])
         assert (location_labels, activity_labels) == (final.location_labels, final.activity_labels)
         assert np.array_equal(values, final.values)
@@ -818,6 +849,10 @@ class TestConfig:
             PipelineConfig(input_path="x", out_dir="y", reflections_iterations=2.5)
         with pytest.raises(ValueError, match=r"tuple of flags, such as \('eci',\)"):
             PipelineConfig(input_path="x", out_dir="y", emit="eci")
+        for name in ("min_location_total", "min_activity_total", "rca_threshold", "min_phi", "reflections_iterations"):
+            for flag in (True, np.True_, False):
+                with pytest.raises(ValueError, match=f"^{name} takes a number, not "):
+                    PipelineConfig(input_path="x", out_dir="y", **{name: flag})
         with pytest.raises(ValueError, match="min_phi must be at most 1"):
             PipelineConfig(input_path="x", out_dir="y", min_phi=2.0)
         PipelineConfig(input_path="x", out_dir="y", min_phi=1.0)  # keeps the edges of phi exactly 1
