@@ -9,8 +9,9 @@ earlier command left in the output directory. ``ingest``, ``rca`` and
 :func:`ecindex.pipeline.prepare` yields and stop there, so no later step
 runs: ``ingest`` runs parse through the empty-margin drop, ``rca`` adds RCA,
 and ``incidence`` adds binarize and prune but no component cut. ``prepare``
-fills their manifests as ``run``'s, less the final counts and with an empty
-``config.emit``; ``world``'s records the world's kind, sizes and seed. Every
+fills their manifests as ``run``'s, less the final counts and the settings
+of later steps: a command takes the flags of the steps it runs. ``world``'s
+records the world's kind, sizes and seed, and a random world's letters. Every
 command that writes files writes them through :func:`ecindex._io.staged_dir`
 with a ``manifest.json`` that lists them and the earlier files it kept; only
 ``run`` removes the earlier ones. Their flags, ``run``'s and the ``run
@@ -94,7 +95,7 @@ _FLAGS = (
 )
 _CONFIG_KEYS = {flag.name.replace("-", "_"): flag for flag in _FLAGS}
 _DEFAULTS = {f.name: f.default for f in fields(PipelineConfig) if f.default is not MISSING}
-_STAGE_FLAGS = ("input", "delimiter", "min-location-total", "min-activity-total", "rca-threshold", "out-dir")
+_INPUT_FLAGS = ("input", "delimiter", "min-location-total", "min-activity-total", "out-dir")
 
 
 def _flags(*names: str, config_file: bool = False):
@@ -145,9 +146,9 @@ def main():
     """Eigenvector-based complexity indices from location-activity data."""
 
 
-def _matrix_command(name, doc, intermediate, write):
-    """A stage command that runs :func:`ecindex.pipeline.prepare` up to its
-    ``intermediate`` matrix, and no further, and writes it with ``write``."""
+def _matrix_command(name, doc, intermediate, write, *extra_flags):
+    """A stage command, with the input flags and ``extra_flags``, that runs :func:`ecindex.pipeline.prepare`
+    up to its ``intermediate`` matrix, and no further, and writes it with ``write``."""
 
     def step(cfg):
         manifest = {}
@@ -157,9 +158,9 @@ def _matrix_command(name, doc, intermediate, write):
         return manifest
 
     def command(**options):
-        _report(options["out_dir"], _pipeline(step, {**options, "emit": ()}))
+        _report(options["out_dir"], _pipeline(step, options))
 
-    main.command(name=name, help=doc)(_flags(*_STAGE_FLAGS)(command))
+    main.command(name=name, help=doc)(_flags(*_INPUT_FLAGS, *extra_flags)(command))
 
 
 def _write_labeled(stem, out_dir, m: OutputMatrix, delimiter):
@@ -171,7 +172,7 @@ _matrix_command("ingest", "Parse, aggregate and size-filter the input into an ou
                 partial(_write_labeled, "output_matrix"))
 _matrix_command("rca", "Write the specialization (RCA) matrix.", "specialization", partial(_write_labeled, "rca"))
 _matrix_command("incidence", "Write the pruned binary incidence matrix (before the component cut) with diversity "
-                "and ubiquity.", "pruned", write_incidence_files)
+                "and ubiquity.", "pruned", write_incidence_files, "rca-threshold")
 
 
 def _emit_command(name, doc, *extra_flags):
@@ -182,7 +183,7 @@ def _emit_command(name, doc, *extra_flags):
         result = _pipeline(partial(run_pipeline, replace=False), {**options, "emit": (name,)})
         _report(options["out_dir"], result.manifest)
 
-    main.command(name=name, help=doc)(_flags(*_STAGE_FLAGS, *extra_flags)(command))
+    main.command(name=name, help=doc)(_flags(*_INPUT_FLAGS, "rca-threshold", *extra_flags)(command))
 
 
 _emit_command("eci", "Write ECI scores (label, raw, standardized, rank).")
@@ -197,22 +198,20 @@ _emit_command("density", "Write the relatedness density matrix.")
 @click.option("--kind", type=click.Choice(["nested", "random"]), default="nested", show_default=True)
 @click.option("--locations", default=10, show_default=True)
 @click.option("--activities", default=20, show_default=True)
-@click.option("--letters-per-location", default=8, show_default=True)
-@click.option("--letters-per-word", default=3, show_default=True)
-@click.option("--num-letters", default=12, show_default=True)
+@click.option("--letters-per-location", default=8, show_default=True, help="(--kind random only)")
+@click.option("--letters-per-word", default=3, show_default=True, help="(--kind random only)")
+@click.option("--num-letters", default=12, show_default=True, help="(--kind random only)")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--delimiter", default=",", show_default=True, type=_Delimiter())
 @click.option("--out-dir", required=True, type=click.Path(path_type=Path))
 def world(kind, locations, activities, letters_per_location, letters_per_word, num_letters, seed, delimiter, out_dir):
     """Generate a synthetic alphabet economy and its incidence matrix."""
-    manifest = {"world": {key: value for key, value in locals().items() if key not in ("delimiter", "out_dir")}}
+    letters = {} if kind == "nested" else dict(
+        letters_per_location=letters_per_location, letters_per_word=letters_per_word, num_letters=num_letters)
+    manifest = {"world": {"kind": kind, "locations": locations, "activities": activities, "seed": seed, **letters}}
     try:
-        if kind == "nested":
-            generated = generate_nested_world(locations, activities, seed)
-        else:
-            generated = generate_random_world(
-                locations, activities, letters_per_location, letters_per_word, seed, num_letters
-            )
+        generated = (generate_random_world if letters else generate_nested_world)(
+            locations, activities, seed=seed, **letters)
         with staged_dir(out_dir, manifest) as stage:
             write_world(stage / "world.txt", generated)
             write_incidence(stage / "world_incidence.csv", world_to_incidence(generated), delimiter)

@@ -3,17 +3,18 @@
 :func:`prepare` runs ingest -> left-tail cut -> empty-margin drop -> RCA ->
 binarize -> prune -> largest component and yields each intermediate as its
 step finishes, so a caller that stops early runs no later step. It writes no
-file; it fills the manifest's input, config, start time, counts and drops.
-The ``ingest`` command stops after the empty-margin drop, ``rca`` after RCA
-and ``incidence`` after prune. The runner consumes all of it, then emits the
-files of the configured emit flags. Every label from the raw input either
-reaches an output file or appears in exactly one drop record of the
-manifest, with the stage and reason that removed it. :func:`run_pipeline`
-writes through :func:`ecindex._io.staged_dir`, which keeps the manifest's
-ledger of files and leaves the output directory as it was when a run fails.
-Reruns with identical config and input on the same machine with the same
-BLAS thread count produce byte-identical outputs; only the manifest
-timestamp differs.
+file; it fills the manifest's input, start time, counts and drops, and its
+config with each setting as the step that reads it runs. The ``ingest``
+command stops after the empty-margin drop, ``rca`` after RCA and
+``incidence`` after prune. The runner consumes all of it, then emits the
+files of the configured emit flags, recording their settings. Every label
+from the raw input either reaches an output file or appears in exactly one
+drop record of the manifest, with the stage and reason that removed it.
+:func:`run_pipeline` writes through :func:`ecindex._io.staged_dir`, which
+keeps the manifest's ledger of files and leaves the output directory as it
+was when a run fails. Reruns with identical config and input on the same
+machine with the same BLAS thread count produce byte-identical outputs; only
+the manifest timestamp differs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import csv
 import re
 import zlib
 from contextlib import contextmanager
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
@@ -265,14 +266,14 @@ def prepare(
     -> largest component; a step that can refuse its input tags the error with
     its stage. Yields ``(name, matrix)`` for ``nonzero``, ``specialization``,
     ``pruned`` and ``final`` as each is made, a step only when the next item
-    is asked for. Writes no file; fills ``manifest``'s ``input``, ``config``,
-    ``timestamp`` (the start), ``counts`` and ``dropped`` as their steps pass."""
+    is asked for. Writes no file; fills ``manifest``'s ``input``, ``timestamp``
+    (the start), ``counts``, ``dropped`` and ``config`` as their steps pass:
+    ``rca_threshold`` joins the input settings after ``specialization``."""
     manifest.update({
         "input": str(cfg.input_path),
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("input_path", "out_dir")},
+        "config": {name: getattr(cfg, name) for name in ("delimiter", "min_location_total", "min_activity_total")},
     })
-    manifest["config"]["emit"] = list(cfg.emit)
     dropped = manifest["dropped"] = []
     with _stage("ingest", (ComplexityError, OSError)):
         try:
@@ -303,6 +304,7 @@ def prepare(
         specialization = compute_rca(nonzero)
     yield "specialization", specialization
 
+    manifest["config"]["rca_threshold"] = cfg.rca_threshold
     unpruned = binarize(specialization, cfg.rca_threshold)
 
     with _stage("prune_degenerate"):
@@ -341,6 +343,7 @@ def _run(cfg: PipelineConfig, out_dir: Path, manifest: dict) -> None:
         writer(out_dir / f"{name}.csv", *args, cfg.delimiter)
 
     final = dict(prepare(cfg, manifest))["final"]  # no other intermediate outlives this line
+    manifest["config"]["emit"] = list(cfg.emit)
     want = set(cfg.emit)
     scores: dict[str, ComplexityScores] = {}
 
@@ -368,6 +371,7 @@ def _run(cfg: PipelineConfig, out_dir: Path, manifest: dict) -> None:
         if want & {"proximity", "density"}:
             phi = proximity(final)
         if "proximity" in want:
+            manifest["config"]["min_phi"] = cfg.min_phi
             emit("proximity_matrix", write_proximity, phi)
             emit("proximity_edges", write_proximity_edges, phi, cfg.min_phi)
         if "density" in want:
@@ -375,6 +379,7 @@ def _run(cfg: PipelineConfig, out_dir: Path, manifest: dict) -> None:
 
     with _stage("reflections"):
         if "reflections" in want:
+            manifest["config"]["reflections_iterations"] = cfg.reflections_iterations
             traj = method_of_reflections(final, cfg.reflections_iterations)
             emit("reflections_locations", _write_trajectory, traj.location_labels, traj.kc, traj.kc_zscored)
             emit("reflections_activities", _write_trajectory, traj.activity_labels, traj.kp, traj.kp_zscored)
@@ -459,6 +464,8 @@ def _as_labeled(x) -> tuple[tuple[str, ...], np.ndarray]:
         raise ValueError(f"{len(labels)} labels for values of shape {values.shape}")
     if len(set(labels)) != len(labels):
         raise ValueError("a label repeats")
+    if not (finite := np.isfinite(values)).all():
+        raise ValueError(f"label {labels[finite.argmin()]!r}: value {values[finite.argmin()]} is not finite")
     return labels, values
 
 
@@ -480,9 +487,7 @@ def _distinct(x: np.ndarray) -> bool:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing the mean of their positions; all NaN when
-    ``x`` holds a NaN. The same ranks as ``scipy.stats.rankdata(x)``."""
-    if np.isnan(x).any():
-        return np.full(len(x), np.nan)
+    """1-based ranks, ties sharing the mean of their positions: the same ranks
+    as ``scipy.stats.rankdata(x)`` for a finite ``x``."""
     s = np.sort(x)
     return (np.searchsorted(s, x, side="left") + np.searchsorted(s, x, side="right") + 1) / 2

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from click.testing import CliRunner
 import ecindex
 from ecindex import pipeline
 from ecindex.cli import main
-from ecindex.pipeline import read_scores_file
+from ecindex.pipeline import PipelineConfig, read_scores_file
 
 from oracles import read_matrix_text
 from test_pipeline import block_input, damaged_gzip
@@ -142,14 +143,14 @@ def test_run_config_problems_are_config_errors(tmp_path, config_lines, flags, ex
         assert manifest["config"]["reflections_iterations"] == 5
 
 
-STAGE_FLAGS = {
+INPUT_FLAGS = {
     ("--input", "path", None, True),
     ("--delimiter", "text", ",", False),
     ("--min-location-total", "float", 0.0, False),
     ("--min-activity-total", "float", 0.0, False),
-    ("--rca-threshold", "float", 1.0, False),
     ("--out-dir", "path", None, True),
 }
+STAGE_FLAGS = INPUT_FLAGS | {("--rca-threshold", "float", 1.0, False)}
 RUN_FLAGS = [
     ("--config", "path"), ("--input", "path"), ("--delimiter", "text"),
     ("--min-location-total", "float"), ("--min-activity-total", "float"), ("--rca-threshold", "float"),
@@ -157,7 +158,8 @@ RUN_FLAGS = [
 ]
 # (flag, type, default, required) of every pipeline command: the surface scripts and config files rely on
 PIPELINE_COMMAND_FLAGS = {
-    **{name: STAGE_FLAGS for name in ("ingest", "rca", "incidence", "eci", "pci", "extensive", "density")},
+    **{name: INPUT_FLAGS for name in ("ingest", "rca")},
+    **{name: STAGE_FLAGS for name in ("incidence", "eci", "pci", "extensive", "density")},
     "reflections": STAGE_FLAGS | {("--iterations", "integer", 20, False)},
     "proximity": STAGE_FLAGS | {("--min-phi", "float", 0.0, False)},
     "run": {(flag, kind, None, False) for flag, kind in RUN_FLAGS},
@@ -177,6 +179,26 @@ def test_pipeline_command_flags_keep_their_defaults(command):
         assert flag in result.output
         if default is not None:
             assert f"[default: {default}]" in " ".join(result.output.split())
+    for flag, _ in RUN_FLAGS:
+        assert (flag in result.output) == (flag in {f for f, *_ in PIPELINE_COMMAND_FLAGS[command]}), flag
+
+
+@pytest.mark.parametrize("command", sorted(PIPELINE_COMMAND_FLAGS))
+def test_a_command_records_the_settings_of_the_flags_it_takes(tmp_path, command):
+    """A pipeline command's manifest config holds the PipelineConfig fields of
+    its flags, less the input and output paths, and emit when the full
+    pipeline writes its files: the flag lists and the recorded settings stay
+    one list. run, at its default emit, records all seven."""
+    out_dir = tmp_path / "out"
+    result = invoke(command, "--input", write_sample(tmp_path / "input.csv"), "--out-dir", out_dir,
+                    "--min-location-total", 5, "--min-activity-total", 5)
+    assert result.exit_code == 0, result.output
+    config = json.loads((out_dir / "manifest.json").read_text())["config"]
+    settings = {f.name for f in fields(PipelineConfig)} - {"input_path", "out_dir"}
+    taken = {p.name for p in main.commands[command].params} & settings
+    assert set(config) == (taken if command in ("ingest", "rca", "incidence") else taken | {"emit"})
+    if command == "run":
+        assert set(config) == settings and len(settings) == 7
 
 
 RUN_SETTINGS = {
@@ -332,9 +354,10 @@ def test_stage_subcommand_failures_are_stage_tagged(tmp_path):
     "command, filename",
     [("ingest", "output_matrix.csv"), ("rca", "rca.csv"), ("incidence", None), ("run", None)],
 )
-def test_stage_commands_run_only_the_steps_they_write(tmp_path, command, filename):
+def test_stage_commands_run_only_the_steps_they_write(tmp_path, monkeypatch, command, filename):
     # every RCA of the flat table is 1, so at threshold 2 pruning empties it:
-    # ingest and rca stop before that step, incidence and run reach it
+    # incidence and run reach that step; ingest and rca take no threshold and
+    # stop before binarize, which fails here if it is called
     flat = tmp_path / "flat.csv"
     flat.write_text("location,activity,value\nA,x,1\nA,y,1\nB,x,1\nB,y,1\n")
     out_dir = tmp_path / "out"
@@ -344,6 +367,15 @@ def test_stage_commands_run_only_the_steps_they_write(tmp_path, command, filenam
         assert result.stderr.startswith("error [prune_degenerate] ") and result.stderr.count("\n") == 1
         assert not out_dir.exists()
     else:
+        assert result.exit_code == 2 and "No such option" in result.stderr, result.output
+        assert "--rca-threshold" in result.stderr
+        assert not out_dir.exists()
+
+        def binarize(*args):
+            raise AssertionError(f"{command} ran binarize")
+
+        monkeypatch.setattr("ecindex.pipeline.binarize", binarize)
+        result = invoke(command, "--input", flat, "--out-dir", out_dir)
         assert result.exit_code == 0, result.output
         values, location_labels, activity_labels = read_matrix_text(out_dir / filename)
         assert (location_labels, activity_labels) == (("A", "B"), ("x", "y"))
@@ -528,9 +560,9 @@ def test_world_nested_and_random(tmp_path):
     world_text = (nested_dir / "world.txt").read_text()
     assert world_text.startswith("seed: 3\n")
     assert (nested_dir / "world_incidence.csv").exists()
+    # the nested generator reads no letter counts, so none is recorded
     assert json.loads((nested_dir / "manifest.json").read_text())["world"] == {
-        "kind": "nested", "locations": 6, "activities": 12, "letters_per_location": 8,
-        "letters_per_word": 3, "num_letters": 12, "seed": 3,
+        "kind": "nested", "locations": 6, "activities": 12, "seed": 3,
     }
 
     random_dir = tmp_path / "random"
@@ -563,10 +595,7 @@ def test_world_reports_both_files(tmp_path):
     )
     assert json.loads((out_dir / "manifest.json").read_text()) == {
         "outputs": ["world.txt", "world_incidence.csv"], "kept": [],
-        "world": {
-            "kind": "nested", "locations": 10, "activities": 20, "letters_per_location": 8,
-            "letters_per_word": 3, "num_letters": 12, "seed": 0,
-        },
+        "world": {"kind": "nested", "locations": 10, "activities": 20, "seed": 0},
     }
 
 

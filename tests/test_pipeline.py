@@ -139,8 +139,10 @@ class TestCompareVectors:
         "pair, message",
         [((("x", "y", "z"), [1.0, 2.0]), "3 labels for values of shape"),
          ((("x", "y"), [1.0, 2.0, 3.0]), "2 labels for values of shape"),
-         ((("a", "a", "b", "c"), [1.0, 2.0, 3.0, 4.0]), "a label repeats")],
-        ids=["fewer-values", "more-values", "repeated-label"],
+         ((("a", "a", "b", "c"), [1.0, 2.0, 3.0, 4.0]), "a label repeats"),
+         ((("x", "y", "z", "w"), [1.0, np.nan, 3.0, np.inf]), "label 'y': value nan is not finite"),
+         ((("x", "y", "z", "w"), [1.0, 2.0, -np.inf, 4.0]), "label 'z': value -inf is not finite")],
+        ids=["fewer-values", "more-values", "repeated-label", "nan", "inf"],
     )
     def test_a_malformed_pair_is_a_value_error(self, pair, message):
         other = (("a", "b", "c"), np.array([1.0, 2.0, 4.0]))
@@ -179,7 +181,7 @@ class TestCompareVectors:
 
 def test_average_ranks_match_scipy_rankdata():
     rng = np.random.default_rng(5)
-    cases = [np.array([0.0, -0.0, 1.0, -0.0]), np.array([2.0, np.nan, 1.0]), np.array([3.0])]
+    cases = [np.array([0.0, -0.0, 1.0, -0.0]), np.array([3.0])]
     for n in range(1, 40):
         x = rng.integers(-3, 4, n).astype(float)  # many ties
         x[rng.random(n) < 0.2] = -0.0
@@ -397,6 +399,28 @@ class TestRunPipeline:
             results.append(run_pipeline(cfg))
         self.assert_same_run(*results)
 
+    def test_renaming_labels_in_order_changes_no_byte(self, tmp_path):
+        """A label is a name and nothing more: one marker in front of every
+        label keeps their order, so with the marker stripped every file but
+        the manifest has the plain run's bytes."""
+        marker = b"q@"
+        plain = block_input(tmp_path / "plain.csv")
+        header, *rows = plain.read_bytes().splitlines()
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\n".join([header, *(marker + row.replace(b",", b"," + marker, 1) for row in rows)]) + b"\n")
+        results = [
+            run_pipeline(PipelineConfig(
+                input_path=path, out_dir=tmp_path / path.stem, min_location_total=5.0, min_activity_total=5.0,
+            )).outputs
+            for path in (plain, marked)
+        ]
+        assert results[0].keys() == results[1].keys() and results[0].keys() - {"manifest"} >= {"eci", "density"}
+        assert marker in results[1]["eci"].read_bytes()
+        for name, path in results[0].items():
+            if name != "manifest":
+                assert marker not in path.read_bytes(), name
+                assert results[1][name].read_bytes().replace(marker, b"") == path.read_bytes(), name
+
     def test_empty_input_tagged_with_ingest_stage(self, tmp_path):
         input_path = tmp_path / "empty.csv"
         input_path.write_text("location,activity,value\n")
@@ -591,9 +615,9 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("command", ["ingest", "rca", "incidence"])
     def test_a_stage_command_describes_its_run_as_run_does(self, tmp_path, command):
-        """ingest, rca and incidence record the input, config (but an empty
-        emit) and raw counts that run records on the same input, and the drop
-        records of the steps they ran, which open run's list."""
+        """ingest, rca and incidence record the input, the settings of the
+        steps they ran and the raw counts as run records them on the same
+        input, and the drop records of those steps, which open run's list."""
         common = ["--input", block_input(tmp_path / "input.csv"), "--min-location-total", 5, "--min-activity-total", 5]
 
         def manifest(name):
@@ -603,8 +627,7 @@ class TestRunPipeline:
 
         run, stage = manifest("run"), manifest(command)
         assert stage["input"] == run["input"]
-        assert (stage["config"].pop("emit"), run["config"].pop("emit")) == ([], list(EMIT_CHOICES))
-        assert stage["config"] == run["config"]
+        assert stage["config"] == {key: run["config"][key] for key in stage["config"]}
         assert stage["counts"] == {key: run["counts"][key] for key in ("raw_locations", "raw_activities")}
         assert 0 < len(stage["dropped"]) < len(run["dropped"])  # the component cut drops the Z block
         assert stage["dropped"] == run["dropped"][:len(stage["dropped"])]
@@ -793,6 +816,8 @@ class TestRunPipeline:
         result = run_pipeline(cfg)
         assert set(prepared) == {"input", "timestamp", "config", "counts", "dropped"}
         del prepared["timestamp"]
+        # an eci run adds only its emit to the settings prepare's steps read
+        assert result.manifest["config"].pop("emit") == ["eci"]
         assert prepared == {key: result.manifest[key] for key in prepared}
         values, location_labels, activity_labels = read_matrix_text(result.outputs["incidence"])
         assert (location_labels, activity_labels) == (final.location_labels, final.activity_labels)
