@@ -2,7 +2,8 @@
 
 The pipeline order is: normalize output into specialization ratios, binarize
 at a threshold (default 1.0, inclusive), then prune rows/columns that end up
-all-zero so downstream averaging never divides by zero.
+all-zero so downstream averaging never divides by zero. Each step's result is
+valid by construction and built unchecked; ``from_values`` checks outside input.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from ._io import write_matrix
 from .errors import DegenerateMargins, EmptyAfterPrune, OutOfRange, ZeroMargin
-from .ingest import OutputMatrix, restrict
+from .ingest import OutputMatrix, checked_labels, restrict
 
 
 @dataclass(frozen=True)
@@ -24,27 +25,21 @@ class IncidenceMatrix:
 
     ``diversity[c]`` counts the activities of location ``c`` (row sum) and
     ``ubiquity[p]`` the locations of activity ``p`` (column sum). Margins may
-    contain zeros until :func:`prune_degenerate` has run.
+    contain zeros until :func:`prune_degenerate` has run. :meth:`from_values` checks the
+    cells (0 or 1) and labels; the plain constructor trusts its producer, such as :func:`binarize`.
     """
 
     values: np.ndarray
     location_labels: tuple[str, ...]
     activity_labels: tuple[str, ...]
 
-    def __post_init__(self):
-        values = self.values
-        if values.shape != (len(self.location_labels), len(self.activity_labels)):
-            raise ValueError("matrix shape does not match label counts")
-        if not ((values == 0) | (values == 1)).all():
-            raise ValueError("incidence entries must be 0 or 1")
-
     @classmethod
     def from_values(cls, values, location_labels, activity_labels) -> "IncidenceMatrix":
         source = np.asarray(values)
-        values = np.ascontiguousarray(source, dtype=np.int64)
-        if values.size and not np.array_equal(values, source):
+        if not ((source == 0) | (source == 1)).all():
             raise ValueError("incidence entries must be 0 or 1")
-        return cls(values, tuple(location_labels), tuple(activity_labels))
+        values = np.ascontiguousarray(source, dtype=np.int64)
+        return cls(values, *checked_labels(values, location_labels, activity_labels))
 
     @cached_property
     def diversity(self) -> np.ndarray:
@@ -95,9 +90,7 @@ def binarize(r: OutputMatrix, threshold: float = 1.0) -> IncidenceMatrix:
     """
     if not threshold > 0:
         raise ValueError("threshold must be positive")
-    return IncidenceMatrix.from_values(
-        r.values >= threshold, r.location_labels, r.activity_labels
-    )
+    return IncidenceMatrix((r.values >= threshold).astype(np.int64), r.location_labels, r.activity_labels)
 
 
 def prune_degenerate(m: IncidenceMatrix) -> tuple[IncidenceMatrix, list[PruneRecord]]:

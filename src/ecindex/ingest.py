@@ -30,6 +30,10 @@ than ``csv.field_size_limit()`` (the converters refuse both). Text that
 ``float`` reads and numpy does not, such as ``1_000``, takes the record parser
 too. Every error and its 1-based line number come from the record parser, and
 both paths build the same :class:`LongTable` from the same table.
+
+Both matrix types' ``from_values`` check outside input, such as the pivot of a
+hand-built :class:`LongTable`; the pipeline's producers (``compute_rca``, ``binarize``,
+:func:`restrict` and its cuts, ``relatedness_density``) build unchecked.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import csv
 import gzip
 import io
 import math
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -46,7 +51,7 @@ from typing import IO, BinaryIO, Iterable, Iterator
 import numpy as np
 
 from . import _io
-from .errors import EmptyInput, MalformedLine, NegativeValue, NonNumericValue, OutOfRange
+from .errors import EmptyInput, MalformedLine, NegativeValue, NonNumericValue, OutOfRange, UndecodableInput
 
 #: the fields numpy's C reader parses each data row into: two label codes and the value
 _ROW = np.dtype([("l", np.intp), ("a", np.intp), ("v", "f8")])
@@ -69,12 +74,25 @@ class LongTable:
         return len(self.values)
 
 
+def checked_labels(values: np.ndarray, location_labels, activity_labels) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The labels of a matrix built outside the pipeline, as tuples; raises ``ValueError``
+    when ``values``' shape does not match the label counts or an axis repeats a label."""
+    location_labels, activity_labels = tuple(location_labels), tuple(activity_labels)
+    if values.shape != (len(location_labels), len(activity_labels)):
+        raise ValueError("matrix shape does not match label counts")
+    if len(set(location_labels)) != len(location_labels):
+        raise ValueError("duplicate location labels")
+    if len(set(activity_labels)) != len(activity_labels):
+        raise ValueError("duplicate activity labels")
+    return location_labels, activity_labels
+
+
 @dataclass(frozen=True)
 class OutputMatrix:
     """Dense finite nonnegative location-activity matrix with distinct labels:
     the pivoted output, its RCA ratios or a relatedness density. Margins derive
     from ``values``. :meth:`from_values` checks the cells and labels; the plain
-    constructor trusts its producer, such as RCA and density."""
+    constructor trusts its producer, such as RCA, :func:`restrict` and density."""
 
     values: np.ndarray
     location_labels: tuple[str, ...]
@@ -83,13 +101,7 @@ class OutputMatrix:
     @classmethod
     def from_values(cls, values, location_labels, activity_labels) -> "OutputMatrix":
         values = np.ascontiguousarray(values, dtype=float)
-        location_labels, activity_labels = tuple(location_labels), tuple(activity_labels)
-        if values.shape != (len(location_labels), len(activity_labels)):
-            raise ValueError("matrix shape does not match label counts")
-        if len(set(location_labels)) != len(location_labels):
-            raise ValueError("duplicate location labels")
-        if len(set(activity_labels)) != len(activity_labels):
-            raise ValueError("duplicate activity labels")
+        location_labels, activity_labels = checked_labels(values, location_labels, activity_labels)
         if values.size:
             if not np.isfinite(values).all():
                 raise ValueError("matrix entries must be finite")
@@ -113,13 +125,20 @@ class OutputMatrix:
 def read_text(path: str | Path) -> str:
     """The whole text of a data file, a ``.gz`` file decompressed in one call;
     it is decoded as UTF-8 in one call, with CR and CRLF line ends read as
-    ``\\n`` as ``open`` reads text. No file or buffer outlives the call."""
+    ``\\n`` as ``open`` reads text. No file or buffer outlives the call. Raises
+    :class:`UndecodableInput` for text that is not UTF-8 and for truncated or
+    corrupt gzip data."""
     path = Path(path)
-    data = path.read_bytes()
-    if path.suffix == ".gz":
-        data = gzip.decompress(data)
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        data = path.read_bytes()
+        if path.suffix == ".gz":
+            data = gzip.decompress(data)
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise UndecodableInput(f"{path}: not UTF-8 text: {err.reason} (byte 0x{err.object[err.start]:02x})") from None
+    except (EOFError, zlib.error) as err:
+        raise UndecodableInput(f"{path}: damaged gzip data: {err}") from None
 
 
 def parse_long_records(source: str | IO[str], delimiter: str = ",") -> LongTable:
@@ -340,11 +359,12 @@ def drop_empty_margins(m: OutputMatrix) -> OutputMatrix:
 
 def restrict(m, keep_rows: np.ndarray, keep_cols: np.ndarray):
     """The kept rows and columns of an output or incidence matrix, as ``type(m)``;
-    ``m`` itself when everything is kept."""
+    ``m`` itself when everything is kept. A subset of a valid matrix is valid: unchecked.
+    ``np.ix_`` keeps C order, on which the last bits of every later sum depend."""
     if keep_rows.all() and keep_cols.all():
         return m
-    return type(m).from_values(
-        m.values[keep_rows][:, keep_cols],
-        [lab for lab, k in zip(m.location_labels, keep_rows) if k],
-        [lab for lab, k in zip(m.activity_labels, keep_cols) if k],
+    return type(m)(
+        m.values[np.ix_(keep_rows, keep_cols)],
+        tuple(lab for lab, k in zip(m.location_labels, keep_rows) if k),
+        tuple(lab for lab, k in zip(m.activity_labels, keep_cols) if k),
     )

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import re
-import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass
 from datetime import datetime, timezone
@@ -32,13 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from ._io import Blocks, Columns, number_texts, staged_dir, write_rows
-from .errors import (
-    ComplexityError,
-    EmptyInput,
-    InsufficientOverlap,
-    UndecodableInput,
-    ZeroVariance,
-)
+from .errors import ComplexityError, EmptyInput, InsufficientOverlap, ZeroVariance
 from .incidence import (
     IncidenceMatrix,
     binarize,
@@ -276,15 +269,8 @@ def prepare(
     })
     dropped = manifest["dropped"] = []
     with _stage("ingest", (ComplexityError, OSError)):
-        try:
-            # no name holds the text or the table, so each goes once the step reading it returns
-            raw = pivot_to_matrix(parse_long_records(read_text(cfg.input_path), cfg.delimiter))
-        except UnicodeDecodeError as err:
-            raise UndecodableInput(
-                f"{cfg.input_path}: not UTF-8 text: {err.reason} (byte 0x{err.object[err.start]:02x})"
-            ) from None
-        except (EOFError, zlib.error) as err:
-            raise UndecodableInput(f"{cfg.input_path}: damaged gzip data: {err}") from None
+        # no name holds the text or the table, so each goes once the step reading it returns
+        raw = pivot_to_matrix(parse_long_records(read_text(cfg.input_path), cfg.delimiter))
     manifest["counts"] = {"raw_locations": raw.values.shape[0], "raw_activities": raw.values.shape[1]}
 
     with _stage("left_tail_filter"):

@@ -12,8 +12,9 @@ from ecindex.incidence import (
     prune_degenerate,
     write_incidence,
 )
-from ecindex.ingest import OutputMatrix
+from ecindex.ingest import OutputMatrix, drop_empty_margins, left_tail_filter
 from ecindex.relatedness import proximity, relatedness_density
+from ecindex.spectral import largest_component
 
 from conftest import labeled_incidence
 from oracles import rca_by_loops, read_matrix_text
@@ -34,19 +35,37 @@ positive_matrices = st.lists(
 
 
 def test_rca_and_density_are_output_matrices_that_skip_the_checks(monkeypatch):
-    """RCA and density trust their input: their plain OutputMatrix constructor
-    makes no pass over the cells, as the checked ``from_values`` does."""
+    """The pipeline's producers trust their input: RCA, density, binarize and
+    every cut built on ``restrict`` use the plain constructor, which makes no
+    pass over the cells, as the checked ``from_values`` of either type does."""
     x = output_matrix([[10, 0, 5], [10, 10, 0], [0, 3, 8]])
     m = labeled_incidence(np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]]))
+    empty_row = labeled_incidence(np.array([[1, 0], [0, 0], [1, 1]]))
+    two_blocks = labeled_incidence(np.array([[1, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    gap = output_matrix([[4, 0, 1], [0, 0, 0], [1, 2, 0]])
+    r = compute_rca(x)
 
     def refuse(*args):
         raise AssertionError("from_values re-checked a trusted result")
 
     monkeypatch.setattr(OutputMatrix, "from_values", refuse)
+    monkeypatch.setattr(IncidenceMatrix, "from_values", refuse)
     for result, source in ((compute_rca(x), x), (relatedness_density(m, proximity(m)), m)):
         assert type(result) is OutputMatrix
         assert (result.location_labels, result.activity_labels) == (source.location_labels, source.activity_labels)
+    cases = (
+        (binarize(r), IncidenceMatrix, r.location_labels, r.activity_labels),
+        (prune_degenerate(empty_row)[0], IncidenceMatrix, ("L000", "L002"), ("A000", "A001")),
+        (largest_component(two_blocks)[0], IncidenceMatrix, ("L000", "L001"), ("A000", "A001")),
+        (left_tail_filter(x, min_location_total=12), OutputMatrix, ("L0", "L1"), ("A0", "A1", "A2")),
+        (drop_empty_margins(gap), OutputMatrix, ("L0", "L2"), ("A0", "A1", "A2")),
+    )
+    for result, kind, location_labels, activity_labels in cases:
+        assert type(result) is kind
+        assert (result.location_labels, result.activity_labels) == (location_labels, activity_labels)
+        assert result.values.flags.c_contiguous  # as from_values made it: later sums' bits depend on it
     assert OutputMatrix(np.array([[-1.0]]), ("A",), ("A",)).values.min() == -1.0  # no check at all
+    assert IncidenceMatrix(np.array([[2]]), ("A",), ("A",)).values.max() == 2
 
 
 class TestComputeRca:
@@ -211,18 +230,22 @@ def test_incidence_rejects_non_binary():
         IncidenceMatrix.from_values(np.array([[0.5, 0.0]]), ("L0",), ("A0", "A1"))
     with pytest.raises(ValueError, match="shape does not match"):
         IncidenceMatrix.from_values(np.array([[1, 0]]), ("L0",), ("A0",))
+    with pytest.raises(ValueError, match="duplicate location labels"):
+        IncidenceMatrix.from_values(np.array([[1, 0], [0, 1]]), ("L0", "L0"), ("A0", "A1"))
+    with pytest.raises(ValueError, match="duplicate activity labels"):
+        IncidenceMatrix.from_values(np.array([[1, 0], [0, 1]]), ("L0", "L1"), ("A0", "A0"))
 
 
 @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int8, np.int64, np.float32, np.float64])
 def test_cells_are_checked_as_isin_checks_them(dtype):
-    """Built directly, with no cast, a matrix is refused exactly when
-    ``np.isin`` finds a cell other than 0 or 1."""
+    """At the checked door, a matrix of any dtype is refused exactly when
+    ``np.isin`` finds a cell other than 0 or 1, with no cast warning."""
     for x in (0.0, 1.0, 2.0, 0.5, -1.0, np.inf, np.nan):
         with np.errstate(invalid="ignore"):
             values = np.array([[0.0, 1.0, x]]).astype(dtype)
         binary = bool(np.isin(values, (0, 1)).all())
         try:
-            IncidenceMatrix(values, ("L0",), ("A0", "A1", "A2"))
+            IncidenceMatrix.from_values(values, ("L0",), ("A0", "A1", "A2"))
         except ValueError:
             assert not binary
         else:

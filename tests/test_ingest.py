@@ -19,6 +19,7 @@ from ecindex.errors import (
     MalformedLine,
     NegativeValue,
     NonNumericValue,
+    UndecodableInput,
 )
 from ecindex.ingest import (
     LongTable,
@@ -143,6 +144,20 @@ def test_read_text_plain(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("loc,act,val\nFRA,wine,100\n")
     assert len(parse_long_records(read_text(path))) == 1
+
+
+def test_read_text_refuses_undecodable_bytes_with_its_own_error(tmp_path):
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"location,activity,value\nCaf\xe9,A,1\n")
+    with pytest.raises(UndecodableInput) as err:
+        read_text(latin)
+    assert str(err.value) == f"{latin}: not UTF-8 text: invalid continuation byte (byte 0xe9)"
+    data = gzip.compress(b"location,activity,value\nL0,A,1\n" * 50)
+    half = tmp_path / "half.csv.gz"
+    half.write_bytes(data[: len(data) // 2])
+    with pytest.raises(UndecodableInput) as err:
+        read_text(half)
+    assert str(err.value) == f"{half}: damaged gzip data: Compressed file ended before the end-of-stream marker was reached"
 
 
 def test_long_table_equality_compares_value_bits():

@@ -421,6 +421,38 @@ class TestRunPipeline:
                 assert marker not in path.read_bytes(), name
                 assert results[1][name].read_bytes().replace(marker, b"") == path.read_bytes(), name
 
+    @pytest.mark.parametrize("shape", [(30, 80), (60, 25)], ids=["30x80", "60x25"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_power_of_two_scale_and_split_records_change_no_byte(self, tmp_path, shape, seed):
+        """Two exact invariances of a run with every emit: every value times
+        a power of two, and every record split into two adjacent records of
+        half its value, leave every file but the manifest as the plain run's.
+        RCA is scale-free and scales by a power of two itself, so the product
+        is exact. The split sums ``v/2 + v/2 == v`` exactly only where no other
+        record shares the pair: ``a + b/2 + b/2`` can round otherwise than
+        ``a + b``, so the tables repeat no (location, activity) pair."""
+        rng = np.random.default_rng(seed)
+        cells = np.argwhere(rng.random(shape) < 0.6)
+        values = (rng.integers(1, 1000, len(cells)) * rng.choice([1.0, 0.1, 37.0], len(cells))).tolist()
+
+        def table(name, records):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("location,activity,value\n" + "".join(f"L{c},A{a},{v!r}\n" for (c, a), v in records))
+            return run_pipeline(PipelineConfig(input_path=path, out_dir=tmp_path / name)).outputs
+
+        plain = table("plain", zip(cells, values))
+        transformed = {
+            "up": table("up", ((cell, v * 2.0**10) for cell, v in zip(cells, values))),
+            "down": table("down", ((cell, v * 2.0**-10) for cell, v in zip(cells, values))),
+            "split": table("split", ((cell, v / 2) for cell, v in zip(cells, values) for _ in range(2))),
+        }
+        assert plain.keys() - {"manifest"} >= {"eci", "pci", "density", "proximity_edges"}
+        for transform, outputs in transformed.items():
+            assert outputs.keys() == plain.keys(), transform
+            for name, path in plain.items():
+                if name != "manifest":
+                    assert outputs[name].read_bytes() == path.read_bytes(), (transform, name)
+
     def test_empty_input_tagged_with_ingest_stage(self, tmp_path):
         input_path = tmp_path / "empty.csv"
         input_path.write_text("location,activity,value\n")
