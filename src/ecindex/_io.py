@@ -5,20 +5,17 @@ Every delimited file is written exactly as ``csv.writer(fh, delimiter=delimiter,
 lineterminator="\\n")`` writes it: ``\\n`` line ends and Python ``csv``'s
 minimal quoting, which quotes a cell holding the delimiter, ``"`` or a line
 break (and a row made of one empty cell) and doubles its ``"``; whether a
-lone CR counts as a line break is the running Python's ``csv`` rule. A number
-cell is written as ``str(x)``, which for a ``float`` is the shortest decimal
-text that round-trips to the same IEEE double and for an ``int`` is its
-integer text. Rounding is the consumer's job.
+lone CR counts as a line break is the running Python's ``csv`` rule.
 
-Every writer hands :func:`write_rows` blocks of ``str`` cells, whose rows it
-joins per block. Arrays of numbers are formatted once, with
-:func:`number_texts`; a comparison's fields, a trajectory's iteration number
-and the spectrum's exact zeros past its computed pairs are ``str(x)`` or the
-literal ``0.0``, the text :func:`number_texts` gives them. The matrix, edge
-and trajectory writers hand it :class:`Blocks`, which cut their
-rows into blocks of about :data:`BLOCK_CELLS` cells and format a block only
-when it is read (a proximity matrix of millions of cells holds a few hundred
-distinct numbers); the other writers hand it one block.
+Only this module turns a number into text. Writers hand :class:`Columns`
+numpy arrays, and every number cell of every file is :func:`number_texts`'
+text, ``str(x)``: for a ``float`` the shortest decimal text that round-trips
+to the same IEEE double, for an ``int`` its integer text. Rounding is the
+consumer's job. :func:`write_rows` joins the rows of each block of ``str``
+cells. The matrix, edge and trajectory writers hand it :class:`Blocks`, which
+cut their rows into blocks of about :data:`BLOCK_CELLS` cells and format a
+block only when it is read (a proximity matrix of millions of cells holds a
+few hundred distinct numbers); the other writers hand it one block.
 
 One fork rule, :func:`run_ranges`, serves the writers and the ingest reader
 (:mod:`ecindex.ingest`): where ``os.fork`` exists, a job of blocks is split
@@ -145,12 +142,14 @@ def _listed_outputs(manifest_path: Path) -> set[str]:
 
 
 class Columns:
-    """A block of rows given column by column, one equal-length sequence of
-    ``str`` cells per field. Each pass zips the columns afresh, so the block
-    can be iterated again without keeping a tuple per row."""
+    """A block of rows given column by column, one equal-length column per
+    field: ``str`` cells (labels) or a numpy array of numbers, formatted here
+    by :func:`number_texts`, the one number text of every file. Each pass zips
+    the columns afresh, so the block can be iterated again without keeping a
+    tuple per row."""
 
-    def __init__(self, *columns: Sequence[str]):
-        self.columns = columns
+    def __init__(self, *columns: Sequence[str] | np.ndarray):
+        self.columns = [number_texts(c).tolist() if isinstance(c, np.ndarray) else c for c in columns]
 
     def __iter__(self) -> Iterator[tuple[str, ...]]:
         return zip(*self.columns)

@@ -254,7 +254,7 @@ def run(config_path, **flags):
             options[_CONFIG_KEYS[key].field] = _CONFIG_KEYS[key].type.convert(text, None, None)
     except click.BadParameter as err:
         _config_error(f"{key}: {err.message}")
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         _config_error(err)
     options.update({field: value for field, value in flags.items() if value is not None})
     missing = [f"--{flag.name}" for flag in _FLAGS if flag.field not in options and flag.field not in _DEFAULTS]

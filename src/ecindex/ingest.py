@@ -126,8 +126,8 @@ def read_text(path: str | Path) -> str:
     """The whole text of a data file, a ``.gz`` file decompressed in one call;
     it is decoded as UTF-8 in one call, with CR and CRLF line ends read as
     ``\\n`` as ``open`` reads text. No file or buffer outlives the call. Raises
-    :class:`UndecodableInput` for text that is not UTF-8 and for truncated or
-    corrupt gzip data."""
+    :class:`UndecodableInput` for text that is not UTF-8 and for truncated,
+    corrupt or missing gzip data."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -137,7 +137,7 @@ def read_text(path: str | Path) -> str:
             return fh.read()
     except UnicodeDecodeError as err:
         raise UndecodableInput(f"{path}: not UTF-8 text: {err.reason} (byte 0x{err.object[err.start]:02x})") from None
-    except (EOFError, zlib.error) as err:
+    except (EOFError, zlib.error, gzip.BadGzipFile) as err:
         raise UndecodableInput(f"{path}: damaged gzip data: {err}") from None
 
 

@@ -24,13 +24,12 @@ import re
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass
 from datetime import datetime, timezone
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from ._io import Blocks, Columns, number_texts, staged_dir, write_rows
+from ._io import Blocks, Columns, staged_dir, write_rows
 from .errors import ComplexityError, EmptyInput, InsufficientOverlap, ZeroVariance
 from .incidence import (
     IncidenceMatrix,
@@ -95,6 +94,7 @@ class PipelineConfig:
         for name in ("min_location_total", "min_activity_total", "rca_threshold", "min_phi"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            setattr(self, name, float(getattr(self, name)))  # the manifest's json takes no numpy number
         if self.min_location_total < 0 or self.min_activity_total < 0 or self.min_phi < 0:
             raise ValueError("thresholds must be >= 0")
         if self.min_phi > 1:
@@ -103,6 +103,7 @@ class PipelineConfig:
             raise ValueError("rca_threshold must be positive")
         if not isinstance(self.reflections_iterations, (int, np.integer)) or self.reflections_iterations < 1:
             raise ValueError(f"reflections_iterations must be an integer >= 1, got {self.reflections_iterations!r}")
+        self.reflections_iterations = int(self.reflections_iterations)
         if isinstance(self.emit, str):
             raise ValueError(f"emit takes a tuple of flags, such as ({self.emit!r},), not a string")
         unknown = set(self.emit) - set(EMIT_CHOICES)
@@ -166,11 +167,12 @@ def emit_figure_data(
         if scores.labels != diversity_labels:
             raise ValueError(f"panel {stem!r} labels do not match diversity labels")
     paths = {}
+    order = sorted(range(len(diversity_labels)), key=diversity_labels.__getitem__)
     for stem, scores in panels.items():
-        rows = zip(scores.labels, number_texts(diversity_values).tolist(), number_texts(scores.raw).tolist())
         name = f"figure_diversity_vs_{stem}"
         paths[name] = Path(out_dir) / f"{name}.csv"
-        write_rows(paths[name], ("location", "diversity", "score"), [sorted(rows, key=itemgetter(0))], delimiter)
+        block = Columns([diversity_labels[i] for i in order], diversity_values[order], scores.raw[order])
+        write_rows(paths[name], ("location", "diversity", "score"), [block], delimiter)
     return paths
 
 
@@ -317,7 +319,7 @@ def write_incidence_files(out_dir: Path, m: IncidenceMatrix, delimiter: str = ",
         ("ubiquity", m.activity_labels, m.ubiquity),
     ):
         paths[name] = Path(out_dir) / f"{name}.csv"
-        write_rows(paths[name], ("label", "value"), [Columns(labels, number_texts(values).tolist())], delimiter)
+        write_rows(paths[name], ("label", "value"), [Columns(labels, values)], delimiter)
     return paths
 
 
@@ -376,7 +378,8 @@ def _run(cfg: PipelineConfig, out_dir: Path, manifest: dict) -> None:
             panels = {name: scores[name] for name in ("extensive_first", "extensive_second", "eci")}
             reports = [astuple(compare_vectors(diversity, panel, "diversity", name)) for name, panel in panels.items()]
             header = ("a", "b", "n", "pearson_r", "r_squared", "spearman_rho")
-            emit("comparisons", write_rows, header, [[tuple(map(str, report)) for report in reports]])
+            a, b, *numbers = zip(*reports)
+            emit("comparisons", write_rows, header, [Columns(a, b, *map(np.array, numbers))])
             emit_figure_data(out_dir, *diversity, panels, cfg.delimiter)
 
     manifest.update({
@@ -427,9 +430,8 @@ def _record_drops(
 
 def _write_trajectory(path, labels, raw, zscored, delimiter):
     def block(start, stop):  # iterations start:stop, each one row per label
-        iterations = [text for i in range(start, stop) for text in [str(i)] * len(labels)]
-        values = (number_texts(x[start:stop]).ravel().tolist() for x in (raw, zscored))
-        return Columns(iterations, labels * (stop - start), *values)
+        iterations = np.repeat(np.arange(start, stop), len(labels))
+        return Columns(iterations, labels * (stop - start), raw[start:stop].ravel(), zscored[start:stop].ravel())
 
     blocks = Blocks(np.full(raw.shape[0], 2 * raw.shape[1]), block)
     write_rows(path, ("iteration", "label", "value", "zscore"), blocks, delimiter)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import Blocks, Columns, number_texts, write_matrix, write_rows
+from ._io import Blocks, Columns, write_matrix, write_rows
 from .errors import IsolatedActivity
 from .incidence import IncidenceMatrix, require_positive_margins
 from .ingest import OutputMatrix
@@ -87,7 +87,7 @@ def write_proximity_edges(
     def block(start: int, stop: int) -> Columns:  # the kept cells of the rows, in row-major order
         values = phi.values[start:stop]
         rows, cols = np.nonzero(np.triu(values >= min_phi, start + 1))
-        return Columns(labels[rows + start].tolist(), labels[cols].tolist(), number_texts(values[rows, cols]).tolist())
+        return Columns(labels[rows + start].tolist(), labels[cols].tolist(), values[rows, cols])
 
     blocks = Blocks(np.arange(len(labels) - 1, -1, -1), block)
     write_rows(path, ("activityA", "activityB", "phi"), blocks, delimiter)

@@ -39,7 +39,7 @@ from typing import Literal
 
 import numpy as np
 
-from ._io import Columns, number_texts, write_rows
+from ._io import Columns, write_rows
 from .errors import (
     ConvergenceFailure,
     DegenerateSpectrum,
@@ -420,7 +420,7 @@ def write_scores(path: Path, scores: ComplexityScores, delimiter: str = ",") -> 
     d = -scores.standardized[order]
     ranks = np.empty(len(order), dtype=np.int64)
     ranks[order] = np.searchsorted(d, d, side="left") + 1
-    block = Columns(scores.labels, *(number_texts(x).tolist() for x in (scores.raw, scores.standardized, ranks)))
+    block = Columns(scores.labels, scores.raw, scores.standardized, ranks)
     write_rows(path, ("label", "raw", "standardized", "rank"), [block], delimiter)
 
 
@@ -430,8 +430,8 @@ def write_eigensolution(path: Path, solution: EigenSolution, delimiter: str = ",
     truncated solution lacks rows of the spectrum and is refused."""
     if solution.truncated:
         raise ValueError("a truncated eigensolution does not hold the whole spectrum")
-    zeros = ["0.0"] * solution.zeros
-    block = Columns(*(number_texts(x).tolist() + zeros for x in (solution.eigenvalues, solution.residuals)))
+    zeros = np.zeros(solution.zeros)
+    block = Columns(*(np.concatenate([x, zeros]) for x in (solution.eigenvalues, solution.residuals)))
     write_rows(path, ("eigenvalue", "residual"), [block], delimiter)
 
 

@@ -115,26 +115,31 @@ def test_run_config_values_may_hold_a_hash(tmp_path):
         (["emit = eci,nonsense"], [], 2, "unknown emit flags"),
         (["min-location-total = 5", "min_location_total = 5"], [], 2,
          "key 'min_location_total' is on line 3 and line 4"),
+        (None, ["--input", "{tmp}/input.csv"], 2, "Is a directory: "),
     ],
     ids=["bad-number", "no-equals", "missing-input-flag", "missing-input-config", "iterations-key", "inf-cut",
          "nan-min-phi", "min-phi-above-1", "inf-rca-threshold", "unknown-key", "bad-delimiter", "unknown-emit",
-         "repeated-key"],
+         "repeated-key", "config-is-a-directory"],
 )
 def test_run_config_problems_are_config_errors(tmp_path, config_lines, flags, exit_code, message):
     input_path = write_sample(tmp_path / "input.csv")
     config = tmp_path / "run.conf"
     base = {"input": f"input = {input_path}", "min_location_total": "min-location-total = 5",
             "min_activity_total": "min-activity-total = 5"}
-    for line in config_lines:
-        base.pop(line.partition("=")[0].strip().replace("-", "_"), None)
-    lines = list(base.values()) + [line.format(tmp=tmp_path) for line in config_lines]
-    config.write_text("\n".join(lines) + "\n")
+    if config_lines is None:  # a config path that names a directory
+        config.mkdir()
+    else:
+        for line in config_lines:
+            base.pop(line.partition("=")[0].strip().replace("-", "_"), None)
+        lines = list(base.values()) + [line.format(tmp=tmp_path) for line in config_lines]
+        config.write_text("\n".join(lines) + "\n")
     out_dir = tmp_path / "out"
     flags = [flag.format(tmp=tmp_path) for flag in flags]
     result = invoke("run", "--config", config, "--out-dir", out_dir, *flags)
     assert result.exit_code == exit_code, result.output
     if exit_code:
         assert result.output.startswith("error [config] ")
+        assert result.output.count("\n") == 1
         assert message in result.output
         assert "Traceback" not in result.output
         assert not out_dir.exists()

@@ -158,6 +158,11 @@ def test_read_text_refuses_undecodable_bytes_with_its_own_error(tmp_path):
     with pytest.raises(UndecodableInput) as err:
         read_text(half)
     assert str(err.value) == f"{half}: damaged gzip data: Compressed file ended before the end-of-stream marker was reached"
+    plain = tmp_path / "plain.csv.gz"
+    plain.write_bytes(b"location,activity,value\nL0,A,1\n")
+    with pytest.raises(UndecodableInput) as err:
+        read_text(plain)
+    assert str(err.value) == f"{plain}: damaged gzip data: Not a gzipped file (b'lo')"
 
 
 def test_long_table_equality_compares_value_bits():

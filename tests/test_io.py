@@ -3,6 +3,7 @@ the ``csv`` module as the oracle of every writer."""
 
 import csv
 import errno
+import importlib
 import io
 import os
 import time
@@ -270,13 +271,20 @@ def test_proximity_edges_are_formatted_one_bounded_block_at_a_time(tmp_path, mon
         sizes.append(block.size)
         return number_texts(block)
 
-    monkeypatch.setattr("ecindex.relatedness.number_texts", spy)
+    monkeypatch.setattr("ecindex._io.number_texts", spy)
     n = 300
     values = np.full((n, n), 0.5)
     np.fill_diagonal(values, 1.0)
     write_proximity_edges(tmp_path / "e.csv", ProximityMatrix(values, tuple(f"A{i}" for i in range(n))))
     assert sum(sizes) == n * (n - 1) // 2
     assert max(sizes) <= BLOCK_CELLS
+
+
+def test_only_io_turns_numbers_into_text():
+    """Writers hand ``_io`` arrays; no other module binds ``number_texts``."""
+    names = ("spectral", "relatedness", "pipeline", "incidence", "ingest", "cli", "alphabet")
+    modules = [importlib.import_module(f"ecindex.{name}") for name in names]
+    assert [m.__name__ for m in modules if hasattr(m, "number_texts")] == []
 
 
 def test_write_matrix_wider_than_one_block_with_labels_that_need_quoting(tmp_path):

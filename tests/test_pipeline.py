@@ -453,6 +453,56 @@ class TestRunPipeline:
                 if name != "manifest":
                     assert outputs[name].read_bytes() == path.read_bytes(), (transform, name)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_left_tail_cut_writes_the_bytes_of_the_input_without_the_cut_records(self, tmp_path, seed):
+        """A left-tail cut slices the ingested matrix; the same table without
+        the records of the cut labels is built whole. Both runs, with every
+        emit, write the same bytes, the BLAS-rounded score and trajectory
+        files included, so the cut leaves the matrix laid out as ingest does.
+        The tables have the benchmark's hs4 shape (at 60x90 a Fortran-ordered
+        cut moved no last bit), and their first location holds every activity
+        with the largest values: it survives the cut and fixes the order of
+        the activity labels."""
+        rng = np.random.default_rng(seed)
+        shape = (100, 600)
+        sizes = rng.lognormal(0.0, 1.5, (shape[0], 1)) * rng.lognormal(0.0, 1.0, shape[1])
+        values = np.where(rng.random(shape) < 0.4, sizes * rng.lognormal(0.0, 2.0, shape) * 1e6, 0.0)
+        values[0] = values.max() * (1.0 + rng.random(shape[1]))
+        rows, cols = np.nonzero(values)
+        records = list(zip(rows.tolist(), cols.tolist(), values[rows, cols].tolist()))
+
+        def table(name, records, **cut):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("location,activity,value\n" + "".join(f"L{c},A{a},{v!r}\n" for c, a, v in records))
+            return run_pipeline(PipelineConfig(input_path=path, out_dir=tmp_path / name, **cut))
+
+        cut = table(
+            "cut", records,
+            min_location_total=np.percentile(values.sum(axis=1), 20),
+            min_activity_total=np.percentile(values.sum(axis=0), 20),
+        )
+        dropped = {(d["axis"], d["label"]) for d in cut.manifest["dropped"] if d["stage"] == "left_tail_filter"}
+        assert {axis for axis, _ in dropped} == {"location", "activity"}
+        whole = table("whole", [
+            (c, a, v) for c, a, v in records if ("location", f"L{c}") not in dropped and ("activity", f"A{a}") not in dropped
+        ])
+        assert whole.outputs.keys() == cut.outputs.keys()
+        assert cut.outputs.keys() - {"manifest"} >= {"eci", "pci", "reflections_locations", "reflections_activities"}
+        for name, path in cut.outputs.items():
+            if name != "manifest":
+                assert whole.outputs[name].read_bytes() == path.read_bytes(), name
+
+    def test_numpy_numbers_in_the_config_reach_the_manifest_as_json_numbers(self, tmp_path):
+        cfg = PipelineConfig(
+            input_path=block_input(tmp_path / "input.csv"), out_dir=tmp_path / "out",
+            min_location_total=np.int64(0), min_phi=np.float32(0.1), reflections_iterations=np.int64(5),
+        )
+        config = run_pipeline(cfg).manifest["config"]
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["config"] == config
+        assert (type(config["min_location_total"]), config["min_location_total"]) == (float, 0.0)
+        assert (type(config["min_phi"]), config["min_phi"]) == (float, float(np.float32(0.1)))
+        assert (type(config["reflections_iterations"]), config["reflections_iterations"]) == (int, 5)
+
     def test_empty_input_tagged_with_ingest_stage(self, tmp_path):
         input_path = tmp_path / "empty.csv"
         input_path.write_text("location,activity,value\n")
